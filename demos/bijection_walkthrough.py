@@ -7,7 +7,6 @@ from sytkit import (
     PairState,
     arrangement_to_matching,
     free_points,
-    involution_word,
     lds,
     lis,
     matching_to_arrangement,
@@ -32,7 +31,7 @@ print(f"side sizes swapped parity: |p|={state.p.size} -> |p'|={image.p.size}")
 print()
 print("Robinson-Schensted statistics of the first side")
 print("-" * 60)
-word = involution_word(state.p)
+word = state.p.word()
 tableau = rs_of_involution(state.p)
 print(f"word of p: {' '.join(map(str, word))}")
 print(f"tableau rows: {[list(r) for r in tableau.rows]}  shape {list(tableau.shape)}")

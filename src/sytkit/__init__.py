@@ -25,7 +25,6 @@ from .core import (
     Involution,
     StandardTableau,
     conjugate,
-    involution_word,
     lds,
     lis,
     max_decreasing_subsequences,
@@ -94,7 +93,6 @@ __all__ = [
     "free_points",
     "generate_involutions",
     "hook_length_count",
-    "involution_word",
     "lds",
     "lis",
     "matching_to_arrangement",

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import comb
 from typing import Iterator, Sequence
 
 from .core import (
@@ -29,7 +28,7 @@ from .core import (
 )
 from .counting import count_fpf, count_fpf_lds_bounded, generate_involutions
 from .errors import ClosureViolationError, PivotAbsentError, ScaleLimitError
-from .identities import IdentityVerdict, _term
+from .identities import IdentityVerdict, _pair_sum, _term
 
 DEFAULT_PAIR_SPACE_LIMIT = 4
 DEFAULT_SUBSEQUENCE_LIMIT = 12
@@ -72,10 +71,6 @@ class ColoredInvolution:
             seen.update((a, b))
         if seen != set(range(1, 2 * self.n + 1)):
             raise ValueError(f"cycles must cover 1..{2 * self.n}")
-
-    @property
-    def involution(self) -> Involution:
-        return Involution((), self.red + self.blue)
 
 
 @dataclass(frozen=True)
@@ -257,11 +252,8 @@ def signed_cancellation_audit(
     lhs_terms = tuple(
         _term(r, 1, 1, survivors_by_r[r], 1) for r in range(2 * n + 1)
     )
-    rhs_terms = tuple(
-        _term(r, 1, comb(2 * n, r), count(r), count(2 * n - r)) for r in range(2 * n + 1)
-    )
+    rhs, rhs_terms = _pair_sum(count, n, signed=False)
     lhs = sum(t.term_value for t in lhs_terms)
-    rhs = sum(t.term_value for t in rhs_terms)
     per_r_match = all(lhs_terms[r].term_value == rhs_terms[r].term_value for r in range(2 * n + 1))
     holds = not failures and per_r_match and lhs == rhs and signed_total == lhs
     checks = (

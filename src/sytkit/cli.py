@@ -26,18 +26,10 @@ from .bijections import (
     signed_cancellation_audit,
     toggle_pivot,
 )
-from .core import Involution, involution_word, lds, lis, odd_columns, rs_of_involution
-from .counting import count_family, validate_family
+from .core import Involution, lds, lis, odd_columns, rs_of_involution
+from .counting import count_family
 from .errors import CacheMismatchError, PivotAbsentError, ScaleLimitError
-from .identities import (
-    demonstrate_naive_failure,
-    verify_a005568,
-    verify_corollary_k3,
-    verify_fpf_pairs,
-    verify_odd_k,
-    verify_unrestricted,
-    verify_wilf_even,
-)
+from .identities import IDENTITIES
 from .output import (
     FORMATS,
     OutputRecord,
@@ -176,10 +168,6 @@ def _emit(ctx: click.Context, record: OutputRecord) -> None:
 @click.pass_context
 def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
     """Evaluate one counting family at the given sizes."""
-    try:
-        validate_family(family, k)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
     sizes = parse_range(n_range)
     try:
         rows = [{"family": family, "k": k, "n": n, "value": count_family(family, k, n)}
@@ -209,26 +197,14 @@ def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
 
 # ---------------------------------------------------------------- verify
 
-# name -> (verifier, k requirement); parity is enforced by the verifier itself
-_IDENTITY_CMDS = {
-    "wilf": (verify_wilf_even, True),
-    "unrestricted": (verify_unrestricted, False),
-    "fpf-pairs": (verify_fpf_pairs, False),
-    "odd": (verify_odd_k, True),
-    "corollary-k3": (verify_corollary_k3, False),
-    "a005568": (verify_a005568, False),
-    "naive-failure": (demonstrate_naive_failure, True),
-}
-
-
 @main.command()
-@click.argument("identity", type=click.Choice(sorted(_IDENTITY_CMDS)))
+@click.argument("identity", type=click.Choice(sorted(IDENTITIES)))
 @click.option("--k", type=int, default=None, help="Bound parameter, where the identity takes one.")
 @click.option("--n", "n_range", required=True, help="Instance size, or inclusive range 'a..b'.")
 @click.pass_context
 def verify(ctx: click.Context, identity: str, k: int | None, n_range: str) -> None:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
-    verifier, takes_k = _IDENTITY_CMDS[identity]
+    verifier, takes_k = IDENTITIES[identity]
     if takes_k and k is None:
         raise click.UsageError(f"identity {identity!r} requires --k")
     if not takes_k and k is not None:
@@ -256,7 +232,7 @@ def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
         raise click.UsageError("provide exactly one of --cycles or --word")
     v = parse_cycles(cycles) if cycles is not None else parse_word(word)
     t = rs_of_involution(v)
-    w = involution_word(v)
+    w = v.word()
     fields = [
         ("involution", v.cycle_string()),
         ("word", " ".join(str(x) for x in w) or "-"),

@@ -187,14 +187,6 @@ class Involution:
         return f"Involution{self.cycle_string()}"
 
 
-EMPTY_INVOLUTION = Involution()
-
-
-def involution_word(v: Involution) -> tuple[int, ...]:
-    """One-line word of an involution (position order = increasing support labels)."""
-    return v.word()
-
-
 def as_shape(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a partition (weakly decreasing positive parts)."""
     shape = tuple(int(p) for p in parts)

@@ -18,10 +18,6 @@ from .errors import ScaleLimitError
 
 DEFAULT_PERMUTATION_LIMIT = 8
 
-#: families addressable by (family, k, n) queries; None marks "no bound parameter"
-FAMILIES = ("u", "y", "y_unbounded", "x_unbounded", "x", "catalan")
-_BOUNDED_FAMILIES = ("u", "y", "x")
-
 
 def partitions(
     n: int,
@@ -201,28 +197,30 @@ def brute_count_lis_bounded(k: int, n: int, limit: int = DEFAULT_PERMUTATION_LIM
     return sum(1 for p in permutations(range(1, n + 1)) if lis(p) <= k)
 
 
+#: (family, k, n) queries: name -> (count function, whether it takes the bound k)
+FAMILIES = {
+    "u": (count_perms_lis_bounded, True),
+    "y": (count_syt_row_bounded, True),
+    "y_unbounded": (count_involutions, False),
+    "x_unbounded": (count_fpf, False),
+    "x": (count_fpf_lds_bounded, True),
+    "catalan": (catalan, False),
+}
+
+
 def validate_family(family: str, k: int | None) -> None:
     """Check a (family, k) query combination; k goes with u, y, x only."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    if family in _BOUNDED_FAMILIES:
-        if k is None:
-            raise ValueError(f"family {family!r} requires a bound k")
-    elif k is not None:
+    takes_k = FAMILIES[family][1]
+    if takes_k and k is None:
+        raise ValueError(f"family {family!r} requires a bound k")
+    if not takes_k and k is not None:
         raise ValueError(f"family {family!r} takes no bound k")
 
 
 def count_family(family: str, k: int | None, n: int) -> int:
     """Evaluate one (family, k, n) count query."""
     validate_family(family, k)
-    if family == "u":
-        return count_perms_lis_bounded(k, n)
-    if family == "y":
-        return count_syt_row_bounded(k, n)
-    if family == "y_unbounded":
-        return count_involutions(n)
-    if family == "x":
-        return count_fpf_lds_bounded(k, n)
-    if family == "x_unbounded":
-        return count_fpf(n)
-    return catalan(n)
+    count, takes_k = FAMILIES[family]
+    return count(k, n) if takes_k else count(n)

@@ -22,17 +22,6 @@ from .counting import (
     count_syt_row_bounded,
 )
 
-IDENTITY_IDS = (
-    "wilf_even",
-    "unrestricted",
-    "fpf_pairs",
-    "odd_k",
-    "corollary_k3",
-    "a005568",
-    "naive_failure",
-)
-
-
 @dataclass(frozen=True)
 class TermBreakdown:
     """One summand: term_value = sign * binomial * left_factor * right_factor."""
@@ -81,6 +70,12 @@ def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[int, t
 def _product_side(n: int, factor: int) -> tuple[int, tuple[TermBreakdown, ...]]:
     """C(2n, n) * factor as a single-term side (indexed at r = n)."""
     term = _term(n, 1, comb(2 * n, n), factor, 1)
+    return term.term_value, (term,)
+
+
+def _catalan_product_side(n: int) -> tuple[int, tuple[TermBreakdown, ...]]:
+    """C_n * C_{n+1} as a single-term side (indexed at r = n)."""
+    term = _term(n, 1, 1, catalan(n), catalan(n + 1))
     return term.term_value, (term,)
 
 
@@ -139,8 +134,7 @@ def verify_corollary_k3(n: int) -> IdentityVerdict:
     = C_n C_{n+1} = the closed binomial form."""
     _require_positive(n)
     lhs, lhs_terms = _pair_sum(lambda r: count_syt_row_bounded(3, r), n, signed=True)
-    rhs = catalan(n) * catalan(n + 1)
-    rhs_terms = (_term(n, 1, 1, catalan(n), catalan(n + 1)),)
+    rhs, rhs_terms = _catalan_product_side(n)
     row_bound_4 = count_syt_row_bounded(4, 2 * n)
     closed_form = comb(2 * n, n) * comb(2 * n + 2, n + 1) // ((n + 1) * (n + 2))
     holds = lhs == rhs == row_bound_4 == closed_form
@@ -161,8 +155,7 @@ def verify_a005568(n: int) -> IdentityVerdict:
         _term(i, 1, comb(2 * n, 2 * i), catalan(i), catalan(n - i)) for i in range(n + 1)
     )
     lhs = sum(t.term_value for t in lhs_terms)
-    rhs = catalan(n) * catalan(n + 1)
-    rhs_terms = (_term(n, 1, 1, catalan(n), catalan(n + 1)),)
+    rhs, rhs_terms = _catalan_product_side(n)
     pair_sum, _ = _pair_sum(lambda r: count_fpf_lds_bounded(2, r), n, signed=False)
     holds = lhs == rhs == pair_sum
     checks = (("fpf_lds2_pair_sum", pair_sum),)
@@ -182,3 +175,15 @@ def demonstrate_naive_failure(k: int, n: int) -> IdentityVerdict:
     lhs, lhs_terms = _product_side(n, count_perms_lis_bounded(k, n))
     rhs, rhs_terms = _pair_sum(lambda r: count_fpf_lis_bounded(k, r), n, signed=False)
     return IdentityVerdict("naive_failure", k, n, lhs, rhs, lhs_terms, rhs_terms, lhs != rhs)
+
+
+#: CLI name -> (verifier, whether it takes the bound k); parity is checked by the verifier
+IDENTITIES = {
+    "wilf": (verify_wilf_even, True),
+    "unrestricted": (verify_unrestricted, False),
+    "fpf-pairs": (verify_fpf_pairs, False),
+    "odd": (verify_odd_k, True),
+    "corollary-k3": (verify_corollary_k3, False),
+    "a005568": (verify_a005568, False),
+    "naive-failure": (demonstrate_naive_failure, True),
+}

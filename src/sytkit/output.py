@@ -11,11 +11,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
 
-from .counting import count_family
+from .counting import count_family, validate_family
 from .errors import CacheMismatchError
 from .identities import IdentityVerdict
 
@@ -25,7 +26,7 @@ CACHE_HEADER = "sytkit cache v1"
 
 @dataclass
 class OutputRecord:
-    kind: str  # count | verdict | trace | table
+    kind: str  # count | verdict | trace
     payload: dict = field(default_factory=dict)
 
 
@@ -75,16 +76,31 @@ def verdict_payload(v: IdentityVerdict) -> dict:
 def render(record: OutputRecord, fmt: str) -> str:
     if fmt == "json":
         return json.dumps({"kind": record.kind, **_s(record.payload)}, indent=2)
-    if fmt == "csv":
-        return _render_csv(record)
-    if fmt == "table":
-        return _render_table(record)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    tabulate = _aligned if fmt == "table" else _csv_text
+    p = record.payload
+    if record.kind == "count":
+        return tabulate(
+            ["family", "k", "n", "value"],
+            [[r["family"], r["k"], r["n"], r["value"]] for r in p["rows"]],
+        )
+    if record.kind == "verdict":
+        return (_verdicts_table if fmt == "table" else _verdicts_csv)(p["verdicts"])
+    if record.kind == "trace":
+        if fmt == "table":
+            out = "\n".join(f"{name}: {_cell(value)}" for name, value in p["fields"])
+        else:
+            out = _csv_text(["name", "value"], p["fields"])
+        if "table" in p:
+            out += "\n" + tabulate(p["table"]["columns"], p["table"]["rows"])
+        return out
+    raise ValueError(f"unknown record kind {record.kind!r}")
 
 
 # ---------------------------------------------------------------- csv
 
-def _csv_text(header: list[str], rows: list[list[Any]]) -> str:
+def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -100,43 +116,26 @@ _VERDICT_CSV_HEADER = [
 ]
 
 
-def _render_csv(record: OutputRecord) -> str:
-    p = record.payload
-    if record.kind == "count":
-        return _csv_text(
-            ["family", "k", "n", "value"],
-            [[r["family"], r["k"], r["n"], r["value"]] for r in p["rows"]],
-        )
-    if record.kind == "verdict":
-        rows = []
-        for v in p["verdicts"]:
-            base = [v["identity"], v["k"], v["n"]]
-            rows.append(["verdict", *base, v["lhs"], v["rhs"], v["holds"],
-                         "", "", "", "", "", "", "", "", ""])
-            for side, terms in (("lhs", v["lhs_terms"]), ("rhs", v["rhs_terms"])):
-                for t in terms:
-                    rows.append(["term", *base, "", "", "", side, t["r"], t["sign"],
-                                 t["binomial"], t["left_factor"], t["right_factor"],
-                                 t["term_value"], "", ""])
-            for c in v["checks"]:
-                rows.append(["check", *base, "", "", "", "", "", "", "", "", "", "",
-                             c["name"], c["value"]])
-        return _csv_text(_VERDICT_CSV_HEADER, rows)
-    if record.kind == "trace":
-        rows = [[name, value] for name, value in p["fields"]]
-        out = _csv_text(["name", "value"], rows)
-        if "table" in p:
-            t = p["table"]
-            out += "\n" + _csv_text(list(t["columns"]), [list(r) for r in t["rows"]])
-        return out
-    if record.kind == "table":
-        return _csv_text(list(p["columns"]), [list(r) for r in p["rows"]])
-    raise ValueError(f"unknown record kind {record.kind!r}")
+def _verdicts_csv(verdicts: list[dict]) -> str:
+    rows = []
+    for v in verdicts:
+        base = [v["identity"], v["k"], v["n"]]
+        rows.append(["verdict", *base, v["lhs"], v["rhs"], v["holds"],
+                     "", "", "", "", "", "", "", "", ""])
+        for side, terms in (("lhs", v["lhs_terms"]), ("rhs", v["rhs_terms"])):
+            for t in terms:
+                rows.append(["term", *base, "", "", "", side, t["r"], t["sign"],
+                             t["binomial"], t["left_factor"], t["right_factor"],
+                             t["term_value"], "", ""])
+        for c in v["checks"]:
+            rows.append(["check", *base, "", "", "", "", "", "", "", "", "", "",
+                         c["name"], c["value"]])
+    return _csv_text(_VERDICT_CSV_HEADER, rows)
 
 
 # ---------------------------------------------------------------- table
 
-def _aligned(header: list[str], rows: list[list[Any]]) -> str:
+def _aligned(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     cells = [header] + [[_cell(x) for x in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
@@ -144,44 +143,28 @@ def _aligned(header: list[str], rows: list[list[Any]]) -> str:
     return "\n".join(lines)
 
 
-def _render_table(record: OutputRecord) -> str:
-    p = record.payload
-    if record.kind == "count":
-        return _aligned(
-            ["family", "k", "n", "value"],
-            [[r["family"], r["k"], r["n"], r["value"]] for r in p["rows"]],
+def _verdicts_table(verdicts: list[dict]) -> str:
+    blocks = []
+    for v in verdicts:
+        status = "holds" if v["holds"] else "FAILS"
+        head = (
+            f"{v['identity']}  k={_cell(v['k'])}  n={v['n']}  "
+            f"lhs={v['lhs']}  rhs={v['rhs']}  [{status}]"
         )
-    if record.kind == "verdict":
-        blocks = []
-        for v in p["verdicts"]:
-            status = "holds" if v["holds"] else "FAILS"
-            head = (
-                f"{v['identity']}  k={_cell(v['k'])}  n={v['n']}  "
-                f"lhs={v['lhs']}  rhs={v['rhs']}  [{status}]"
-            )
-            rows = []
-            for side, terms in (("lhs", v["lhs_terms"]), ("rhs", v["rhs_terms"])):
-                for t in terms:
-                    rows.append([side, t["r"], t["sign"], t["binomial"],
-                                 t["left_factor"], t["right_factor"], t["term_value"]])
-            body = _aligned(
-                ["side", "r", "sign", "binomial", "left_factor", "right_factor", "term_value"],
-                rows,
-            )
-            block = head + "\n" + body
-            if v["checks"]:
-                block += "\n" + "\n".join(f"  {c['name']} = {c['value']}" for c in v["checks"])
-            blocks.append(block)
-        return "\n\n".join(blocks)
-    if record.kind == "trace":
-        lines = [f"{name}: {_cell(value)}" for name, value in p["fields"]]
-        if "table" in p:
-            t = p["table"]
-            lines.append(_aligned(list(t["columns"]), [list(r) for r in t["rows"]]))
-        return "\n".join(lines)
-    if record.kind == "table":
-        return _aligned(list(p["columns"]), [list(r) for r in p["rows"]])
-    raise ValueError(f"unknown record kind {record.kind!r}")
+        rows = []
+        for side, terms in (("lhs", v["lhs_terms"]), ("rhs", v["rhs_terms"])):
+            for t in terms:
+                rows.append([side, t["r"], t["sign"], t["binomial"],
+                             t["left_factor"], t["right_factor"], t["term_value"]])
+        body = _aligned(
+            ["side", "r", "sign", "binomial", "left_factor", "right_factor", "term_value"],
+            rows,
+        )
+        block = head + "\n" + body
+        if v["checks"]:
+            block += "\n" + "\n".join(f"  {c['name']} = {c['value']}" for c in v["checks"])
+        blocks.append(block)
+    return "\n\n".join(blocks)
 
 
 # ---------------------------------------------------------------- cache
@@ -195,13 +178,42 @@ def _key_sort(key: CacheKey) -> tuple:
 
 
 def save_cache(entries: dict[CacheKey, int], path: str | Path) -> None:
+    """Write the cache through a temporary file in the same directory, then rename
+    it over ``path``, so a failed write leaves the old file as it was."""
     lines = [CACHE_HEADER]
     for family, k, n in sorted(entries, key=_key_sort):
         lines.append(f"{family} {'-' if k is None else k} {n} {entries[(family, k, n)]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "w", encoding="ascii") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError("expected 'family k n value'")
+    family, k_text, n_text, value_text = parts
+    k = None if k_text == "-" else int(k_text)
+    n, value = int(n_text), int(value_text)
+    validate_family(family, k)
+    if k is not None and k < 1:
+        raise ValueError(f"bound k must be a positive integer, got {k}")
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if value < 0:
+        raise ValueError(f"count must be non-negative, got {value}")
+    return (family, k, n), value
 
 
 def load_cache(path: str | Path) -> dict[CacheKey, int]:
+    """Read a cache file; any malformed or duplicate entry raises ValueError."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines or lines[0] != CACHE_HEADER:
@@ -210,12 +222,13 @@ def load_cache(path: str | Path) -> dict[CacheKey, int]:
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"malformed cache line {lineno}: {line!r}")
-        family, k_text, n_text, value_text = parts
-        k = None if k_text == "-" else int(k_text)
-        entries[(family, k, int(n_text))] = int(value_text)
+        try:
+            key, value = _parse_cache_line(line)
+        except ValueError as exc:
+            raise ValueError(f"malformed cache line {lineno}: {line!r}: {exc}") from None
+        if key in entries:
+            raise ValueError(f"duplicate cache entry on line {lineno}: {line!r}")
+        entries[key] = value
     return entries
 
 

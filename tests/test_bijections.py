@@ -18,7 +18,6 @@ from sytkit import (
     enumerate_pair_space,
     free_points,
     generate_involutions,
-    involution_word,
     lds,
     lis,
     matching_to_arrangement,
@@ -230,7 +229,7 @@ def test_no_decreasing_witness_contains_two_fixed_points(n):
     from sytkit import max_decreasing_subsequences
 
     for v in generate_involutions(range(1, n + 1)):
-        word, support = involution_word(v), v.support
+        word, support = v.word(), v.support
         _, runs = max_decreasing_subsequences(word)
         for run in runs:
             assert sum(1 for i in run if word[i] == support[i]) <= 1

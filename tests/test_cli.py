@@ -344,3 +344,46 @@ def test_cache_rejects_malformed_file(tmp_path):
     path = tmp_path / "counts.cache"
     path.write_text("not a cache\n")
     assert run("--cache", str(path), "count", "catalan", "--n", "1").exit_code == 2
+
+
+@pytest.mark.parametrize("verify_flag", [(), ("--verify-cache",)], ids=["plain", "verify"])
+@pytest.mark.parametrize("body", [
+    "zzz 1 2 3",        # unknown family
+    "y - 3 5",          # bounded family without k
+    "catalan 2 3 5",    # unbounded family with k
+    "y 0 3 5",          # k < 1
+    "y 2 -1 5",         # n < 0
+    "y 2 3 -5",         # negative value
+    "y 2 3 x",          # not an integer
+    "y 2 3 5\ny 2 3 3", # duplicate key
+], ids=["family", "missing-k", "extra-k", "k", "n", "value", "integer", "duplicate"])
+def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, verify_flag):
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\n{body}\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), *verify_flag, "count", "catalan", "--n", "1")
+    assert result.exit_code == 2
+    assert "cache" in result.stderr
+    assert path.read_bytes() == before
+    with pytest.raises(ValueError):
+        load_cache(path)
+
+
+@pytest.mark.parametrize("failure", ["write", "replace"])
+def test_cache_save_failure_keeps_old_file(tmp_path, monkeypatch, failure):
+    path = tmp_path / "counts.cache"
+    save_cache({("catalan", None, 3): 5}, path)
+    before = path.read_bytes()
+    entries = {("catalan", None, 4): 14}
+    if failure == "write":
+        entries[("café", None, 1)] = 1  # not ASCII: the write itself raises
+        expected = UnicodeEncodeError
+    else:
+        def refuse(src, dst):
+            raise OSError("replace refused")
+        monkeypatch.setattr("sytkit.output.os.replace", refuse)
+        expected = OSError
+    with pytest.raises(expected):
+        save_cache(entries, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["counts.cache"]

@@ -5,7 +5,6 @@ from sytkit import (
     Involution,
     StandardTableau,
     conjugate,
-    involution_word,
     lds,
     lis,
     max_decreasing_subsequences,
@@ -60,13 +59,12 @@ def test_involution_construction_and_word():
     v = Involution((5,), ((3, 1), (6, 2)))
     assert v.support == (1, 2, 3, 5, 6)
     assert v.word() == (3, 6, 1, 5, 2)
-    assert involution_word(v) == v.word()
     assert v.cycle_string() == "(13)(26)(5)"
 
 
 def test_involution_word_trivial_cases():
-    assert involution_word(Involution()) == ()
-    assert involution_word(Involution((1, 2, 3))) == (1, 2, 3)
+    assert Involution().word() == ()
+    assert Involution((1, 2, 3)).word() == (1, 2, 3)
 
 
 def test_involution_rejects_bad_input():
@@ -152,7 +150,7 @@ def test_rs_round_trip_and_bijectivity(n):
 def test_first_row_and_column_are_subsequence_statistics(n):
     for v in generate_involutions(range(1, n + 1)):
         t = rs_of_involution(v)
-        w = involution_word(v)
+        w = v.word()
         first_row = t.shape[0] if t.rows else 0
         first_col = len(t.rows)
         assert lis(w) == first_row
@@ -194,3 +192,11 @@ def test_odd_columns_examples():
     assert odd_columns(StandardTableau([[1, 2], [3, 4]])) == 0
     assert odd_columns(StandardTableau([[1, 2, 3], [4, 5]])) == 1
     assert odd_columns(StandardTableau([[1]])) == 1
+
+
+def test_public_exports_resolve_once():
+    import sytkit
+
+    assert len(sytkit.__all__) == len(set(sytkit.__all__))
+    for name in sytkit.__all__:
+        assert getattr(sytkit, name) is not None
