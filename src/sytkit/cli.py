@@ -99,10 +99,7 @@ def parse_cycles(text: str) -> Involution:
             raise click.UsageError(
                 f"cycle ({group}) has {len(labels)} labels; involutions allow 1 or 2"
             )
-    try:
-        return Involution(fixed, cycles)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return Involution(fixed, cycles)
 
 
 def parse_word(text: str) -> Involution:
@@ -112,10 +109,7 @@ def parse_word(text: str) -> Involution:
         entries = [int(p) for p in pieces]
     except ValueError:
         raise click.UsageError(f"word entries must be integers, got {text!r}")
-    try:
-        return Involution.from_word(entries)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    return Involution.from_word(entries)
 
 
 def parse_labels(text: str) -> tuple[int, ...]:
@@ -132,19 +126,39 @@ def _cycles_str(pairs) -> str:
 
 # ---------------------------------------------------------------- group
 
-@click.group()
+class ExitCodeCommand(click.Command):
+    """A subcommand whose library errors end in the documented exit codes."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ScaleLimitError as exc:
+            click.echo(str(exc), err=True)
+            ctx.exit(EXIT_SCALE_LIMIT)
+        except CacheMismatchError as exc:
+            click.echo(f"cache verification failed: {exc}", err=True)
+            ctx.exit(EXIT_VERIFICATION_FAILURE)
+        except (ValueError, OSError) as exc:
+            raise click.UsageError(str(exc), ctx) from exc
+
+
+class ExitCodeGroup(click.Group):
+    command_class = ExitCodeCommand
+
+
+@click.group(cls=ExitCodeGroup)
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
               show_default=True, help="Output rendering.")
 @click.option("--cache", "cache_path", type=click.Path(dir_okay=False), default=None,
               help="Count cache file to read and update.")
 @click.option("--verify-cache", is_flag=True,
               help="Recompute and check every cache entry on load.")
-@click.option("--oracle-limit", type=int, default=None,
+@click.option("--oracle-limit", type=click.IntRange(min=1), default=DEFAULT_PAIR_SPACE_LIMIT,
               help="Override the exhaustive-search size limit.")
 @click.option("--trace", is_flag=True, help="Show intermediate bijection data.")
 @click.pass_context
 def main(ctx: click.Context, fmt: str, cache_path: str | None, verify_cache: bool,
-         oracle_limit: int | None, trace: bool) -> None:
+         oracle_limit: int, trace: bool) -> None:
     """Exact tableau/involution counts, identity checks, and bijection tools."""
     ctx.obj = {
         "fmt": fmt,
@@ -168,27 +182,14 @@ def _emit(ctx: click.Context, record: OutputRecord) -> None:
 @click.pass_context
 def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
     """Evaluate one counting family at the given sizes."""
-    sizes = parse_range(n_range)
-    try:
-        rows = [{"family": family, "k": k, "n": n, "value": count_family(family, k, n)}
-                for n in sizes]
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    rows = [{"family": family, "k": k, "n": n, "value": count_family(family, k, n)}
+            for n in parse_range(n_range)]
 
     cache_path = ctx.obj["cache"]
     if cache_path is not None:
-        entries = {}
-        if Path(cache_path).exists():
-            try:
-                entries = load_cache(cache_path)
-            except ValueError as exc:
-                raise click.UsageError(str(exc))
-            if ctx.obj["verify_cache"]:
-                try:
-                    verify_cache_entries(entries)
-                except CacheMismatchError as exc:
-                    click.echo(f"cache verification failed: {exc}", err=True)
-                    ctx.exit(EXIT_VERIFICATION_FAILURE)
+        entries = load_cache(cache_path) if Path(cache_path).exists() else {}
+        if ctx.obj["verify_cache"]:
+            verify_cache_entries(entries)
         entries.update({(r["family"], r["k"], r["n"]): r["value"] for r in rows})
         save_cache(entries, cache_path)
 
@@ -209,12 +210,7 @@ def verify(ctx: click.Context, identity: str, k: int | None, n_range: str) -> No
         raise click.UsageError(f"identity {identity!r} requires --k")
     if not takes_k and k is not None:
         raise click.UsageError(f"identity {identity!r} takes no --k")
-    verdicts = []
-    for n in parse_range(n_range):
-        try:
-            verdicts.append(verifier(k, n) if takes_k else verifier(n))
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+    verdicts = [verifier(k, n) if takes_k else verifier(n) for n in parse_range(n_range)]
     _emit(ctx, OutputRecord("verdict", {"verdicts": [verdict_payload(v) for v in verdicts]}))
     if not all(v.holds for v in verdicts):
         ctx.exit(EXIT_VERIFICATION_FAILURE)
@@ -266,10 +262,7 @@ def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None
     if map_id == "f":
         if n is None or p_text is None or q_text is None:
             raise click.UsageError("map f needs --n, --p and --q")
-        try:
-            state = PairState(parse_cycles(p_text), parse_cycles(q_text), n)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        state = PairState(parse_cycles(p_text), parse_cycles(q_text), n)
         try:
             image = toggle_pivot(state)
         except PivotAbsentError:
@@ -297,10 +290,7 @@ def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None
         if chosen is None:
             raise click.UsageError("map g needs --chosen")
         labels = parse_labels(chosen)
-        try:
-            colored = arrangement_to_matching(labels)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
+        colored = arrangement_to_matching(labels)
         payload = {"fields": [
             ("n", colored.n),
             ("chosen", " ".join(str(x) for x in labels) or "-"),
@@ -326,10 +316,7 @@ def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None
     if red_inv.fixed_points or blue_inv.fixed_points:
         raise click.UsageError("colored cycles must all be 2-cycles")
     pairs = red_inv.two_cycles + blue_inv.two_cycles
-    try:
-        colored = ColoredInvolution(len(pairs), red_inv.two_cycles, blue_inv.two_cycles)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    colored = ColoredInvolution(len(pairs), red_inv.two_cycles, blue_inv.two_cycles)
     arrangement = matching_to_arrangement(colored)
     _emit(ctx, OutputRecord("trace", {"fields": [
         ("red", _cycles_str(colored.red)),
@@ -346,14 +333,7 @@ def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None
 @click.pass_context
 def audit(ctx: click.Context, n: int, k: int | None) -> None:
     """Exhaustively audit the cancellation argument; exit 0 iff it all checks out."""
-    limit = ctx.obj["oracle_limit"] or DEFAULT_PAIR_SPACE_LIMIT
-    try:
-        verdict = signed_cancellation_audit(n, k, limit=limit)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    except ScaleLimitError as exc:
-        click.echo(str(exc), err=True)
-        ctx.exit(EXIT_SCALE_LIMIT)
+    verdict = signed_cancellation_audit(n, k, limit=ctx.obj["oracle_limit"])
     _emit(ctx, OutputRecord("verdict", {"verdicts": [verdict_payload(verdict)]}))
     if not verdict.holds:
         ctx.exit(EXIT_VERIFICATION_FAILURE)

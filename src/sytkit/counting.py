@@ -9,9 +9,9 @@ checked against each other at small sizes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import permutations
+from itertools import chain, permutations
 from math import comb, factorial
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .core import Involution, as_shape, conjugate, lds, lis
 from .errors import ScaleLimitError
@@ -19,44 +19,30 @@ from .errors import ScaleLimitError
 DEFAULT_PERMUTATION_LIMIT = 8
 
 
-def partitions(
-    n: int,
-    max_first_part: int | None = None,
-    max_parts: int | None = None,
-    all_columns_even: bool = False,
-) -> Iterator[tuple[int, ...]]:
-    """Yield the partitions of n satisfying all constraints, in reverse-lex order.
+def partitions(n: int, max_first_part: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of n with no part above max_first_part, in reverse-lex order.
 
-    ``all_columns_even`` keeps exactly the shapes whose column lengths are all
-    even; those are the shapes whose rows pair up (lambda_1 = lambda_2,
-    lambda_3 = lambda_4, ...), so they are generated directly by doubling each
-    part of a partition of n/2 instead of filtering.
+    Iterative: the next partition drops the trailing 1s, lowers the last part
+    p to p - 1 and refills the freed boxes with parts p - 1 and a remainder.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
-    if all_columns_even:
-        if n % 2 == 1:
-            return
-        half_rows = None if max_parts is None else max_parts // 2
-        for mu in partitions(n // 2, max_first_part=max_first_part, max_parts=half_rows):
-            doubled = []
-            for part in mu:
-                doubled += (part, part)
-            yield tuple(doubled)
-        return
-    cap = n if max_first_part is None else min(max_first_part, n)
-    yield from _partitions_rec(n, cap, -1 if max_parts is None else max_parts)
-
-
-def _partitions_rec(n: int, cap: int, slots: int) -> Iterator[tuple[int, ...]]:
     if n == 0:
         yield ()
         return
-    if cap < 1 or slots == 0:
-        return
-    for first in range(min(cap, n), 0, -1):
-        for rest in _partitions_rec(n - first, first, slots - 1 if slots > 0 else -1):
-            yield (first, *rest)
+    parts: list[int] = []
+    free, part = n, n if max_first_part is None else min(max_first_part, n)
+    while part > 0:
+        full, rest = divmod(free, part)
+        parts += [part] * full + ([rest] if rest else [])
+        yield tuple(parts)
+        free = 0
+        while parts and parts[-1] == 1:
+            free += parts.pop()
+        if not parts:
+            return
+        free += parts[-1]
+        part = parts.pop() - 1
 
 
 def hook_length_count(shape: Sequence[int]) -> int:
@@ -122,29 +108,41 @@ def count_fpf(r: int) -> int:
     return out
 
 
+def _halved_hook_sum(
+    r: int, max_half_part: int, shape_of: Callable[[tuple[int, ...]], tuple[int, ...]]
+) -> int:
+    """Sum of f over shape_of(mu) for mu a partition of r/2 with mu_1 <= max_half_part.
+
+    Fixed points are odd columns (Beissinger), so fixed-point-free involutions
+    have all columns even: mu with each row repeated, or its conjugate 2mu.
+    """
+    if r > 0 and r % 2 == 1:  # a negative r is rejected by partitions
+        return 0
+    return sum(hook_length_count(shape_of(mu)) for mu in partitions(r // 2, max_half_part))
+
+
 @cache
 def count_fpf_lds_bounded(k: int, r: int) -> int:
     """Fixed-point-free involutions of length r with no decreasing subsequence > k.
 
-    Fixed-point-free means the tableau image has no odd column, and the
-    decreasing bound caps the column heights, so this is a sum over shapes
-    with all columns even and at most k rows.  Zero for odd r.
+    The bound caps the height of the even columns at k; by conjugation
+    (f_lambda = f_lambda') the shapes are 2mu with mu_1 <= k/2.  Zero for odd r.
     """
     _require_bound(k)
-    return sum(hook_length_count(s) for s in partitions(r, max_parts=k, all_columns_even=True))
+    return _halved_hook_sum(r, k // 2, lambda mu: tuple(2 * part for part in mu))
 
 
 @cache
 def count_fpf_lis_bounded(k: int, r: int) -> int:
     """Fixed-point-free involutions of length r with no increasing subsequence > k.
 
-    Same shape sum as the decreasing-bounded count but capping row lengths
-    instead of row count.  The two statistics agree on unrestricted
+    The bound caps the row lengths instead: the shapes are mu with each row
+    repeated and mu_1 <= k.  The two statistics agree on unrestricted
     involutions yet differ on fixed-point-free ones; keeping both explicit
     avoids ever conflating them.
     """
     _require_bound(k)
-    return sum(hook_length_count(s) for s in partitions(r, max_first_part=k, all_columns_even=True))
+    return _halved_hook_sum(r, k, lambda mu: tuple(chain.from_iterable(zip(mu, mu))))
 
 
 def catalan(n: int) -> int:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+from math import comb
 
 import pytest
 from click.testing import CliRunner
@@ -89,6 +90,14 @@ def test_count_usage_errors():
     assert run("count", "catalan", "--k", "2", "--n", "3").exit_code == 2  # spurious k
     assert run("count", "nope", "--n", "3").exit_code == 2  # unknown family
     assert run("count", "y", "--k", "3", "--n", "x").exit_code == 2  # bad range
+
+
+def test_count_large_n_without_recursion_limit():
+    # one row of 1200 boxes, and the C(1200, 600) shapes of at most two columns
+    assert table_column(run("count", "y", "--k", "1", "--n", "1200").output, "value") == ["1"]
+    result = run("count", "y", "--k", "2", "--n", "1200")
+    assert result.exit_code == 0
+    assert table_column(result.output, "value") == [str(comb(1200, 600))]
 
 
 # ---------------------------------------------------------------- verify
@@ -248,6 +257,12 @@ def test_audit_scale_and_parity_errors():
     assert run("--oracle-limit", "3", "audit", "--n", "4").exit_code == 3
 
 
+def test_oracle_limit_must_be_positive():
+    result = run("--oracle-limit", "0", "audit", "--n", "1")
+    assert result.exit_code == 2
+    assert "--oracle-limit" in result.stderr
+
+
 # ---------------------------------------------------------------- formats
 
 def csv_rows(output):
@@ -344,6 +359,14 @@ def test_cache_rejects_malformed_file(tmp_path):
     path = tmp_path / "counts.cache"
     path.write_text("not a cache\n")
     assert run("--cache", str(path), "count", "catalan", "--n", "1").exit_code == 2
+
+
+def test_cache_in_missing_directory_is_a_usage_error(tmp_path):
+    result = run("--cache", str(tmp_path / "no" / "counts.cache"), "count", "y", "--k", "2", "--n", "2")
+    assert result.exit_code == 2
+    assert "No such file or directory" in result.stderr
+    assert result.stdout == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("verify_flag", [(), ("--verify-cache",)], ids=["plain", "verify"])

@@ -7,6 +7,7 @@ from sytkit import (
     ScaleLimitError,
     brute_count_lis_bounded,
     catalan,
+    conjugate,
     count_family,
     count_fpf,
     count_fpf_lds_bounded,
@@ -40,15 +41,19 @@ def test_partitions_of_four_in_reverse_lex_order():
 
 def test_partitions_trivial_and_even_column_cases():
     assert list(partitions(0)) == [()]
-    assert list(partitions(0, all_columns_even=True)) == [()]
-    assert list(partitions(4, all_columns_even=True)) == [(2, 2), (1, 1, 1, 1)]
-    assert list(partitions(5, all_columns_even=True)) == []
+    assert list(partitions(0, max_first_part=3)) == [()]
+    # the even-column shapes of 4 are (2, 2) and (1, 1, 1, 1), with 2 + 1 tableaux
+    assert count_fpf_lis_bounded(2, 4) == count_fpf_lds_bounded(2, 4) + 1 == 3
+    assert count_fpf_lis_bounded(2, 5) == count_fpf_lds_bounded(2, 5) == 0
 
 
 @pytest.mark.parametrize("n", range(0, 13))
 @pytest.mark.parametrize("max_first,max_parts", [(None, None), (3, None), (None, 2), (4, 3), (1, 1)])
 def test_partition_constraints_match_filtering(n, max_first, max_parts):
-    got = list(partitions(n, max_first_part=max_first, max_parts=max_parts))
+    got = list(partitions(n, max_first_part=max_first))
+    if max_parts is not None:  # a part-count cap is a first-part cap on the conjugate
+        capped = {conjugate(s) for s in partitions(n, max_first_part=max_parts)}
+        got = [s for s in got if s in capped]
     expected = [
         s for s in all_partitions(n)
         if (max_first is None or not s or s[0] <= max_first)
@@ -59,25 +64,24 @@ def test_partition_constraints_match_filtering(n, max_first, max_parts):
     assert got == sorted(got, reverse=True)  # reverse-lexicographic
 
 
-@pytest.mark.parametrize("n", range(0, 13))
+def _even_column_hook_sum(n, keep):
+    return sum(hook_length_count(s) for s in all_partitions(n)
+               if all(c % 2 == 0 for c in column_lengths(s)) and keep(s))
+
+
+@pytest.mark.parametrize("n", range(0, 25))
 def test_all_columns_even_matches_column_parity_filter(n):
-    got = sorted(partitions(n, all_columns_even=True))
-    expected = sorted(
-        s for s in all_partitions(n) if all(c % 2 == 0 for c in column_lengths(s))
-    )
-    assert got == expected
+    """Row-capped fixed-point-free counts equal hook sums over even-column shapes."""
+    assert count_fpf(n) == _even_column_hook_sum(n, lambda s: True)
+    for k in range(1, 9):
+        assert count_fpf_lis_bounded(k, n) == _even_column_hook_sum(n, lambda s: not s or s[0] <= k)
 
 
 def test_all_columns_even_respects_other_constraints():
-    for n in range(0, 11):
-        for max_parts in (None, 2, 3, 4):
-            got = sorted(partitions(n, max_parts=max_parts, all_columns_even=True))
-            expected = sorted(
-                s for s in all_partitions(n)
-                if all(c % 2 == 0 for c in column_lengths(s))
-                and (max_parts is None or len(s) <= max_parts)
-            )
-            assert got == expected
+    """Height-capped fixed-point-free counts equal hook sums over even-column shapes."""
+    for n in range(0, 25):
+        for k in range(1, 9):
+            assert count_fpf_lds_bounded(k, n) == _even_column_hook_sum(n, lambda s: len(s) <= k)
 
 
 # ---------------------------------------------------------------- hook lengths
@@ -190,6 +194,13 @@ def test_fpf_bounded_counts_match_generate_and_filter(k, r):
     words = [w for w in involution_words_by_filter(r) if not word_fixed_points(w)]
     assert count_fpf_lds_bounded(k, r) == sum(1 for w in words if brute_lds(w) <= k)
     assert count_fpf_lis_bounded(k, r) == sum(1 for w in words if brute_lis(w) <= k)
+
+
+@pytest.mark.parametrize("r", [-1, -2, -3])
+def test_fpf_counts_reject_negative_length(r):
+    for count in (count_fpf, lambda r: count_fpf_lds_bounded(2, r), lambda r: count_fpf_lis_bounded(2, r)):
+        with pytest.raises(ValueError):
+            count(r)
 
 
 def test_fpf_lis_bounded_differs_from_lds_bounded():
