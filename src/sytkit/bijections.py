@@ -108,9 +108,9 @@ def toggle_pivot(s: PairState) -> PairState:
     m = pivot(s)
     if m is None:
         raise PivotAbsentError("toggle undefined: both involutions are fixed-point-free")
-    if m in s.p.fixed_points:
-        return PairState(s.p.remove_fixed_point(m), s.q.add_fixed_point(m), s.n)
-    return PairState(s.p.add_fixed_point(m), s.q.remove_fixed_point(m), s.n)
+    # m is fixed on exactly one side, so the symmetric difference moves it across
+    p, q = (Involution(set(v.fixed_points) ^ {m}, v.two_cycles) for v in (s.p, s.q))
+    return PairState(p, q, s.n)
 
 
 def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
@@ -224,13 +224,14 @@ def signed_cancellation_audit(
     """
     if k is not None and (k < 1 or k % 2 == 0):
         raise ValueError(f"audit bound must be odd, got k={k}")
-    states = list(enumerate_pair_space(n, k, limit))
     survivors_by_r = [0] * (2 * n + 1)
+    states = 0
     orbits = 0
     signed_total = 0
     failures: list[str] = []
-    for s in states:
-        r = len(s.p.support)
+    for s in enumerate_pair_space(n, k, limit):
+        states += 1
+        r = s.p.size
         signed_total += -1 if r % 2 else 1
         if pivot(s) is None:
             if not (s.p.is_fixed_point_free() and s.q.is_fixed_point_free()):
@@ -242,7 +243,7 @@ def signed_cancellation_audit(
         back = toggle_pivot(image)
         if back != s:
             failures.append(f"toggle not an involution at {s}")
-        if (len(image.p.support) - r) % 2 == 0:
+        if (image.p.size - r) % 2 == 0:
             failures.append(f"toggle did not flip parity at {s}")
         if free_points(image) != free_points(s):
             failures.append(f"free points not preserved at {s}")
@@ -257,7 +258,7 @@ def signed_cancellation_audit(
     per_r_match = all(lhs_terms[r].term_value == rhs_terms[r].term_value for r in range(2 * n + 1))
     holds = not failures and per_r_match and lhs == rhs and signed_total == lhs
     checks = (
-        ("states", len(states)),
+        ("states", states),
         ("orbits", orbits),
         ("survivors", lhs),
         ("signed_total", signed_total),

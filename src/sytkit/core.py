@@ -149,16 +149,6 @@ class Involution:
     def is_fixed_point_free(self) -> bool:
         return not self.fixed_points
 
-    def add_fixed_point(self, label: int) -> "Involution":
-        if label in self._partner:
-            raise ValueError(f"label {label} already in support")
-        return Involution(self.fixed_points + (label,), self.two_cycles)
-
-    def remove_fixed_point(self, label: int) -> "Involution":
-        if label not in self.fixed_points:
-            raise ValueError(f"label {label} is not a fixed point")
-        return Involution(tuple(x for x in self.fixed_points if x != label), self.two_cycles)
-
     def cycle_string(self) -> str:
         """Cycle notation, e.g. '(13)(26)(5)'.
 

@@ -152,15 +152,11 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def generate_involutions(
-    support: Sequence[int],
-    fixed_point_free: bool = False,
-    max_lds: int | None = None,
-) -> Iterator[Involution]:
+def generate_involutions(support: Sequence[int], max_lds: int | None = None) -> Iterator[Involution]:
     """Yield every involution on the given labels, deterministically ordered.
 
-    Recursion on the smallest unmatched label: first leave it fixed (skipped
-    under ``fixed_point_free``), then pair it with each larger label in turn.
+    Recursion on the smallest unmatched label: first leave it fixed, then
+    pair it with each larger label in turn.
     ``max_lds`` keeps only involutions whose word has no decreasing
     subsequence longer than the bound.
     """
@@ -173,9 +169,8 @@ def generate_involutions(
             yield (), ()
             return
         s, rest = remaining[0], remaining[1:]
-        if not fixed_point_free:
-            for fps, cycles in rec(rest):
-                yield (s, *fps), cycles
+        for fps, cycles in rec(rest):
+            yield (s, *fps), cycles
         for i, t in enumerate(rest):
             for fps, cycles in rec(rest[:i] + rest[i + 1:]):
                 yield fps, ((s, t), *cycles)

@@ -185,14 +185,18 @@ def save_cache(entries: dict[CacheKey, int], path: str | Path) -> None:
         lines.append(f"{family} {'-' if k is None else k} {n} {entries[(family, k, n)]}")
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with open(fd, "w", encoding="ascii") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        try:
+            with open(fd, "w", encoding="ascii") as fh:
+                fh.write("\n".join(lines) + "\n")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        # report the cache path the caller gave, not the temporary file
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def _parse_cache_line(line: str) -> tuple[CacheKey, int]:

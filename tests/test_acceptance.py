@@ -145,11 +145,17 @@ def test_criterion_09_cancellation_audits():
             verdict = signed_cancellation_audit(n, k)
             assert verdict.holds, (n, k)
             assert verdict.lhs == verdict.rhs
-            assert dict(verdict.checks)["assertion_failures"] == 0
+            checks = dict(verdict.checks)
+            assert checks["assertion_failures"] == 0
             count = count_fpf if k is None else (lambda r, k=k: count_fpf_lds_bounded(k, r))
             assert verdict.lhs == sum(
                 comb(2 * n, r) * count(r) * count(2 * n - r) for r in range(2 * n + 1)
             )
+            side = count_involutions if k is None else (lambda r, k=k: count_syt_row_bounded(k, r))
+            assert checks["states"] == sum(
+                comb(2 * n, r) * side(r) * side(2 * n - r) for r in range(2 * n + 1)
+            )
+            assert 2 * checks["orbits"] == checks["states"] - checks["survivors"]
     ok(9, "orbit cancellation, parity reversal, bounded closure, and survivor "
           "counts all verified for n in 1..4, bounds {none,1,3,5}")
 

@@ -28,6 +28,8 @@ from sytkit import (
     toggle_pivot_bounded,
 )
 
+from sytkit import bijections
+
 from oracles import brute_lds
 
 WORKED_PAIR = PairState(
@@ -182,7 +184,7 @@ def test_coloring_bijection_round_trips(n):
         images.add(c)
     # forward map is a bijection onto all colorings of all matchings
     all_colorings = set()
-    for v in generate_involutions(ground, fixed_point_free=True):
+    for v in filter(Involution.is_fixed_point_free, generate_involutions(ground)):
         cycles = v.two_cycles
         for mask in range(2 ** n):
             red = tuple(c for i, c in enumerate(cycles) if mask >> i & 1)
@@ -312,6 +314,24 @@ def test_audit_survivor_terms_match_closed_form_per_split_size():
     v = signed_cancellation_audit(3, 3)
     for lhs_t, rhs_t in zip(v.lhs_terms, v.rhs_terms):
         assert lhs_t.term_value == rhs_t.term_value
+
+
+def test_audit_toggles_each_state_before_the_next_is_enumerated(monkeypatch):
+    events = []
+
+    def logged_states(*args):
+        for s in enumerate_pair_space(*args):
+            events.append("state")
+            yield s
+
+    def logged_toggle(s):
+        events.append("toggle")
+        return toggle_pivot(s)
+
+    monkeypatch.setattr(bijections, "enumerate_pair_space", logged_states)
+    monkeypatch.setattr(bijections, "toggle_pivot", logged_toggle)
+    assert signed_cancellation_audit(2).holds
+    assert events.index("toggle") < events.index("state", 1)
 
 
 def test_audit_rejects_even_bound_and_scale():

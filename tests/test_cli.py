@@ -362,9 +362,11 @@ def test_cache_rejects_malformed_file(tmp_path):
 
 
 def test_cache_in_missing_directory_is_a_usage_error(tmp_path):
-    result = run("--cache", str(tmp_path / "no" / "counts.cache"), "count", "y", "--k", "2", "--n", "2")
+    cache = str(tmp_path / "no" / "counts.cache")
+    result = run("--cache", cache, "count", "y", "--k", "2", "--n", "2")
     assert result.exit_code == 2
     assert "No such file or directory" in result.stderr
+    assert cache in result.stderr and ".tmp" not in result.stderr
     assert result.stdout == ""
     assert list(tmp_path.iterdir()) == []
 

@@ -123,6 +123,16 @@ GOLDEN = {
         'json': (0, '894438053f761a81b1c200eb874ddea7d8fc9c866fa22418d0f482a49c1f0846'),
         'csv': (0, '1df88f7f3d1dc17c3e93d8150064b63613cdbbb1250b0169ea3c5cc4a85f79d1'),
     },
+    'audit --n 3': {
+        'table': (0, '6618fa5db066120532c1b7609dff9ce1ca43f551abd348591663e23e9aea6734'),
+        'json': (0, '1307bae367459b5b649d5d060058d814a472338b41660e2dc8c24af2ffd96c3a'),
+        'csv': (0, '99edbaa795e7748f31e90134de65bc432fe16945b26c27799557ecbb75478b6f'),
+    },
+    'audit --n 3 --k 1': {
+        'table': (0, 'c6bf9a3fb0ae09bee4d2676100b078c32f54ec8f10dde7d727e8f3c907b8590b'),
+        'json': (0, '5017af0cc3a0583bcd44ab22352c099f54423b09779fa2073e763dccdb3b3485'),
+        'csv': (0, '0e6e764933facfbb6ae13de6951f09c6ce6e00ea249faf658c26730029fe17ff'),
+    },
     'bijection f --n 2 --p "(1)(3)" --q "(24)"': {
         'table': (0, '35b7690d73541bc7218dccb06406dc80ff9f11bc6e13ff27d9cad1a06894989c'),
         'json': (0, '55a8ce9a90a18032d8b3a719a96f3b21eb56a6963f911823916c88e6f86e93ee'),

@@ -168,7 +168,7 @@ def test_fpf_count_examples():
 
 @pytest.mark.parametrize("r", range(0, 11))
 def test_fpf_count_matches_generation(r):
-    generated = sum(1 for _ in generate_involutions(range(1, r + 1), fixed_point_free=True))
+    generated = sum(1 for v in generate_involutions(range(1, r + 1)) if v.is_fixed_point_free())
     assert count_fpf(r) == generated
 
 
@@ -233,7 +233,7 @@ def test_lis_bound_saturates_at_factorial():
 
 def test_generate_involutions_small_cases():
     assert len(list(generate_involutions((1, 2)))) == 2
-    assert len(list(generate_involutions((1, 2, 3, 4), fixed_point_free=True))) == 3
+    assert sum(v.is_fixed_point_free() for v in generate_involutions((1, 2, 3, 4))) == 3
     assert list(generate_involutions(())) == [Involution()]
 
 
