@@ -60,16 +60,10 @@ class ColoredInvolution:
     blue: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "red", tuple(sorted(tuple(sorted(c)) for c in self.red)))
-        object.__setattr__(self, "blue", tuple(sorted(tuple(sorted(c)) for c in self.blue)))
-        seen: set[int] = set()
-        for a, b in self.red + self.blue:
-            if a == b:
-                raise ValueError(f"degenerate cycle ({a},{b})")
-            if a in seen or b in seen:
-                raise ValueError("cycles must be disjoint")
-            seen.update((a, b))
-        if seen != set(range(1, 2 * self.n + 1)):
+        # Involution rejects degenerate, overlapping and non-positive cycles and sorts them
+        for color in ("red", "blue"):
+            object.__setattr__(self, color, Involution((), getattr(self, color)).two_cycles)
+        if Involution((), self.red + self.blue).support != tuple(range(1, 2 * self.n + 1)):
             raise ValueError(f"cycles must cover 1..{2 * self.n}")
 
 
@@ -157,11 +151,8 @@ def matching_to_arrangement(c: ColoredInvolution) -> tuple[int, ...]:
     """Invert the pairing: small entries of red cycles and large entries of blue
     cycles are the unchosen labels; their partners, in that order, are the
     arrangement."""
-    partner = {}
-    for a, b in c.red + c.blue:
-        partner[a], partner[b] = b, a
-    unchosen = sorted([a for a, _ in c.red] + [b for _, b in c.blue])
-    return tuple(partner[i] for i in unchosen)
+    pairs = sorted([(a, b) for a, b in c.red] + [(b, a) for a, b in c.blue])
+    return tuple(chosen for _, chosen in pairs)
 
 
 def report_longest_decreasing(

@@ -10,6 +10,7 @@ Exit codes: 0 success / all verdicts hold, 1 verification failure,
 from __future__ import annotations
 
 import re
+import sys
 from pathlib import Path
 
 import click
@@ -160,6 +161,9 @@ class ExitCodeGroup(click.Group):
 def main(ctx: click.Context, fmt: str, cache_path: str | None, verify_cache: bool,
          oracle_limit: int, trace: bool) -> None:
     """Exact tableau/involution counts, identity checks, and bijection tools."""
+    # exact counts can run past Python's int/str digit cap; the setting is process-wide
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ctx.obj = {
         "fmt": fmt,
         "cache": cache_path,
@@ -298,13 +302,11 @@ def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None
             ("blue", _cycles_str(colored.blue)),
         ]}
         if trace:
-            partner = {a: b for a, b in colored.red + colored.blue}
-            partner.update({b: a for a, b in colored.red + colored.blue})
+            # the j-th smallest unchosen label is paired with the j-th chosen one
             unchosen = sorted(set(range(1, 2 * colored.n + 1)) - set(labels))
             payload["table"] = {
                 "columns": ["unchosen", "chosen", "color"],
-                "rows": [[i, partner[i], "red" if i < partner[i] else "blue"]
-                         for i in unchosen],
+                "rows": [[i, a, "red" if i < a else "blue"] for i, a in zip(unchosen, labels)],
             }
         _emit(ctx, OutputRecord("trace", payload))
         return

@@ -104,24 +104,20 @@ class Involution:
         self._partner = partner
 
     @classmethod
-    def from_word(cls, word: Sequence[int], support: Sequence[int] | None = None) -> "Involution":
+    def from_word(cls, word: Sequence[int]) -> "Involution":
         """Build an involution from its one-line word.
 
         Position i of the word holds the image of the i-th smallest support
-        label; by default the support is the set of word entries.  Raises if
-        the word has repeats or the induced map is not its own inverse.
+        label; the support is the set of word entries.  Raises if the word
+        has repeats or the induced map is not its own inverse.
         """
         entries = tuple(int(x) for x in word)
         if len(set(entries)) != len(entries):
             raise ValueError("word has repeated labels")
-        sup = tuple(sorted(entries)) if support is None else tuple(sorted(int(x) for x in support))
-        if len(sup) != len(entries) or set(sup) != set(entries):
-            raise ValueError("word entries do not match the support")
-        image = dict(zip(sup, entries))
+        image = dict(zip(sorted(entries), entries))
         fps = []
         cycles = []
-        for x in sup:
-            y = image[x]
+        for x, y in image.items():
             if image[y] != x:
                 raise ValueError(f"not an involution: {x} -> {y} -> {image[y]}")
             if y == x:
@@ -137,10 +133,6 @@ class Involution:
     @property
     def size(self) -> int:
         return len(self._partner)
-
-    def partner(self, label: int) -> int:
-        """Image of a support label (itself, for a fixed point)."""
-        return self._partner[label]
 
     def word(self) -> tuple[int, ...]:
         """One-line word: images of the support labels in increasing order."""
@@ -270,11 +262,10 @@ def rs_of_involution(v: Involution) -> StandardTableau:
     order-isomorphically to 1..n, which leaves the shape and all subsequence
     statistics unchanged.
     """
-    support = v.support
-    rank = {label: i + 1 for i, label in enumerate(support)}
+    rank = {label: i for i, label in enumerate(v.support, 1)}
     rows: list[list[int]] = []
-    for label in support:
-        _row_insert(rows, rank[v.partner(label)])
+    for label in v.word():
+        _row_insert(rows, rank[label])
     return StandardTableau(rows)
 
 

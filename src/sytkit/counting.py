@@ -13,7 +13,7 @@ from itertools import chain, permutations
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
-from .core import Involution, as_shape, conjugate, lds, lis
+from .core import Involution, as_shape, lds, lis
 from .errors import ScaleLimitError
 
 DEFAULT_PERMUTATION_LIMIT = 8
@@ -48,13 +48,13 @@ def partitions(n: int, max_first_part: int | None = None) -> Iterator[tuple[int,
 def hook_length_count(shape: Sequence[int]) -> int:
     """Number of standard tableaux of a shape, by the hook length formula."""
     s = as_shape(shape)
-    n = sum(s)
-    cols = conjugate(s)
+    below = [0] * max(s, default=0)  # per column: boxes in this row and those under it
     denom = 1
-    for i, row_len in enumerate(s):
+    for row_len in reversed(s):
         for j in range(row_len):
-            denom *= row_len - j + cols[j] - i - 1
-    return factorial(n) // denom
+            below[j] += 1
+            denom *= row_len - j + below[j] - 1
+    return factorial(sum(s)) // denom
 
 
 def _require_bound(k: int) -> None:

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import sys
 from math import comb
 
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from sytkit.cli import main, parse_cycles, parse_range, parse_word
 from sytkit.core import Involution
+from sytkit.counting import catalan
 from sytkit.output import load_cache, save_cache
 
 runner = CliRunner()
@@ -302,6 +304,23 @@ def test_json_serializes_integers_as_strings():
         assert isinstance(row["n"], str)
 
 
+@pytest.fixture
+def int_digit_cap():
+    """The CLI lifts Python's int/str digit cap for its whole process; restore it after."""
+    cap = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    yield
+    if cap is not None:
+        sys.set_int_max_str_digits(cap)
+
+
+def test_count_prints_values_past_the_int_digit_cap(int_digit_cap):
+    result = run("--format", "json", "count", "catalan", "--n", "8000")
+    assert result.exit_code == 0, result.stderr
+    [row] = json.loads(result.stdout)["rows"]
+    assert len(row["value"]) > 4300
+    assert int(row["value"]) == catalan(8000)
+
+
 # ---------------------------------------------------------------- cache
 
 def test_cache_round_trip_is_byte_identical(tmp_path):
@@ -353,6 +372,16 @@ def test_cache_intact_verification_passes(tmp_path):
     run("--cache", str(path), "count", "x", "--k", "2", "--n", "0..8")
     result = run("--cache", str(path), "--verify-cache", "count", "catalan", "--n", "2")
     assert result.exit_code == 0
+
+
+def test_cache_round_trips_values_past_the_int_digit_cap(tmp_path, int_digit_cap):
+    path = tmp_path / "counts.cache"
+    first = run("--cache", str(path), "count", "catalan", "--n", "8000")
+    assert first.exit_code == 0, first.stderr
+    checked = run("--cache", str(path), "--verify-cache", "count", "catalan", "--n", "8000")
+    assert checked.exit_code == 0, checked.stderr
+    assert checked.stdout == first.stdout
+    assert load_cache(path) == {("catalan", None, 8000): catalan(8000)}
 
 
 def test_cache_rejects_malformed_file(tmp_path):

@@ -138,6 +138,21 @@ GOLDEN = {
         'json': (0, '55a8ce9a90a18032d8b3a719a96f3b21eb56a6963f911823916c88e6f86e93ee'),
         'csv': (0, 'c785b97342aef4f08e6112c00dbbc6ab129c771091a24df40e71b21db5894d3a'),
     },
+    '--trace bijection g --chosen "5 2 6"': {
+        'table': (0, '6cf71a2a790b5061a594e7ec453c9acbfe8c7811c6e6c6b7f5c711feff7909b6'),
+        'json': (0, '0be01f5119dbf67137f1c12c61dea689bfd03e51528b9cbc8246aab3d2e6453a'),
+        'csv': (0, 'aada4391c6f1bcd11b610024dcac2a5bee0b2e2a6ab38f02883b86508e9cd352'),
+    },
+    'bijection g-inverse --red "(13)" --blue "(24)(56)"': {
+        'table': (0, '293b5543fd25189dbf1923454b4d432ebeab0613cba0a75462ef1d8990d1ac50'),
+        'json': (0, 'c4213b883e396a33031d35ff657d3219e59433614e2193ab373340377b4d6ae9'),
+        'csv': (0, 'eca102bbed3be283a0410c6336ce406a456982bad783ddc9b80ed3ae4937834b'),
+    },
+    'rsk --cycles "(12,3)(7)(10,15)"': {
+        'table': (0, 'b5bc94897f3c3486c3e2b07c9243d8597c3bf8e85ebc2dd071c2d466ed40eea9'),
+        'json': (0, 'f34292ab903f18f3d35ec70730cc25c9ae4da8075e074a87b290dad1d372fd9f'),
+        'csv': (0, '7ece0b79b405af026cb5b217866516581b252b0300b986df31a8f5334b463c67'),
+    },
 }
 
 
