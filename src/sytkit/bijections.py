@@ -187,17 +187,26 @@ def enumerate_pair_space(
     With k, both sides are restricted to decreasing subsequences of length at
     most k.  Order: by the size r of the first support, then by the chosen
     subset lexicographically, then by generation order on each side.
+
+    Generation order and lds depend only on the relative order of the labels,
+    so each size is generated and filtered once on 1..m, and its words are
+    relabelled onto every subset of that size.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
     ground = tuple(range(1, 2 * n + 1))
+    words = [
+        [w for w in map(Involution.word, generate_involutions(ground[:m])) if k is None or lds(w) <= k]
+        for m in range(2 * n + 1)
+    ]
     for r in range(2 * n + 1):
         for chosen in combinations(ground, r):
             rest = tuple(x for x in ground if x not in chosen)
-            qs = list(generate_involutions(rest, max_lds=k))
-            for p in generate_involutions(chosen, max_lds=k):
+            qs = [Involution.from_word([rest[x - 1] for x in w]) for w in words[2 * n - r]]
+            for w in words[r]:
+                p = Involution.from_word([chosen[x - 1] for x in w])
                 for q in qs:
                     yield PairState(p, q, n)
 

@@ -13,7 +13,7 @@ from itertools import chain, permutations
 from math import comb, factorial
 from typing import Callable, Iterator, Sequence
 
-from .core import Involution, as_shape, lds, lis
+from .core import Involution, as_shape, lis
 from .errors import ScaleLimitError
 
 DEFAULT_PERMUTATION_LIMIT = 8
@@ -152,13 +152,11 @@ def catalan(n: int) -> int:
     return comb(2 * n, n) // (n + 1)
 
 
-def generate_involutions(support: Sequence[int], max_lds: int | None = None) -> Iterator[Involution]:
+def generate_involutions(support: Sequence[int]) -> Iterator[Involution]:
     """Yield every involution on the given labels, deterministically ordered.
 
     Recursion on the smallest unmatched label: first leave it fixed, then
     pair it with each larger label in turn.
-    ``max_lds`` keeps only involutions whose word has no decreasing
-    subsequence longer than the bound.
     """
     labels = tuple(sorted(int(x) for x in support))
     if len(set(labels)) != len(labels):
@@ -176,10 +174,7 @@ def generate_involutions(support: Sequence[int], max_lds: int | None = None) -> 
                 yield fps, ((s, t), *cycles)
 
     for fps, cycles in rec(labels):
-        v = Involution(fps, cycles)
-        if max_lds is not None and lds(v.word()) > max_lds:
-            continue
-        yield v
+        yield Involution(fps, cycles)
 
 
 def brute_count_lis_bounded(k: int, n: int, limit: int = DEFAULT_PERMUTATION_LIMIT) -> int:

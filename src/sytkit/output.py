@@ -52,14 +52,6 @@ def _cell(value: Any) -> str:
 
 
 def verdict_payload(v: IdentityVerdict) -> dict:
-    term = lambda t: {
-        "r": t.r,
-        "sign": t.sign,
-        "binomial": t.binomial,
-        "left_factor": t.left_factor,
-        "right_factor": t.right_factor,
-        "term_value": t.term_value,
-    }
     return {
         "identity": v.identity_id,
         "k": v.k,
@@ -68,8 +60,8 @@ def verdict_payload(v: IdentityVerdict) -> dict:
         "rhs": v.rhs,
         "holds": v.holds,
         "checks": [{"name": name, "value": value} for name, value in v.checks],
-        "lhs_terms": [term(t) for t in v.lhs_terms],
-        "rhs_terms": [term(t) for t in v.rhs_terms],
+        "lhs_terms": [dict(vars(t)) for t in v.lhs_terms],
+        "rhs_terms": [dict(vars(t)) for t in v.rhs_terms],
     }
 
 
@@ -205,12 +197,16 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
         raise ValueError("expected 'family k n value'")
     family, k_text, n_text, value_text = parts
     k = None if k_text == "-" else int(k_text)
-    n, value = int(n_text), int(value_text)
+    n = int(n_text)
     validate_family(family, k)
     if k is not None and k < 1:
         raise ValueError(f"bound k must be a positive integer, got {k}")
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
+    # every family's count is at most n**n (1 at n = 0); checked before the quadratic int()
+    if len(value_text) > max(1, n * len(str(n))):
+        raise ValueError(f"count has {len(value_text)} digits, more than any count at n={n}")
+    value = int(value_text)
     if value < 0:
         raise ValueError(f"count must be non-negative, got {value}")
     return (family, k, n), value

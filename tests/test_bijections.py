@@ -1,5 +1,5 @@
 from itertools import combinations, permutations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -196,6 +196,18 @@ def test_coloring_bijection_round_trips(n):
         assert arrangement_to_matching(matching_to_arrangement(c)) == c
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_audit_survivors_map_onto_every_arrangement(n):
+    survivors = [s for s in enumerate_pair_space(n) if pivot(s) is None]
+    images = {}
+    for s in survivors:
+        c = ColoredInvolution(n, s.p.two_cycles, s.q.two_cycles)
+        images[matching_to_arrangement(c)] = c
+    assert len(images) == len(survivors) == comb(2 * n, n) * factorial(n)
+    for a, c in images.items():
+        assert arrangement_to_matching(a) == c
+
+
 # ---------------------------------------------------------------- subsequence reports
 
 def test_report_examples():
@@ -283,6 +295,23 @@ def test_pair_space_is_deterministic_and_duplicate_free():
     first = list(enumerate_pair_space(2))
     assert first == list(enumerate_pair_space(2))
     assert len(set(first)) == len(first)
+
+
+@pytest.mark.parametrize("k", (None, 1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_pair_space_order_matches_per_subset_generation(n, k):
+    def side(labels):
+        return [v for v in generate_involutions(labels) if k is None or brute_lds(v.word()) <= k]
+
+    ground = range(1, 2 * n + 1)
+    expected = [
+        PairState(p, q, n)
+        for r in range(2 * n + 1)
+        for chosen in combinations(ground, r)
+        for p in side(chosen)
+        for q in side([x for x in ground if x not in chosen])
+    ]
+    assert list(enumerate_pair_space(n, k)) == expected
 
 
 def test_pair_space_bound_filters_both_sides():

@@ -423,6 +423,18 @@ def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, ver
         load_cache(path)
 
 
+@pytest.mark.parametrize("digits", [5000, 10**6])
+def test_cache_rejects_oversized_value_and_leaves_file_untouched(tmp_path, digits, int_digit_cap):
+    # no count at n = 5 has more than 5 * len("5") digits
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\ncatalan - 5 {'7' * digits}\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), "count", "catalan", "--n", "1")
+    assert result.exit_code == 2
+    assert "digits" in result.stderr
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("failure", ["write", "replace"])
 def test_cache_save_failure_keeps_old_file(tmp_path, monkeypatch, failure):
     path = tmp_path / "counts.cache"

@@ -7,6 +7,7 @@ output is meant to change.
 import hashlib
 import json
 import shlex
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -133,6 +134,11 @@ GOLDEN = {
         'json': (0, '5017af0cc3a0583bcd44ab22352c099f54423b09779fa2073e763dccdb3b3485'),
         'csv': (0, '0e6e764933facfbb6ae13de6951f09c6ce6e00ea249faf658c26730029fe17ff'),
     },
+    'audit --n 3 --k 3': {
+        'table': (0, 'b2a02a371c016af37cbb7da24181db2a79c3fa289aaaa7f0437a442df2dd6747'),
+        'json': (0, '15b2e8870fbefb1b05d7e0cc4e37d5cea56abdc2a9d2c69fb04fc967acb23d16'),
+        'csv': (0, 'c16327db77a5931685cc87d4aafd9cd748d1e17b0855eb1e99e900a73728aacc'),
+    },
     'bijection f --n 2 --p "(1)(3)" --q "(24)"': {
         'table': (0, '35b7690d73541bc7218dccb06406dc80ff9f11bc6e13ff27d9cad1a06894989c'),
         'json': (0, '55a8ce9a90a18032d8b3a719a96f3b21eb56a6963f911823916c88e6f86e93ee'),
@@ -184,3 +190,15 @@ def test_verify_reports_identity_id(name, identity_id):
 def test_verify_choices_are_the_identity_table():
     choices = next(p for p in verify.params if p.name == "identity").type.choices
     assert sorted(choices) == sorted(IDENTITIES)
+
+
+def test_readme_cli_examples_are_pinned():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [
+        line.split("#", 1)[0].strip().removeprefix("sytkit ")
+        for line in block.splitlines()
+        if line.startswith("sytkit ")
+    ]
+    assert commands
+    assert [c for c in commands if c not in GOLDEN] == []

@@ -17,6 +17,7 @@ from sytkit import (
     count_syt_row_bounded,
     generate_involutions,
     hook_length_count,
+    lds,
     lis,
     partitions,
 )
@@ -113,7 +114,7 @@ def test_row_bounded_tableau_count_examples():
 def test_row_bounded_count_matches_generate_and_filter(k, n):
     support = range(1, n + 1)
     by_lis = sum(1 for v in generate_involutions(support) if lis(v.word()) <= k)
-    by_lds = sum(1 for _ in generate_involutions(support, max_lds=k))
+    by_lds = sum(1 for v in generate_involutions(support) if lds(v.word()) <= k)
     assert count_syt_row_bounded(k, n) == by_lis == by_lds
 
 
@@ -259,7 +260,7 @@ def test_generate_involutions_on_scattered_support():
 def test_generate_involutions_lds_filter():
     for n in range(0, 7):
         for k in (1, 2, 3):
-            got = [v.word() for v in generate_involutions(range(1, n + 1), max_lds=k)]
+            got = [w for w in map(Involution.word, generate_involutions(range(1, n + 1))) if lds(w) <= k]
             expected = [w for w in involution_words_by_filter(n) if brute_lds(w) <= k]
             assert sorted(got) == sorted(expected)
 
