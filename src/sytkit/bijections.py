@@ -15,6 +15,7 @@ and compares the surviving pairs against the closed counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -43,11 +44,10 @@ class PairState:
     n: int
 
     def __post_init__(self) -> None:
-        ground = set(range(1, 2 * self.n + 1))
-        sp, sq = set(self.p.support), set(self.q.support)
-        if sp & sq:
+        sp, sq = self.p._partner.keys(), self.q._partner.keys()
+        if not sp.isdisjoint(sq):
             raise ValueError(f"supports overlap: {sorted(sp & sq)}")
-        if sp | sq != ground:
+        if sp | sq != set(range(1, 2 * self.n + 1)):
             raise ValueError(f"supports must partition 1..{2 * self.n}")
 
 
@@ -92,6 +92,24 @@ def pivot(s: PairState) -> int | None:
     return free[-1] if free else None
 
 
+def _toggle_fixed_point(v: Involution, m: int) -> Involution:
+    """v with m dropped from its fixed points if it is one there, else added as one.
+
+    m must be a fixed point of v or outside its support; the cycles are
+    shared unchanged, so the trusted build applies.
+    """
+    partner = v._partner.copy()
+    fps = v.fixed_points
+    i = bisect_left(fps, m)
+    if m in partner:
+        del partner[m]
+        fps = fps[:i] + fps[i + 1:]
+    else:
+        partner[m] = m
+        fps = fps[:i] + (m,) + fps[i:]
+    return Involution(fps, v.two_cycles, _partner=partner)
+
+
 def toggle_pivot(s: PairState) -> PairState:
     """Move the largest free point to the other involution.
 
@@ -102,9 +120,8 @@ def toggle_pivot(s: PairState) -> PairState:
     m = pivot(s)
     if m is None:
         raise PivotAbsentError("toggle undefined: both involutions are fixed-point-free")
-    # m is fixed on exactly one side, so the symmetric difference moves it across
-    p, q = (Involution(set(v.fixed_points) ^ {m}, v.two_cycles) for v in (s.p, s.q))
-    return PairState(p, q, s.n)
+    # the supports partition [2n], so m is fixed on exactly one side and absent from the other
+    return PairState(_toggle_fixed_point(s.p, m), _toggle_fixed_point(s.q, m), s.n)
 
 
 def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
@@ -179,6 +196,19 @@ def check_beissinger(v: Involution) -> bool:
     return len(v.fixed_points) == odd_columns(rs_of_involution(v))
 
 
+def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:
+    """Carry the word of an involution on 1..m onto m sorted labels by x -> labels[x - 1].
+
+    The map is increasing, so reading the relabelled pairs in label order
+    gives fixed points and cycles in canonical order and the trusted build
+    applies.
+    """
+    partner = {x: labels[y - 1] for x, y in zip(labels, word)}
+    fps = tuple(x for x, y in partner.items() if x == y)
+    cycles = tuple((x, y) for x, y in partner.items() if x < y)
+    return Involution(fps, cycles, _partner=partner)
+
+
 def enumerate_pair_space(
     n: int, k: int | None = None, limit: int = DEFAULT_PAIR_SPACE_LIMIT
 ) -> Iterator[PairState]:
@@ -204,9 +234,9 @@ def enumerate_pair_space(
     for r in range(2 * n + 1):
         for chosen in combinations(ground, r):
             rest = tuple(x for x in ground if x not in chosen)
-            qs = [Involution.from_word([rest[x - 1] for x in w]) for w in words[2 * n - r]]
+            qs = [_relabel(w, rest) for w in words[2 * n - r]]
             for w in words[r]:
-                p = Involution.from_word([chosen[x - 1] for x in w])
+                p = _relabel(w, chosen)
                 for q in qs:
                     yield PairState(p, q, n)
 

@@ -75,11 +75,26 @@ class Involution:
 
     The support is the set of labels the involution acts on; labels are
     positive integers and need not be contiguous.
+
+    Passing ``_partner`` (the label -> image dict) is the trusted build: the
+    caller guarantees that ``fixed_points`` and ``two_cycles`` are already
+    canonical sorted tuples that agree with it, and nothing is re-checked.
     """
 
     __slots__ = ("fixed_points", "two_cycles", "_partner")
 
-    def __init__(self, fixed_points: Iterable[int] = (), two_cycles: Iterable[tuple[int, int]] = ()):
+    def __init__(
+        self,
+        fixed_points: Iterable[int] = (),
+        two_cycles: Iterable[tuple[int, int]] = (),
+        *,
+        _partner: dict[int, int] | None = None,
+    ):
+        if _partner is not None:
+            self.fixed_points = fixed_points
+            self.two_cycles = two_cycles
+            self._partner = _partner
+            return
         fps = tuple(sorted(int(x) for x in fixed_points))
         cycles = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in two_cycles))
         partner: dict[int, int] = {}

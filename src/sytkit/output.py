@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -191,13 +192,23 @@ def save_cache(entries: dict[CacheKey, int], path: str | Path) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
+# no k or n past sys.maxsize can be computed; longer text is refused before the quadratic int()
+_MAX_INDEX_DIGITS = len(str(sys.maxsize))
+
+
+def _parse_index(name: str, text: str) -> int:
+    if len(text.lstrip("+-")) > _MAX_INDEX_DIGITS:
+        raise ValueError(f"{name} has more than {_MAX_INDEX_DIGITS} digits")
+    return int(text)
+
+
 def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
     parts = line.split()
     if len(parts) != 4:
         raise ValueError("expected 'family k n value'")
     family, k_text, n_text, value_text = parts
-    k = None if k_text == "-" else int(k_text)
-    n = int(n_text)
+    k = None if k_text == "-" else _parse_index("k", k_text)
+    n = _parse_index("n", n_text)
     validate_family(family, k)
     if k is not None and k < 1:
         raise ValueError(f"bound k must be a positive integer, got {k}")

@@ -44,6 +44,8 @@ def test_pair_state_validation():
         PairState(Involution((1,)), Involution((1, 2)), 1)  # overlap
     with pytest.raises(ValueError):
         PairState(Involution((1,)), Involution(), 1)  # does not cover 1..2
+    with pytest.raises(ValueError):
+        PairState(Involution((1,)), Involution((3,)), 1)  # label outside 1..2
 
 
 def test_free_points_and_pivot_worked_example():
@@ -314,6 +316,28 @@ def test_pair_space_order_matches_per_subset_generation(n, k):
     assert list(enumerate_pair_space(n, k)) == expected
 
 
+@pytest.mark.parametrize("k", (None, 1, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_trusted_sides_equal_validated_sides(n, k):
+    # the pair space and the toggle build sides without re-checking them
+    def same(a, b):
+        return (
+            a.fixed_points == b.fixed_points
+            and a.two_cycles == b.two_cycles
+            and a.support == b.support
+            and a.word() == b.word()
+            and a.size == b.size
+            and a == b
+            and hash(a) == hash(b)
+        )
+
+    for s in enumerate_pair_space(n, k):
+        states = [s] if pivot(s) is None else [s, toggle_pivot(s)]
+        for v in (side for state in states for side in (state.p, state.q)):
+            assert same(v, Involution(v.fixed_points, v.two_cycles))
+            assert same(v, Involution.from_word(v.word()))
+
+
 def test_pair_space_bound_filters_both_sides():
     for s in enumerate_pair_space(2, 2):
         assert brute_lds(s.p.word()) <= 2 and brute_lds(s.q.word()) <= 2
@@ -361,6 +385,22 @@ def test_audit_toggles_each_state_before_the_next_is_enumerated(monkeypatch):
     monkeypatch.setattr(bijections, "toggle_pivot", logged_toggle)
     assert signed_cancellation_audit(2).holds
     assert events.index("toggle") < events.index("state", 1)
+
+
+@pytest.mark.parametrize("args, built", [((3,), 6174), ((3, 3), 5554)])
+def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args, built):
+    # the counts from before the trusted build: every side still enters Involution.__init__
+    calls = 0
+    init = Involution.__init__
+
+    def counted(self, *a, **kw):
+        nonlocal calls
+        calls += 1
+        init(self, *a, **kw)
+
+    monkeypatch.setattr(Involution, "__init__", counted)
+    assert signed_cancellation_audit(*args).holds
+    assert calls == built
 
 
 def test_audit_rejects_even_bound_and_scale():

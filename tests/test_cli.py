@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import sys
+import time
 from math import comb
 
 import pytest
@@ -423,13 +424,23 @@ def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, ver
         load_cache(path)
 
 
-@pytest.mark.parametrize("digits", [5000, 10**6])
-def test_cache_rejects_oversized_value_and_leaves_file_untouched(tmp_path, digits, int_digit_cap):
+@pytest.mark.parametrize("body", [
     # no count at n = 5 has more than 5 * len("5") digits
+    pytest.param(f"catalan - 5 {'7' * 5000}", id="5000"),
+    pytest.param(f"catalan - 5 {'7' * 10**6}", id="1000000"),
+    # k and n past len(str(sys.maxsize)) digits are refused before int()
+    pytest.param(f"catalan - {'7' * 200_000} 1", id="n-200000"),
+    pytest.param(f"y {'7' * 200_000} 3 5", id="k-200000"),
+    pytest.param(f"y 2 {'1' * (len(str(sys.maxsize)) + 1)} 5", id="n-past-maxsize"),
+    pytest.param(f"y -{'1' * (len(str(sys.maxsize)) + 1)} 3 5", id="negative-k-past-maxsize"),
+])
+def test_cache_rejects_oversized_value_and_leaves_file_untouched(tmp_path, body, int_digit_cap):
     path = tmp_path / "counts.cache"
-    path.write_bytes(f"sytkit cache v1\ncatalan - 5 {'7' * digits}\n".encode())
+    path.write_bytes(f"sytkit cache v1\n{body}\n".encode())
     before = path.read_bytes()
+    start = time.perf_counter()
     result = run("--cache", str(path), "count", "catalan", "--n", "1")
+    assert time.perf_counter() - start < 1
     assert result.exit_code == 2
     assert "digits" in result.stderr
     assert path.read_bytes() == before
