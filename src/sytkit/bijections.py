@@ -34,6 +34,18 @@ from .identities import IdentityVerdict, _pair_sum, _term
 DEFAULT_PAIR_SPACE_LIMIT = 4
 DEFAULT_SUBSEQUENCE_LIMIT = 12
 
+# (n, frozenset of 1..2n) for the last n a PairState was built with: an audit
+# builds all its states with one n, so the ground set is made once per audit
+_ground: tuple[int, frozenset[int]] = (0, frozenset())
+
+
+def _ground_set(n: int) -> frozenset[int]:
+    global _ground
+    ground = _ground  # read once, so a concurrent rebind cannot pair n with another set
+    if ground[0] != n:
+        ground = _ground = (n, frozenset(range(1, 2 * n + 1)))
+    return ground[1]
+
 
 @dataclass(frozen=True)
 class PairState:
@@ -47,7 +59,7 @@ class PairState:
         sp, sq = self.p._partner.keys(), self.q._partner.keys()
         if not sp.isdisjoint(sq):
             raise ValueError(f"supports overlap: {sorted(sp & sq)}")
-        if sp | sq != set(range(1, 2 * self.n + 1)):
+        if sp | sq != _ground_set(self.n):
             raise ValueError(f"supports must partition 1..{2 * self.n}")
 
 

@@ -10,6 +10,7 @@ increasing label order.
 from __future__ import annotations
 
 from bisect import bisect_left
+from operator import ge
 from typing import Iterable, Sequence
 
 
@@ -186,21 +187,27 @@ class Involution:
 
 def as_shape(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a partition (weakly decreasing positive parts)."""
-    shape = tuple(int(p) for p in parts)
-    for i, p in enumerate(shape):
-        if p < 1:
-            raise ValueError(f"shape parts must be positive, got {p}")
-        if i and shape[i - 1] < p:
-            raise ValueError(f"shape parts must be weakly decreasing, got {shape}")
+    shape = tuple(map(int, parts))
+    if shape and not (shape[-1] >= 1 and all(map(ge, shape, shape[1:]))):
+        for i, p in enumerate(shape):  # the slow scan names the first bad part
+            if p < 1:
+                raise ValueError(f"shape parts must be positive, got {p}")
+            if i and shape[i - 1] < p:
+                raise ValueError(f"shape parts must be weakly decreasing, got {shape}")
     return shape
+
+
+def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Transpose of an already valid partition; the columns are filled from the bottom row up."""
+    cols: list[int] = []
+    for height in range(len(shape), 0, -1):
+        cols += [height] * (shape[height - 1] - len(cols))
+    return tuple(cols)
 
 
 def conjugate(shape: Sequence[int]) -> tuple[int, ...]:
     """Transpose of a partition: part j of the result is the length of column j."""
-    s = as_shape(shape)
-    if not s:
-        return ()
-    return tuple(sum(1 for p in s if p > j) for j in range(s[0]))
+    return _conjugate(as_shape(shape))
 
 
 class StandardTableau:

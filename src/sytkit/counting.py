@@ -9,11 +9,11 @@ checked against each other at small sizes.
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, permutations
-from math import comb, factorial
+from itertools import chain, combinations, permutations
+from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .core import Involution, as_shape, lis
+from .core import Involution, _conjugate, as_shape, lis
 from .errors import ScaleLimitError
 
 DEFAULT_PERMUTATION_LIMIT = 8
@@ -46,15 +46,19 @@ def partitions(n: int, max_first_part: int | None = None) -> Iterator[tuple[int,
 
 
 def hook_length_count(shape: Sequence[int]) -> int:
-    """Number of standard tableaux of a shape, by the hook length formula."""
+    """Number of standard tableaux of a shape, by the hook length formula.
+
+    The hook product is taken in Frobenius's form over the d parts of the
+    shape or of its conjugate, whichever has fewer (f_lambda = f_lambda'):
+    with l_i = s_i + d - i, f = n! prod_{i<j} (l_i - l_j) / prod l_i!.
+    """
     s = as_shape(shape)
-    below = [0] * max(s, default=0)  # per column: boxes in this row and those under it
-    denom = 1
-    for row_len in reversed(s):
-        for j in range(row_len):
-            below[j] += 1
-            denom *= row_len - j + below[j] - 1
-    return factorial(sum(s)) // denom
+    if s and len(s) > s[0]:
+        s = _conjugate(s)
+    d = len(s)
+    first_hooks = [part + d - i for i, part in enumerate(s, 1)]  # hooks of the first column
+    return (factorial(sum(s)) * prod(a - b for a, b in combinations(first_hooks, 2))
+            // prod(map(factorial, first_hooks)))
 
 
 def _require_bound(k: int) -> None:
@@ -68,8 +72,11 @@ def count_syt_row_bounded(k: int, n: int) -> int:
 
     Equivalently: involutions of length n with no increasing subsequence
     longer than k (and, by conjugation, the same with "decreasing").
+    When k >= n no shape is cut, so the count is i(n).
     """
     _require_bound(k)
+    if k >= n >= 0:
+        return count_involutions(n)
     return sum(hook_length_count(s) for s in partitions(n, max_first_part=k))
 
 
@@ -79,8 +86,11 @@ def count_perms_lis_bounded(k: int, n: int) -> int:
 
     Robinson-Schensted pairs permutations with two same-shape tableaux, so
     this is the sum of squared tableau counts over shapes with rows <= k.
+    When k >= n no shape is cut, so the count is n!.
     """
     _require_bound(k)
+    if k >= n >= 0:
+        return factorial(n)
     return sum(hook_length_count(s) ** 2 for s in partitions(n, max_first_part=k))
 
 

@@ -6,6 +6,7 @@ involution generation by filtering whole permutations.
 """
 
 from itertools import combinations, permutations
+from math import factorial
 
 
 def brute_lis(word):
@@ -88,6 +89,16 @@ def column_lengths(shape):
     if not shape:
         return ()
     return tuple(sum(1 for p in shape if p > j) for j in range(shape[0]))
+
+
+def hook_product_count(shape):
+    """Tableaux of a shape by the hook length formula, one hook per box."""
+    cols = column_lengths(shape)
+    denom = 1
+    for i, row in enumerate(shape):
+        for j in range(row):
+            denom *= (row - j) + (cols[j] - i) - 1
+    return factorial(sum(shape)) // denom
 
 
 def involution_words_by_filter(n):

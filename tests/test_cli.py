@@ -3,7 +3,7 @@ import io
 import json
 import sys
 import time
-from math import comb
+from math import comb, prod
 
 import pytest
 from click.testing import CliRunner
@@ -101,6 +101,16 @@ def test_count_large_n_without_recursion_limit():
     result = run("count", "y", "--k", "2", "--n", "1200")
     assert result.exit_code == 0
     assert table_column(result.output, "value") == [str(comb(1200, 600))]
+
+
+def test_count_unbounded_y_is_the_involution_count_at_once():
+    # i(60) = sum over j of C(60, 2j) (2j - 1)!!, the ways to choose and pair 2j labels
+    i60 = sum(comb(60, 2 * j) * prod(range(1, 2 * j, 2)) for j in range(31))
+    start = time.perf_counter()
+    result = run("count", "y", "--k", "60", "--n", "60")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    assert table_column(result.output, "value") == [str(i60)]
 
 
 # ---------------------------------------------------------------- verify

@@ -12,6 +12,7 @@ from sytkit import (
     rs_inverse,
     rs_of_involution,
 )
+from sytkit.core import as_shape
 from sytkit.counting import generate_involutions, hook_length_count, partitions
 
 from oracles import all_syt, brute_lds, brute_lis, brute_max_decreasing
@@ -176,6 +177,19 @@ def test_conjugate_rejects_non_partition():
         conjugate((1, 2))
     with pytest.raises(ValueError):
         conjugate((2, 0))
+
+
+@pytest.mark.parametrize("fn", [as_shape, conjugate, hook_length_count])
+@pytest.mark.parametrize("parts, message", [
+    ((2, 0), "shape parts must be positive, got 0"),
+    ((0, 1), "shape parts must be positive, got 0"),
+    ((1, 2), "shape parts must be weakly decreasing, got (1, 2)"),
+    ((3, -1, 2), "shape parts must be positive, got -1"),  # the first bad part is named
+])
+def test_shape_errors_name_the_first_bad_part(fn, parts, message):
+    with pytest.raises(ValueError) as info:
+        fn(parts)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("n", range(0, 11))

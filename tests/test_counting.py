@@ -23,12 +23,15 @@ from sytkit import (
 )
 from sytkit.counting import validate_family
 
+import sytkit.core
+import sytkit.counting
 from oracles import (
     all_partitions,
     all_syt,
     brute_lds,
     brute_lis,
     column_lengths,
+    hook_product_count,
     involution_words_by_filter,
     word_fixed_points,
 )
@@ -100,6 +103,45 @@ def test_hook_length_matches_exhaustive_generation(n):
         assert hook_length_count(shape) == len(all_syt(shape))
 
 
+@pytest.mark.parametrize("n", range(0, 31))
+def test_hook_length_matches_box_by_box_product(n):
+    for shape in partitions(n):
+        assert hook_length_count(shape) == hook_product_count(shape)
+
+
+@pytest.mark.parametrize("n", range(0, 31))
+def test_hook_length_is_conjugation_invariant(n):
+    for shape in partitions(n):
+        assert hook_length_count(shape) == hook_length_count(column_lengths(shape))
+
+
+@pytest.mark.parametrize("count, walk", [
+    pytest.param(count_syt_row_bounded, lambda k, n: partitions(n, k), id="y"),
+    pytest.param(count_perms_lis_bounded, lambda k, n: partitions(n, k), id="u"),
+    pytest.param(count_fpf_lds_bounded, lambda k, r: partitions(r // 2, k // 2), id="fpf-lds"),
+    pytest.param(count_fpf_lis_bounded, lambda k, r: partitions(r // 2, k), id="fpf-lis"),
+])
+@pytest.mark.parametrize("k, n", [(4, 10), (5, 12), (7, 16)])
+def test_shape_walk_checks_and_counts_each_shape_once(monkeypatch, count, walk, k, n):
+    calls = {"as_shape": 0, "hook_length_count": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    as_shape = counted("as_shape", sytkit.core.as_shape)
+    monkeypatch.setattr(sytkit.core, "as_shape", as_shape)
+    monkeypatch.setattr(sytkit.counting, "as_shape", as_shape)
+    monkeypatch.setattr(sytkit.counting, "hook_length_count",
+                        counted("hook_length_count", hook_length_count))
+    count.__wrapped__(k, n)  # past the memo, so the walk runs
+    walked = len(list(walk(k, n)))
+    assert walked > 1
+    assert calls == {"as_shape": walked, "hook_length_count": walked}
+
+
 # ---------------------------------------------------------------- count families
 
 def test_row_bounded_tableau_count_examples():
@@ -124,6 +166,15 @@ def test_lis_bounded_permutation_count_examples():
     for n in range(7):
         assert count_perms_lis_bounded(n + 1, n) == factorial(n)
         assert count_perms_lis_bounded(n + 5, n) == factorial(n)
+
+
+@pytest.mark.parametrize("n", range(0, 13))
+def test_unbounded_closed_forms_match_hook_sums(n):
+    """With k >= n no shape is cut: y_k(n) = i(n) and u_k(n) = n!."""
+    f = [hook_product_count(s) for s in all_partitions(n)]
+    for k in range(max(n, 1), n + 4):
+        assert count_syt_row_bounded(k, n) == sum(f)
+        assert count_perms_lis_bounded(k, n) == sum(x * x for x in f)
 
 
 @pytest.mark.parametrize("k", range(1, 5))
