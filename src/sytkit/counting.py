@@ -19,30 +19,37 @@ from .errors import ScaleLimitError
 DEFAULT_PERMUTATION_LIMIT = 8
 
 
-def partitions(n: int, max_first_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Yield the partitions of n with no part above max_first_part, in reverse-lex order.
+def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
+    """Yield the partitions of n with at most max_parts parts, in reverse-lex order.
 
-    Iterative: the next partition drops the trailing 1s, lowers the last part
-    p to p - 1 and refills the freed boxes with parts p - 1 and a remainder.
+    Iterative, O(max_parts) per step: the next partition pops parts from the
+    right, adding up the freed boxes, until some part p > 1 can be lowered to
+    p - 1 with the freed boxes refilled, as parts p - 1 and a remainder, within
+    the part cap.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
     if n == 0:
         yield ()
         return
+    cap = n if max_parts is None else max_parts
+    if cap < 1:
+        return
     parts: list[int] = []
-    free, part = n, n if max_first_part is None else min(max_first_part, n)
-    while part > 0:
+    free, part = n, n
+    while True:
         full, rest = divmod(free, part)
         parts += [part] * full + ([rest] if rest else [])
         yield tuple(parts)
         free = 0
-        while parts and parts[-1] == 1:
-            free += parts.pop()
-        if not parts:
+        while parts:
+            last = parts.pop()
+            free += last
+            if last > 1 and -(-free // (last - 1)) <= cap - len(parts):
+                part = last - 1
+                break
+        else:
             return
-        free += parts[-1]
-        part = parts.pop() - 1
 
 
 def hook_length_count(shape: Sequence[int]) -> int:
@@ -71,13 +78,14 @@ def count_syt_row_bounded(k: int, n: int) -> int:
     """Standard tableaux on n boxes with no row longer than k.
 
     Equivalently: involutions of length n with no increasing subsequence
-    longer than k (and, by conjugation, the same with "decreasing").
-    When k >= n no shape is cut, so the count is i(n).
+    longer than k (and, by conjugation, the same with "decreasing").  The
+    walk is over the conjugates, shapes with at most k rows (f_lambda =
+    f_lambda').  When k >= n no shape is cut, so the count is i(n).
     """
     _require_bound(k)
     if k >= n >= 0:
         return count_involutions(n)
-    return sum(hook_length_count(s) for s in partitions(n, max_first_part=k))
+    return sum(hook_length_count(s) for s in partitions(n, max_parts=k))
 
 
 @cache
@@ -85,13 +93,14 @@ def count_perms_lis_bounded(k: int, n: int) -> int:
     """Permutations of length n with no increasing subsequence longer than k.
 
     Robinson-Schensted pairs permutations with two same-shape tableaux, so
-    this is the sum of squared tableau counts over shapes with rows <= k.
-    When k >= n no shape is cut, so the count is n!.
+    this is the sum of squared tableau counts over shapes with rows <= k,
+    walked as their conjugates with at most k rows.  When k >= n no shape is
+    cut, so the count is n!.
     """
     _require_bound(k)
     if k >= n >= 0:
         return factorial(n)
-    return sum(hook_length_count(s) ** 2 for s in partitions(n, max_first_part=k))
+    return sum(hook_length_count(s) ** 2 for s in partitions(n, max_parts=k))
 
 
 @cache
@@ -119,40 +128,47 @@ def count_fpf(r: int) -> int:
 
 
 def _halved_hook_sum(
-    r: int, max_half_part: int, shape_of: Callable[[tuple[int, ...]], tuple[int, ...]]
+    r: int, max_half_parts: int, shape_of: Callable[[tuple[int, ...]], tuple[int, ...]]
 ) -> int:
-    """Sum of f over shape_of(mu) for mu a partition of r/2 with mu_1 <= max_half_part.
+    """Sum of f over shape_of(nu) for nu a partition of r/2 with at most max_half_parts parts.
 
     Fixed points are odd columns (Beissinger), so fixed-point-free involutions
-    have all columns even: mu with each row repeated, or its conjugate 2mu.
+    have all columns even: nu with each row repeated, or its conjugate 2nu.
     """
-    if r > 0 and r % 2 == 1:  # a negative r is rejected by partitions
+    if r % 2 == 1:  # r > 0 here: callers answer r <= k, and so any negative r, in closed form
         return 0
-    return sum(hook_length_count(shape_of(mu)) for mu in partitions(r // 2, max_half_part))
+    return sum(hook_length_count(shape_of(nu))
+               for nu in partitions(r // 2, max_parts=max_half_parts))
 
 
 @cache
 def count_fpf_lds_bounded(k: int, r: int) -> int:
     """Fixed-point-free involutions of length r with no decreasing subsequence > k.
 
-    The bound caps the height of the even columns at k; by conjugation
-    (f_lambda = f_lambda') the shapes are 2mu with mu_1 <= k/2.  Zero for odd r.
+    The bound caps the height of the even columns at k: the shapes are nu
+    with each row repeated and at most k/2 parts in nu.  When k >= r no shape
+    is cut, so the count is (r-1)!!.  Zero for odd r.
     """
     _require_bound(k)
-    return _halved_hook_sum(r, k // 2, lambda mu: tuple(2 * part for part in mu))
+    if k >= r:
+        return count_fpf(r)
+    return _halved_hook_sum(r, k // 2, lambda nu: tuple(chain.from_iterable(zip(nu, nu))))
 
 
 @cache
 def count_fpf_lis_bounded(k: int, r: int) -> int:
     """Fixed-point-free involutions of length r with no increasing subsequence > k.
 
-    The bound caps the row lengths instead: the shapes are mu with each row
-    repeated and mu_1 <= k.  The two statistics agree on unrestricted
-    involutions yet differ on fixed-point-free ones; keeping both explicit
-    avoids ever conflating them.
+    The bound caps the row lengths instead; by conjugation (f_lambda =
+    f_lambda') the shapes are 2nu with at most k parts in nu.  When 2k >= r
+    no shape is cut, so the count is (r-1)!!.  The two statistics agree on
+    unrestricted involutions yet differ on fixed-point-free ones; keeping
+    both explicit avoids ever conflating them.
     """
     _require_bound(k)
-    return _halved_hook_sum(r, k, lambda mu: tuple(chain.from_iterable(zip(mu, mu))))
+    if 2 * k >= r:
+        return count_fpf(r)
+    return _halved_hook_sum(r, k, lambda nu: tuple(2 * part for part in nu))
 
 
 def catalan(n: int) -> int:

@@ -6,7 +6,7 @@ involution generation by filtering whole permutations.
 """
 
 from itertools import combinations, permutations
-from math import factorial
+from math import comb, factorial
 
 
 def brute_lis(word):
@@ -99,6 +99,25 @@ def hook_product_count(shape):
         for j in range(row):
             denom *= (row - j) + (cols[j] - i) - 1
     return factorial(sum(shape)) // denom
+
+
+def catalan_number(n):
+    return comb(2 * n, n) // (n + 1)
+
+
+def motzkin(n):
+    """Motzkin number M_n: choose the 2j steps of n that are up or down, then a Dyck path on them."""
+    return sum(comb(n, 2 * j) * catalan_number(j) for j in range(n // 2 + 1))
+
+
+def central_binomial(n):
+    """y_2(n) = C(n, floor(n/2)): tableaux with at most two columns."""
+    return comb(n, n // 2)
+
+
+def catalan_pair_product(n):
+    """y_4(n) = C_{floor((n+1)/2)} C_{ceil((n+1)/2)} (Gouyou-Beauchamps 1989)."""
+    return catalan_number((n + 1) // 2) * catalan_number((n + 2) // 2)
 
 
 def involution_words_by_filter(n):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from math import comb, prod
@@ -111,6 +113,24 @@ def test_count_unbounded_y_is_the_involution_count_at_once():
     assert time.perf_counter() - start < 1
     assert result.exit_code == 0
     assert table_column(result.output, "value") == [str(i60)]
+
+
+def test_count_uncut_x_is_the_double_factorial_at_once():
+    start = time.perf_counter()
+    result = run("count", "x", "--k", "120", "--n", "120")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0
+    assert table_column(result.output, "value") == [str(prod(range(1, 120, 2)))]
+
+
+def test_module_entry_point_prints_the_same_bytes():
+    args = ["count", "y", "--k", "3", "--n", "0..4"]
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "sytkit", *args],
+                          capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == run(*args).stdout_bytes
 
 
 # ---------------------------------------------------------------- verify

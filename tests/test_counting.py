@@ -30,8 +30,12 @@ from oracles import (
     all_syt,
     brute_lds,
     brute_lis,
+    catalan_number,
+    catalan_pair_product,
+    central_binomial,
     column_lengths,
     hook_product_count,
+    motzkin,
     involution_words_by_filter,
     word_fixed_points,
 )
@@ -45,18 +49,24 @@ def test_partitions_of_four_in_reverse_lex_order():
 
 def test_partitions_trivial_and_even_column_cases():
     assert list(partitions(0)) == [()]
-    assert list(partitions(0, max_first_part=3)) == [()]
+    assert list(partitions(0, max_parts=3)) == [()]
+    assert all(list(partitions(n, max_parts=0)) == [] for n in range(1, 6))
     # the even-column shapes of 4 are (2, 2) and (1, 1, 1, 1), with 2 + 1 tableaux
     assert count_fpf_lis_bounded(2, 4) == count_fpf_lds_bounded(2, 4) + 1 == 3
     assert count_fpf_lis_bounded(2, 5) == count_fpf_lds_bounded(2, 5) == 0
 
 
+def test_partitions_part_cap_is_keyword_only():
+    with pytest.raises(TypeError):
+        partitions(4, 2)
+
+
 @pytest.mark.parametrize("n", range(0, 13))
 @pytest.mark.parametrize("max_first,max_parts", [(None, None), (3, None), (None, 2), (4, 3), (1, 1)])
 def test_partition_constraints_match_filtering(n, max_first, max_parts):
-    got = list(partitions(n, max_first_part=max_first))
-    if max_parts is not None:  # a part-count cap is a first-part cap on the conjugate
-        capped = {conjugate(s) for s in partitions(n, max_first_part=max_parts)}
+    got = list(partitions(n, max_parts=max_parts))
+    if max_first is not None:  # a first-part cap is a part cap on the conjugate
+        capped = {conjugate(s) for s in partitions(n, max_parts=max_first)}
         got = [s for s in got if s in capped]
     expected = [
         s for s in all_partitions(n)
@@ -116,10 +126,10 @@ def test_hook_length_is_conjugation_invariant(n):
 
 
 @pytest.mark.parametrize("count, walk", [
-    pytest.param(count_syt_row_bounded, lambda k, n: partitions(n, k), id="y"),
-    pytest.param(count_perms_lis_bounded, lambda k, n: partitions(n, k), id="u"),
-    pytest.param(count_fpf_lds_bounded, lambda k, r: partitions(r // 2, k // 2), id="fpf-lds"),
-    pytest.param(count_fpf_lis_bounded, lambda k, r: partitions(r // 2, k), id="fpf-lis"),
+    pytest.param(count_syt_row_bounded, lambda k, n: partitions(n, max_parts=k), id="y"),
+    pytest.param(count_perms_lis_bounded, lambda k, n: partitions(n, max_parts=k), id="u"),
+    pytest.param(count_fpf_lds_bounded, lambda k, r: partitions(r // 2, max_parts=k // 2), id="fpf-lds"),
+    pytest.param(count_fpf_lis_bounded, lambda k, r: partitions(r // 2, max_parts=k), id="fpf-lis"),
 ])
 @pytest.mark.parametrize("k, n", [(4, 10), (5, 12), (7, 16)])
 def test_shape_walk_checks_and_counts_each_shape_once(monkeypatch, count, walk, k, n):
@@ -175,6 +185,39 @@ def test_unbounded_closed_forms_match_hook_sums(n):
     for k in range(max(n, 1), n + 4):
         assert count_syt_row_bounded(k, n) == sum(f)
         assert count_perms_lis_bounded(k, n) == sum(x * x for x in f)
+
+
+@pytest.mark.parametrize("n", range(0, 25))
+def test_part_capped_walks_match_first_part_filter(n):
+    """All four counts against hook sums over shapes with first part <= k, the old side."""
+    f = {s: hook_product_count(s) for s in all_partitions(n)}
+    rows_even = [s for s in f if all(p % 2 == 0 for p in s)]
+    columns_even = [s for s in f if all(c % 2 == 0 for c in column_lengths(s))]
+    for k in range(1, 13):
+        def capped(shapes):
+            return [s for s in shapes if not s or s[0] <= k]
+        assert count_syt_row_bounded(k, n) == sum(f[s] for s in capped(f))
+        assert count_perms_lis_bounded(k, n) == sum(f[s] ** 2 for s in capped(f))
+        assert count_fpf_lds_bounded(k, n) == sum(f[s] for s in capped(rows_even))
+        assert count_fpf_lis_bounded(k, n) == sum(f[s] for s in capped(columns_even))
+
+
+def test_small_bound_counts_match_closed_forms_at_large_n():
+    for n in range(101):
+        assert count_syt_row_bounded(2, n) == central_binomial(n)
+        assert count_syt_row_bounded(3, n) == motzkin(n)
+    for n in range(61):
+        assert count_syt_row_bounded(4, n) == catalan_pair_product(n)
+    for n in range(151):
+        assert count_perms_lis_bounded(2, n) == catalan_number(n)
+    for m in range(101):
+        assert count_fpf_lds_bounded(2, 2 * m) == catalan_number(m)
+
+
+def test_closed_form_oracles_match_small_values():
+    assert [motzkin(n) for n in range(8)] == [1, 1, 2, 4, 9, 21, 51, 127]
+    assert [catalan_pair_product(n) for n in range(6)] == [1, 1, 2, 4, 10, 25]
+    assert [central_binomial(n) for n in range(6)] == [1, 1, 2, 3, 6, 10]
 
 
 @pytest.mark.parametrize("k", range(1, 5))
@@ -246,6 +289,15 @@ def test_fpf_bounded_counts_match_generate_and_filter(k, r):
     words = [w for w in involution_words_by_filter(r) if not word_fixed_points(w)]
     assert count_fpf_lds_bounded(k, r) == sum(1 for w in words if brute_lds(w) <= k)
     assert count_fpf_lis_bounded(k, r) == sum(1 for w in words if brute_lis(w) <= k)
+
+
+@pytest.mark.parametrize("r", range(0, 25))
+def test_fpf_closed_forms_match_even_column_hook_sums(r):
+    """With k >= r (lds) or 2k >= r (lis) no shape is cut, so both counts are (r-1)!!."""
+    for k in range(max(r, 1), r + 4):
+        assert count_fpf_lds_bounded(k, r) == _even_column_hook_sum(r, lambda s: len(s) <= k)
+    for k in range(max((r + 1) // 2, 1), (r + 1) // 2 + 4):
+        assert count_fpf_lis_bounded(k, r) == _even_column_hook_sum(r, lambda s: not s or s[0] <= k)
 
 
 @pytest.mark.parametrize("r", [-1, -2, -3])
