@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Subcommands: count, verify, rsk, bijection, audit.  Global flags --format,
---cache, --verify-cache, --oracle-limit, --trace come before the subcommand.
+Subcommands: count, verify, rsk, bijection f|g|g-inverse, audit.  Global flags
+--format, --cache, --verify-cache, --oracle-limit, --trace come before the subcommand.
 
 Exit codes: 0 success / all verdicts hold, 1 verification failure,
 2 usage or parse error, 3 scale-limit error.
@@ -33,7 +33,6 @@ from .errors import CacheMismatchError, PivotAbsentError, ScaleLimitError
 from .identities import IDENTITIES
 from .output import (
     FORMATS,
-    OutputRecord,
     load_cache,
     render,
     save_cache,
@@ -173,8 +172,8 @@ def main(ctx: click.Context, fmt: str, cache_path: str | None, verify_cache: boo
     }
 
 
-def _emit(ctx: click.Context, record: OutputRecord) -> None:
-    click.echo(render(record, ctx.obj["fmt"]))
+def _emit(ctx: click.Context, kind: str, payload: dict) -> None:
+    click.echo(render(kind, payload, ctx.obj["fmt"]))
 
 
 # ---------------------------------------------------------------- count
@@ -197,7 +196,7 @@ def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
         entries.update({(r["family"], r["k"], r["n"]): r["value"] for r in rows})
         save_cache(entries, cache_path)
 
-    _emit(ctx, OutputRecord("count", {"rows": rows}))
+    _emit(ctx, "count", {"rows": rows})
 
 
 # ---------------------------------------------------------------- verify
@@ -215,7 +214,7 @@ def verify(ctx: click.Context, identity: str, k: int | None, n_range: str) -> No
     if not takes_k and k is not None:
         raise click.UsageError(f"identity {identity!r} takes no --k")
     verdicts = [verifier(k, n) if takes_k else verifier(n) for n in parse_range(n_range)]
-    _emit(ctx, OutputRecord("verdict", {"verdicts": [verdict_payload(v) for v in verdicts]}))
+    _emit(ctx, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
     if not all(v.holds for v in verdicts):
         ctx.exit(EXIT_VERIFICATION_FAILURE)
 
@@ -244,87 +243,89 @@ def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
         ("odd_columns", odd_columns(t)),
         ("beissinger_ok", check_beissinger(v)),
     ]
-    _emit(ctx, OutputRecord("trace", {"fields": fields}))
+    _emit(ctx, "trace", {"fields": fields})
 
 
 # ---------------------------------------------------------------- bijection
 
-@main.command()
-@click.argument("map_id", type=click.Choice(["f", "g", "g-inverse"]))
-@click.option("--n", type=int, default=None, help="Half the ground-set size (map f).")
-@click.option("--p", "p_text", default=None, help="First involution, cycle notation (map f).")
-@click.option("--q", "q_text", default=None, help="Second involution, cycle notation (map f).")
-@click.option("--chosen", default=None, help="Arranged labels, e.g. '3 1' (map g).")
-@click.option("--red", default=None, help="Red 2-cycles, cycle notation (map g-inverse).")
-@click.option("--blue", default=None, help="Blue 2-cycles, cycle notation (map g-inverse).")
-@click.pass_context
-def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None,
-              q_text: str | None, chosen: str | None, red: str | None,
-              blue: str | None) -> None:
+@main.group(cls=ExitCodeGroup)
+def bijection() -> None:
     """Apply one of the constructive maps to explicit inputs."""
-    trace = ctx.obj["trace"]
-    if map_id == "f":
-        if n is None or p_text is None or q_text is None:
-            raise click.UsageError("map f needs --n, --p and --q")
-        state = PairState(parse_cycles(p_text), parse_cycles(q_text), n)
-        try:
-            image = toggle_pivot(state)
-        except PivotAbsentError:
-            click.echo("f undefined: both involutions fixed-point-free", err=True)
-            ctx.exit(2)
-        fields = [
-            ("p", state.p.cycle_string()),
-            ("q", state.q.cycle_string()),
-            ("p_out", image.p.cycle_string()),
-            ("q_out", image.q.cycle_string()),
+
+
+@bijection.command("f")
+@click.option("--n", type=int, required=True, help="Half the ground-set size.")
+@click.option("--p", "p_text", required=True, help="First involution, cycle notation.")
+@click.option("--q", "q_text", required=True, help="Second involution, cycle notation.")
+@click.pass_context
+def bijection_f(ctx: click.Context, n: int, p_text: str, q_text: str) -> None:
+    """Toggle the largest free point of a pair to the other side."""
+    state = PairState(parse_cycles(p_text), parse_cycles(q_text), n)
+    try:
+        image = toggle_pivot(state)
+    except PivotAbsentError:
+        click.echo("f undefined: both involutions fixed-point-free", err=True)
+        ctx.exit(2)
+    fields = [
+        ("p", state.p.cycle_string()),
+        ("q", state.q.cycle_string()),
+        ("p_out", image.p.cycle_string()),
+        ("q_out", image.q.cycle_string()),
+    ]
+    if ctx.obj["trace"]:
+        m = pivot(state)
+        moved_from = "p" if m in state.p.fixed_points else "q"
+        fields += [
+            ("free_points", " ".join(str(x) for x in free_points(state)) or "-"),
+            ("pivot", m),
+            ("moved_from", moved_from),
+            ("moved_to", "q" if moved_from == "p" else "p"),
         ]
-        if trace:
-            m = pivot(state)
-            moved_from = "p" if m in state.p.fixed_points else "q"
-            fields += [
-                ("free_points", " ".join(str(x) for x in free_points(state)) or "-"),
-                ("pivot", m),
-                ("moved_from", moved_from),
-                ("moved_to", "q" if moved_from == "p" else "p"),
-            ]
-        _emit(ctx, OutputRecord("trace", {"fields": fields}))
-        return
+    _emit(ctx, "trace", {"fields": fields})
 
-    if map_id == "g":
-        if chosen is None:
-            raise click.UsageError("map g needs --chosen")
-        labels = parse_labels(chosen)
-        colored = arrangement_to_matching(labels)
-        payload = {"fields": [
-            ("n", colored.n),
-            ("chosen", " ".join(str(x) for x in labels) or "-"),
-            ("red", _cycles_str(colored.red)),
-            ("blue", _cycles_str(colored.blue)),
-        ]}
-        if trace:
-            # the j-th smallest unchosen label is paired with the j-th chosen one
-            unchosen = sorted(set(range(1, 2 * colored.n + 1)) - set(labels))
-            payload["table"] = {
-                "columns": ["unchosen", "chosen", "color"],
-                "rows": [[i, a, "red" if i < a else "blue"] for i, a in zip(unchosen, labels)],
-            }
-        _emit(ctx, OutputRecord("trace", payload))
-        return
 
-    # g-inverse
-    if red is None or blue is None:
-        raise click.UsageError("map g-inverse needs --red and --blue")
+@bijection.command("g")
+@click.option("--chosen", required=True, help="Arranged labels, e.g. '3 1'.")
+@click.option("--n", type=int, default=None, help="Number of chosen labels, checked if given.")
+@click.pass_context
+def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
+    """Match an arrangement with the unchosen labels, red or blue."""
+    labels = parse_labels(chosen)
+    if n is not None and n != len(labels):
+        raise click.UsageError(f"--n {n} does not match the number of chosen labels, {len(labels)}")
+    colored = arrangement_to_matching(labels)
+    payload = {"fields": [
+        ("n", colored.n),
+        ("chosen", " ".join(str(x) for x in labels) or "-"),
+        ("red", _cycles_str(colored.red)),
+        ("blue", _cycles_str(colored.blue)),
+    ]}
+    if ctx.obj["trace"]:
+        # red cycles have the unchosen label first, blue ones the chosen label
+        payload["table"] = {
+            "columns": ["unchosen", "chosen", "color"],
+            "rows": sorted([[a, b, "red"] for a, b in colored.red]
+                           + [[b, a, "blue"] for a, b in colored.blue]),
+        }
+    _emit(ctx, "trace", payload)
+
+
+@bijection.command("g-inverse")
+@click.option("--red", required=True, help="Red 2-cycles, cycle notation.")
+@click.option("--blue", required=True, help="Blue 2-cycles, cycle notation.")
+@click.pass_context
+def bijection_g_inverse(ctx: click.Context, red: str, blue: str) -> None:
+    """Recover the arrangement from a red/blue matching."""
     red_inv, blue_inv = parse_cycles(red), parse_cycles(blue)
     if red_inv.fixed_points or blue_inv.fixed_points:
         raise click.UsageError("colored cycles must all be 2-cycles")
     pairs = red_inv.two_cycles + blue_inv.two_cycles
     colored = ColoredInvolution(len(pairs), red_inv.two_cycles, blue_inv.two_cycles)
-    arrangement = matching_to_arrangement(colored)
-    _emit(ctx, OutputRecord("trace", {"fields": [
+    _emit(ctx, "trace", {"fields": [
         ("red", _cycles_str(colored.red)),
         ("blue", _cycles_str(colored.blue)),
-        ("chosen", " ".join(str(x) for x in arrangement) or "-"),
-    ]}))
+        ("chosen", " ".join(str(x) for x in matching_to_arrangement(colored)) or "-"),
+    ]})
 
 
 # ---------------------------------------------------------------- audit
@@ -336,7 +337,7 @@ def bijection(ctx: click.Context, map_id: str, n: int | None, p_text: str | None
 def audit(ctx: click.Context, n: int, k: int | None) -> None:
     """Exhaustively audit the cancellation argument; exit 0 iff it all checks out."""
     verdict = signed_cancellation_audit(n, k, limit=ctx.obj["oracle_limit"])
-    _emit(ctx, OutputRecord("verdict", {"verdicts": [verdict_payload(verdict)]}))
+    _emit(ctx, "verdict", {"verdicts": [verdict_payload(verdict)]})
     if not verdict.holds:
         ctx.exit(EXIT_VERIFICATION_FAILURE)
 

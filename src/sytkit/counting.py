@@ -73,6 +73,18 @@ def _require_bound(k: int) -> None:
         raise ValueError(f"bound k must be a positive integer, got {k}")
 
 
+def _capped_sum(m: int, cap: int, full: Callable[[int], int],
+                term: Callable[[tuple[int, ...]], int]) -> int:
+    """Sum term over the partitions of m with at most cap parts.
+
+    When cap >= m no partition is cut, so the sum is the closed form full(m);
+    a negative m falls through to ``partitions``, which rejects it.
+    """
+    if 0 <= m <= cap:
+        return full(m)
+    return sum(map(term, partitions(m, max_parts=cap)))
+
+
 @cache
 def count_syt_row_bounded(k: int, n: int) -> int:
     """Standard tableaux on n boxes with no row longer than k.
@@ -83,9 +95,7 @@ def count_syt_row_bounded(k: int, n: int) -> int:
     f_lambda').  When k >= n no shape is cut, so the count is i(n).
     """
     _require_bound(k)
-    if k >= n >= 0:
-        return count_involutions(n)
-    return sum(hook_length_count(s) for s in partitions(n, max_parts=k))
+    return _capped_sum(n, k, count_involutions, hook_length_count)
 
 
 @cache
@@ -98,9 +108,7 @@ def count_perms_lis_bounded(k: int, n: int) -> int:
     cut, so the count is n!.
     """
     _require_bound(k)
-    if k >= n >= 0:
-        return factorial(n)
-    return sum(hook_length_count(s) ** 2 for s in partitions(n, max_parts=k))
+    return _capped_sum(n, k, factorial, lambda s: hook_length_count(s) ** 2)
 
 
 @cache
@@ -111,7 +119,7 @@ def count_involutions(m: int) -> int:
     prev, cur = 1, 1
     for i in range(2, m + 1):
         prev, cur = cur, cur + (i - 1) * prev
-    return cur if m else 1
+    return cur
 
 
 @cache
@@ -119,12 +127,7 @@ def count_fpf(r: int) -> int:
     """Fixed-point-free involutions of length r: (r-1)!! for even r, else 0."""
     if r < 0:
         raise ValueError("r must be non-negative")
-    if r % 2 == 1:
-        return 0
-    out = 1
-    for odd in range(1, r, 2):
-        out *= odd
-    return out
+    return 0 if r % 2 else prod(range(1, r, 2))
 
 
 def _halved_hook_sum(
@@ -134,11 +137,12 @@ def _halved_hook_sum(
 
     Fixed points are odd columns (Beissinger), so fixed-point-free involutions
     have all columns even: nu with each row repeated, or its conjugate 2nu.
+    When the cap cuts nothing the sum is (r-1)!!.
     """
-    if r % 2 == 1:  # r > 0 here: callers answer r <= k, and so any negative r, in closed form
+    if r > 0 and r % 2:  # a negative r goes on to partitions, which rejects it
         return 0
-    return sum(hook_length_count(shape_of(nu))
-               for nu in partitions(r // 2, max_parts=max_half_parts))
+    return _capped_sum(r // 2, max_half_parts, lambda half: count_fpf(2 * half),
+                       lambda nu: hook_length_count(shape_of(nu)))
 
 
 @cache
@@ -150,8 +154,6 @@ def count_fpf_lds_bounded(k: int, r: int) -> int:
     is cut, so the count is (r-1)!!.  Zero for odd r.
     """
     _require_bound(k)
-    if k >= r:
-        return count_fpf(r)
     return _halved_hook_sum(r, k // 2, lambda nu: tuple(chain.from_iterable(zip(nu, nu))))
 
 
@@ -166,8 +168,6 @@ def count_fpf_lis_bounded(k: int, r: int) -> int:
     both explicit avoids ever conflating them.
     """
     _require_bound(k)
-    if 2 * k >= r:
-        return count_fpf(r)
     return _halved_hook_sum(r, k, lambda nu: tuple(2 * part for part in nu))
 
 

@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -23,12 +22,6 @@ from .identities import IdentityVerdict
 
 FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
-
-
-@dataclass
-class OutputRecord:
-    kind: str  # count | verdict | trace
-    payload: dict = field(default_factory=dict)
 
 
 def _s(value: Any) -> Any:
@@ -66,29 +59,29 @@ def verdict_payload(v: IdentityVerdict) -> dict:
     }
 
 
-def render(record: OutputRecord, fmt: str) -> str:
+def render(kind: str, payload: dict, fmt: str) -> str:
+    """One record (kind count, verdict or trace) as text in the given format."""
     if fmt == "json":
-        return json.dumps({"kind": record.kind, **_s(record.payload)}, indent=2)
+        return json.dumps({"kind": kind, **_s(payload)}, indent=2)
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     tabulate = _aligned if fmt == "table" else _csv_text
-    p = record.payload
-    if record.kind == "count":
+    if kind == "count":
         return tabulate(
             ["family", "k", "n", "value"],
-            [[r["family"], r["k"], r["n"], r["value"]] for r in p["rows"]],
+            [[r["family"], r["k"], r["n"], r["value"]] for r in payload["rows"]],
         )
-    if record.kind == "verdict":
-        return (_verdicts_table if fmt == "table" else _verdicts_csv)(p["verdicts"])
-    if record.kind == "trace":
+    if kind == "verdict":
+        return (_verdicts_table if fmt == "table" else _verdicts_csv)(payload["verdicts"])
+    if kind == "trace":
         if fmt == "table":
-            out = "\n".join(f"{name}: {_cell(value)}" for name, value in p["fields"])
+            out = "\n".join(f"{name}: {_cell(value)}" for name, value in payload["fields"])
         else:
-            out = _csv_text(["name", "value"], p["fields"])
-        if "table" in p:
-            out += "\n" + tabulate(p["table"]["columns"], p["table"]["rows"])
+            out = _csv_text(["name", "value"], payload["fields"])
+        if "table" in payload:
+            out += "\n" + tabulate(payload["table"]["columns"], payload["table"]["rows"])
         return out
-    raise ValueError(f"unknown record kind {record.kind!r}")
+    raise ValueError(f"unknown record kind {kind!r}")
 
 
 # ---------------------------------------------------------------- csv

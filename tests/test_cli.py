@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from itertools import permutations
 from math import comb, prod
 
 import pytest
@@ -266,6 +267,57 @@ def test_bijection_g_round_trip_through_cli():
         g = trace_fields(run("bijection", "g", "--chosen", chosen).output)
         back = run("bijection", "g-inverse", "--red", g["red"], "--blue", g["blue"])
         assert trace_fields(back.output)["chosen"] == chosen
+
+
+# map -> (a valid call, the options of the other maps, which it does not read)
+BIJECTION_MAPS = {
+    "f": (("--n", "1", "--p", "(1)", "--q", "(2)"), ("--chosen", "--red", "--blue")),
+    "g": (("--chosen", "2 1"), ("--p", "--q", "--red", "--blue")),
+    "g-inverse": (("--red", "(12)", "--blue", ""), ("--n", "--p", "--q", "--chosen")),
+}
+OPTION_VALUES = {
+    "--n": "1", "--p": "(1)", "--q": "(2)", "--chosen": "1", "--red": "(12)", "--blue": "(12)",
+}
+
+
+@pytest.mark.parametrize("map_id, option", [
+    (map_id, option) for map_id, (_, foreign) in BIJECTION_MAPS.items() for option in foreign
+])
+def test_bijection_map_rejects_options_it_does_not_read(map_id, option):
+    valid = BIJECTION_MAPS[map_id][0]
+    assert run("bijection", map_id, *valid).exit_code == 0
+    result = run("bijection", map_id, *valid, option, OPTION_VALUES[option])
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert option in result.stderr
+
+
+def test_bijection_g_checks_n_against_the_chosen_labels():
+    result = run("bijection", "g", "--n", "5", "--chosen", "3 1")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "--n" in result.stderr
+    assert run("bijection", "g", "--n", "2", "--chosen", "3 1").exit_code == 0
+
+
+def test_bijection_unknown_or_missing_map_is_a_usage_error():
+    for args in (("bijection", "h"), ("bijection",), ("bijection", "--chosen", "1")):
+        result = run(*args)
+        assert result.exit_code == 2
+        assert result.stdout == ""
+
+
+@pytest.mark.parametrize("n", range(4))
+def test_bijection_g_trace_table_matches_the_pairing_rule(n):
+    """The j-th smallest unchosen label goes with the j-th chosen one, red when smaller."""
+    for chosen in permutations(range(1, 2 * n + 1), n):
+        result = run("--format", "json", "--trace", "bijection", "g",
+                     "--chosen", " ".join(map(str, chosen)))
+        assert result.exit_code == 0
+        unchosen = sorted(set(range(1, 2 * n + 1)) - set(chosen))
+        assert json.loads(result.stdout)["table"]["rows"] == [
+            [str(i), str(a), "red" if i < a else "blue"] for i, a in zip(unchosen, chosen)
+        ]
 
 
 # ---------------------------------------------------------------- audit

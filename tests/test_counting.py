@@ -300,6 +300,25 @@ def test_fpf_closed_forms_match_even_column_hook_sums(r):
         assert count_fpf_lis_bounded(k, r) == _even_column_hook_sum(r, lambda s: not s or s[0] <= k)
 
 
+def test_capped_sum_uses_the_closed_form_exactly_when_the_cap_cuts_nothing():
+    def no_walk(shape):
+        raise AssertionError(f"walked {shape}")
+
+    assert sytkit.counting._capped_sum(3, 3, lambda m: ("full", m), no_walk) == ("full", 3)
+    assert sytkit.counting._capped_sum(0, 0, lambda m: ("full", m), no_walk) == ("full", 0)
+    # partitions of 5 with at most 2 parts: (5), (4, 1), (3, 2)
+    assert sytkit.counting._capped_sum(5, 2, None, lambda s: s[0]) == 5 + 4 + 3
+    with pytest.raises(ValueError):
+        sytkit.counting._capped_sum(-1, 4, lambda m: m, no_walk)
+
+
+def test_odd_fpf_lengths_answer_zero_without_the_closed_form(monkeypatch):
+    monkeypatch.setattr(sytkit.counting, "count_fpf", lambda r: pytest.fail(f"count_fpf({r})"))
+    for r in (1, 3, 5):
+        assert sytkit.counting.count_fpf_lds_bounded.__wrapped__(r + 2, r) == 0
+        assert sytkit.counting.count_fpf_lis_bounded.__wrapped__(r, r) == 0
+
+
 @pytest.mark.parametrize("r", [-1, -2, -3])
 def test_fpf_counts_reject_negative_length(r):
     for count in (count_fpf, lambda r: count_fpf_lds_bounded(2, r), lambda r: count_fpf_lis_bounded(2, r)):
