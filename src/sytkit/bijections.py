@@ -15,7 +15,6 @@ and compares the surviving pairs against the closed counts.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Sequence
@@ -27,27 +26,16 @@ from .core import (
     odd_columns,
     rs_of_involution,
 )
-from .counting import count_fpf, count_fpf_lds_bounded, generate_involutions
+from .counting import count_fpf, count_fpf_lds_bounded
 from .errors import ClosureViolationError, PivotAbsentError, ScaleLimitError
 from .identities import IdentityVerdict, _pair_sum, _term
 
 DEFAULT_PAIR_SPACE_LIMIT = 4
 DEFAULT_SUBSEQUENCE_LIMIT = 12
 
-# (n, frozenset of 1..2n) for the last n a PairState was built with: an audit
-# builds all its states with one n, so the ground set is made once per audit
-_ground: tuple[int, frozenset[int]] = (0, frozenset())
-
-
-def _ground_set(n: int) -> frozenset[int]:
-    global _ground
-    ground = _ground  # read once, so a concurrent rebind cannot pair n with another set
-    if ground[0] != n:
-        ground = _ground = (n, frozenset(range(1, 2 * n + 1)))
-    return ground[1]
-
-
-@dataclass(frozen=True)
+# not frozen, since a frozen build sets each field through object.__setattr__ and the
+# audit builds a state per toggle; like Involution, it is treated as immutable
+@dataclass(slots=True, unsafe_hash=True)
 class PairState:
     """An ordered pair of involutions whose supports partition [2n]."""
 
@@ -56,10 +44,12 @@ class PairState:
     n: int
 
     def __post_init__(self) -> None:
-        sp, sq = self.p._partner.keys(), self.q._partner.keys()
-        if not sp.isdisjoint(sq):
-            raise ValueError(f"supports overlap: {sorted(sp & sq)}")
-        if sp | sq != _ground_set(self.n):
+        sp, sq = self.p._partner, self.q._partner
+        if not sp.keys().isdisjoint(sq):
+            raise ValueError(f"supports overlap: {sorted(sp.keys() & sq.keys())}")
+        # labels are positive, so disjoint supports of 2n labels, none above 2n, are 1..2n
+        size = 2 * self.n if self.n > 0 else 0  # [2n] is empty for n <= 0
+        if len(sp) + len(sq) != size or max((0, *sp, *sq)) > size:
             raise ValueError(f"supports must partition 1..{2 * self.n}")
 
 
@@ -100,26 +90,24 @@ def free_points(s: PairState) -> tuple[int, ...]:
 
 def pivot(s: PairState) -> int | None:
     """Largest free point, or None when both sides are fixed-point-free."""
-    free = free_points(s)
-    return free[-1] if free else None
+    fp, fq = s.p.fixed_points, s.q.fixed_points  # sorted, so each side's largest is last
+    if fp and fq:
+        return max(fp[-1], fq[-1])
+    return fp[-1] if fp else fq[-1] if fq else None
 
 
 def _toggle_fixed_point(v: Involution, m: int) -> Involution:
     """v with m dropped from its fixed points if it is one there, else added as one.
 
-    m must be a fixed point of v or outside its support; the cycles are
-    shared unchanged, so the trusted build applies.
+    m must be the largest free point of a pair that v is a side of: fixed in
+    v and its last fixed point, or outside its support and above every fixed
+    point.  The cycles are shared unchanged, so the trusted build applies.
     """
     partner = v._partner.copy()
-    fps = v.fixed_points
-    i = bisect_left(fps, m)
-    if m in partner:
-        del partner[m]
-        fps = fps[:i] + fps[i + 1:]
-    else:
+    if partner.pop(m, None) is None:
         partner[m] = m
-        fps = fps[:i] + (m,) + fps[i:]
-    return Involution(fps, v.two_cycles, _partner=partner)
+        return Involution(v.fixed_points + (m,), v.two_cycles, _partner=partner)
+    return Involution(v.fixed_points[:-1], v.two_cycles, _partner=partner)
 
 
 def toggle_pivot(s: PairState) -> PairState:
@@ -221,6 +209,26 @@ def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:
     return Involution(fps, cycles, _partner=partner)
 
 
+def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
+    """Words of the involutions on 1..m with lds <= k, in generation order, for m <= top.
+
+    Generation order leaves 1 fixed first, then pairs it with t = 2..m, and
+    relabels each smaller word onto the rest.  Deleting 1 and its partner
+    leaves an order-isomorphic subword, whose lds is no larger, so growing
+    each size from the pruned smaller lists loses no word.
+    """
+    words: list[list[tuple[int, ...]]] = [[()]]
+    for m in range(1, top + 1):
+        grown = [(1, *(x + 1 for x in w)) for w in words[m - 1]]
+        for t in range(2, m + 1):
+            labels = (*range(2, t), *range(t + 1, m + 1))
+            for w in words[m - 2]:
+                image = [labels[x - 1] for x in w]
+                grown.append((t, *image[:t - 2], 1, *image[t - 2:]))
+        words.append([w for w in grown if k is None or lds(w) <= k])
+    return words
+
+
 def enumerate_pair_space(
     n: int, k: int | None = None, limit: int = DEFAULT_PAIR_SPACE_LIMIT
 ) -> Iterator[PairState]:
@@ -231,18 +239,15 @@ def enumerate_pair_space(
     subset lexicographically, then by generation order on each side.
 
     Generation order and lds depend only on the relative order of the labels,
-    so each size is generated and filtered once on 1..m, and its words are
-    relabelled onto every subset of that size.
+    so each size is grown and filtered once on 1..m (see `_side_words`), and
+    its words are relabelled onto every subset of that size.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
     ground = tuple(range(1, 2 * n + 1))
-    words = [
-        [w for w in map(Involution.word, generate_involutions(ground[:m])) if k is None or lds(w) <= k]
-        for m in range(2 * n + 1)
-    ]
+    words = _side_words(2 * n, k)
     for r in range(2 * n + 1):
         for chosen in combinations(ground, r):
             rest = tuple(x for x in ground if x not in chosen)

@@ -14,7 +14,7 @@ from operator import ge
 from typing import Iterable, Sequence
 
 
-def lis(word: Sequence[int]) -> int:
+def lis(word: Iterable[int]) -> int:
     """Length of the longest strictly increasing subsequence (patience sorting)."""
     tails: list[int] = []
     for x in word:
@@ -29,7 +29,7 @@ def lis(word: Sequence[int]) -> int:
 def lds(word: Sequence[int]) -> int:
     """Length of the longest strictly decreasing subsequence."""
     # a decreasing subsequence read right-to-left is increasing
-    return lis(list(word)[::-1])
+    return lis(reversed(word))
 
 
 def max_decreasing_subsequences(word: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
@@ -152,7 +152,7 @@ class Involution:
 
     def word(self) -> tuple[int, ...]:
         """One-line word: images of the support labels in increasing order."""
-        return tuple(self._partner[x] for x in sorted(self._partner))
+        return tuple(map(self._partner.__getitem__, sorted(self._partner)))
 
     def is_fixed_point_free(self) -> bool:
         return not self.fixed_points

@@ -1,3 +1,6 @@
+import time
+import tracemalloc
+from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
@@ -46,6 +49,40 @@ def test_pair_state_validation():
         PairState(Involution((1,)), Involution(), 1)  # does not cover 1..2
     with pytest.raises(ValueError):
         PairState(Involution((1,)), Involution((3,)), 1)  # label outside 1..2
+
+
+def test_pair_state_rejects_a_huge_n_without_building_the_ground_set():
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        with pytest.raises(ValueError, match=r"^supports must partition 1\.\.200000000$"):
+            PairState(Involution((1,)), Involution((2,)), 10**8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 1
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("n", range(-1, 4))
+def test_pair_state_cover_check_matches_the_set_rule(n):
+    # the rule the O(support) check replaces: disjoint supports whose union is exactly 1..2n
+    labels = range(1, 7)
+    subsets = [c for r in range(len(labels) + 1) for c in combinations(labels, r)]
+    for a in subsets:
+        for b in subsets:
+            if set(a) & set(b):
+                expected = f"supports overlap: {sorted(set(a) & set(b))}"
+            elif set(a) | set(b) != set(range(1, 2 * n + 1)):
+                expected = f"supports must partition 1..{2 * n}"
+            else:
+                expected = None
+            try:
+                PairState(Involution(a), Involution(b), n)
+                got = None
+            except ValueError as exc:
+                got = str(exc)
+            assert got == expected, (a, b)
 
 
 def test_free_points_and_pivot_worked_example():
@@ -272,6 +309,25 @@ def test_pair_space_sizes():
     assert len(list(enumerate_pair_space(2))) == 76
 
 
+def test_pair_space_at_the_raised_limit_with_bound_one():
+    # lds 1 leaves only the identity on each side: one state per subset of [10]
+    assert sum(1 for _ in enumerate_pair_space(5, 1, limit=5)) == 1024
+
+
+@cache
+def _brute_lds_of(word):
+    return brute_lds(word)
+
+
+@pytest.mark.parametrize("k", (None, 1, 2, 3, 5))
+def test_side_words_are_generation_order_filtered_by_lds(k):
+    words = bijections._side_words(9, k)
+    assert len(words) == 10
+    for m, got in enumerate(words):
+        generated = (v.word() for v in generate_involutions(range(1, m + 1)))
+        assert got == [w for w in generated if k is None or _brute_lds_of(w) <= k]
+
+
 def test_pair_space_respects_limit():
     with pytest.raises(ScaleLimitError):
         list(enumerate_pair_space(5))
@@ -387,9 +443,10 @@ def test_audit_toggles_each_state_before_the_next_is_enumerated(monkeypatch):
     assert events.index("toggle") < events.index("state", 1)
 
 
-@pytest.mark.parametrize("args, built", [((3,), 6174), ((3, 3), 5554)])
+@pytest.mark.parametrize("args, built", [((3,), 6054), ((3, 3), 5434)])
 def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args, built):
-    # the counts from before the trusted build: every side still enters Involution.__init__
+    # every pair side, relabelled or toggled, enters Involution.__init__ once; the side
+    # word lists are grown as plain words and build none (sum of i(m) for m <= 6 = 120)
     calls = 0
     init = Involution.__init__
 

@@ -235,6 +235,15 @@ def test_bijection_f_validates_pair():
     assert run("bijection", "f", "--n", "1", "--p", "(1)").exit_code == 2  # missing q
 
 
+def test_bijection_f_rejects_a_huge_n_at_once():
+    start = time.perf_counter()
+    result = run("bijection", "f", "--n", "100000000", "--p", "(1)", "--q", "(2)")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: supports must partition 1..200000000" in result.stderr
+
+
 def test_bijection_g_example():
     result = run("--trace", "bijection", "g", "--n", "2", "--chosen", "3 1")
     assert result.exit_code == 0

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from sytkit import (
     Involution,
     StandardTableau,
+    check_beissinger,
     conjugate,
     lds,
     lis,
@@ -21,6 +22,15 @@ from oracles import all_syt, brute_lds, brute_lis, brute_max_decreasing
 words = st.sets(st.integers(min_value=1, max_value=60), max_size=10).map(tuple).flatmap(
     lambda labels: st.permutations(labels).map(tuple)
 )
+
+
+@st.composite
+def large_involutions(draw):
+    """Involutions on 1..n for n <= 200: a shuffled 1..n whose first 2c entries pair off."""
+    n = draw(st.integers(min_value=0, max_value=200))
+    labels = draw(st.permutations(range(1, n + 1)))
+    c = 2 * draw(st.integers(min_value=0, max_value=n // 2))
+    return Involution(labels[c:], zip(labels[:c:2], labels[1:c:2]))
 
 
 def test_lis_examples():
@@ -145,6 +155,17 @@ def test_rs_round_trip_and_bijectivity(n):
     # injective onto standard tableaux with n boxes: counts match
     total_syt = sum(hook_length_count(s) for s in partitions(n))
     assert len(tableaux) == count == total_syt
+
+
+@given(large_involutions())
+def test_rs_round_trip_on_large_involutions(v):
+    assert rs_inverse(rs_of_involution(v)) == v
+
+
+@given(large_involutions())
+def test_beissinger_on_large_involutions(v):
+    # fixed points of v = odd columns of its tableau
+    assert check_beissinger(v)
 
 
 @pytest.mark.parametrize("n", range(0, 9))
