@@ -17,21 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import (
-    Involution,
-    lds,
-    max_decreasing_subsequences,
-    odd_columns,
-    rs_of_involution,
-)
-from .counting import count_fpf, count_fpf_lds_bounded
-from .errors import ClosureViolationError, PivotAbsentError, ScaleLimitError
-from .identities import IdentityVerdict, _pair_sum, _term
+from .core import Involution, lds
+from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsentError, ScaleLimitError
 
-DEFAULT_PAIR_SPACE_LIMIT = 4
-DEFAULT_SUBSEQUENCE_LIMIT = 12
+if TYPE_CHECKING:
+    from .identities import IdentityVerdict
 
 # not frozen, since a frozen build sets each field through object.__setattr__ and the
 # audit builds a state per toggle; like Involution, it is treated as immutable
@@ -67,20 +59,6 @@ class ColoredInvolution:
             object.__setattr__(self, color, Involution((), getattr(self, color)).two_cycles)
         if Involution((), self.red + self.blue).support != tuple(range(1, 2 * self.n + 1)):
             raise ValueError(f"cycles must cover 1..{2 * self.n}")
-
-
-@dataclass(frozen=True)
-class LongestDecreasingReport:
-    """All maximum-length decreasing subsequences of an involution's word.
-
-    When the maximum length is odd, every such subsequence must pass through
-    a fixed point; ``all_contain_fixed_point`` records whether that held.
-    """
-
-    involution: Involution
-    lds_length: int
-    max_decreasing_count: int
-    all_contain_fixed_point: bool
 
 
 def free_points(s: PairState) -> tuple[int, ...]:
@@ -172,30 +150,6 @@ def matching_to_arrangement(c: ColoredInvolution) -> tuple[int, ...]:
     return tuple(chosen for _, chosen in pairs)
 
 
-def report_longest_decreasing(
-    v: Involution, limit: int = DEFAULT_SUBSEQUENCE_LIMIT
-) -> LongestDecreasingReport:
-    """Enumerate every maximum-length decreasing subsequence and check fixed points.
-
-    An entry of the word is a fixed point exactly when it equals the support
-    label at its own position.
-    """
-    if v.size > limit:
-        raise ScaleLimitError(f"subsequence enumeration limited to {limit} elements, got {v.size}")
-    word = v.word()
-    support = v.support
-    length, index_runs = max_decreasing_subsequences(word)
-    all_fixed = all(
-        any(word[i] == support[i] for i in run) for run in index_runs
-    )
-    return LongestDecreasingReport(v, length, len(index_runs), all_fixed)
-
-
-def check_beissinger(v: Involution) -> bool:
-    """Beissinger's theorem instance: fixed points == odd columns of the image."""
-    return len(v.fixed_points) == odd_columns(rs_of_involution(v))
-
-
 def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:
     """Carry the word of an involution on 1..m onto m sorted labels by x -> labels[x - 1].
 
@@ -269,6 +223,9 @@ def signed_cancellation_audit(
     The surviving pairs are then counted per split size and compared against
     the closed form, which is the positive side of the matching identity.
     """
+    from .counting import count_fpf, count_fpf_lds_bounded
+    from .identities import IdentityVerdict, _pair_sum, _term
+
     if k is not None and (k < 1 or k % 2 == 0):
         raise ValueError(f"audit bound must be odd, got k={k}")
     survivors_by_r = [0] * (2 * n + 1)

@@ -5,6 +5,10 @@ Subcommands: count, verify, rsk, bijection f|g|g-inverse, audit.  Global flags
 
 Exit codes: 0 success / all verdicts hold, 1 verification failure,
 2 usage or parse error, 3 scale-limit error.
+
+Core and output load with this module; each command imports any other layer
+it runs inside its own body, so a process loads only those: ``count``
+counting, ``verify`` identities, ``bijection`` bijections, ``audit`` all.
 """
 
 from __future__ import annotations
@@ -15,30 +19,9 @@ from pathlib import Path
 
 import click
 
-from .bijections import (
-    DEFAULT_PAIR_SPACE_LIMIT,
-    ColoredInvolution,
-    PairState,
-    arrangement_to_matching,
-    check_beissinger,
-    free_points,
-    matching_to_arrangement,
-    pivot,
-    signed_cancellation_audit,
-    toggle_pivot,
-)
-from .core import Involution, lds, lis, odd_columns, rs_of_involution
-from .counting import count_family
-from .errors import CacheMismatchError, PivotAbsentError, ScaleLimitError
-from .identities import IDENTITIES
-from .output import (
-    FORMATS,
-    load_cache,
-    render,
-    save_cache,
-    verdict_payload,
-    verify_cache_entries,
-)
+from .core import Involution, check_beissinger, lds, lis, odd_columns, rs_of_involution
+from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, PivotAbsentError, ScaleLimitError
+from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_SCALE_LIMIT = 3
@@ -146,6 +129,20 @@ class ExitCodeGroup(click.Group):
     command_class = ExitCodeCommand
 
 
+class IdentityChoice(click.Choice):
+    """The names in ``identities.IDENTITIES``, read when first needed, so that
+    building the command line does not import the identities layer."""
+
+    def __init__(self) -> None:
+        self.case_sensitive = True
+
+    @property
+    def choices(self) -> tuple[str, ...]:
+        from .identities import IDENTITIES
+
+        return tuple(sorted(IDENTITIES))
+
+
 @click.group(cls=ExitCodeGroup)
 @click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
               show_default=True, help="Output rendering.")
@@ -185,15 +182,25 @@ def _emit(ctx: click.Context, kind: str, payload: dict) -> None:
 @click.pass_context
 def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
     """Evaluate one counting family at the given sizes."""
-    rows = [{"family": family, "k": k, "n": n, "value": count_family(family, k, n)}
-            for n in parse_range(n_range)]
+    from .counting import count_family
 
+    sizes = parse_range(n_range)
     cache_path = ctx.obj["cache"]
+    entries = {}
     if cache_path is not None:
-        entries = load_cache(cache_path) if Path(cache_path).exists() else {}
-        if ctx.obj["verify_cache"]:
-            verify_cache_entries(entries)
-        entries.update({(r["family"], r["k"], r["n"]): r["value"] for r in rows})
+        try:
+            entries = load_cache(cache_path) if Path(cache_path).exists() else {}
+            if ctx.obj["verify_cache"]:
+                verify_cache_entries(entries)
+        except (ValueError, OSError, CacheMismatchError):
+            # a bad query is reported before a bad cache; it always fails at the smallest n
+            count_family(family, k, sizes[0])
+            raise
+    for n in sizes:
+        if (family, k, n) not in entries:  # a cached value is not recomputed
+            entries[family, k, n] = count_family(family, k, n)
+    rows = [{"family": family, "k": k, "n": n, "value": entries[family, k, n]} for n in sizes]
+    if cache_path is not None:
         save_cache(entries, cache_path)
 
     _emit(ctx, "count", {"rows": rows})
@@ -202,12 +209,14 @@ def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
 # ---------------------------------------------------------------- verify
 
 @main.command()
-@click.argument("identity", type=click.Choice(sorted(IDENTITIES)))
+@click.argument("identity", type=IdentityChoice())
 @click.option("--k", type=int, default=None, help="Bound parameter, where the identity takes one.")
 @click.option("--n", "n_range", required=True, help="Instance size, or inclusive range 'a..b'.")
 @click.pass_context
 def verify(ctx: click.Context, identity: str, k: int | None, n_range: str) -> None:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
+    from .identities import IDENTITIES
+
     verifier, takes_k = IDENTITIES[identity]
     if takes_k and k is None:
         raise click.UsageError(f"identity {identity!r} requires --k")
@@ -260,6 +269,8 @@ def bijection() -> None:
 @click.pass_context
 def bijection_f(ctx: click.Context, n: int, p_text: str, q_text: str) -> None:
     """Toggle the largest free point of a pair to the other side."""
+    from .bijections import PairState, free_points, pivot, toggle_pivot
+
     state = PairState(parse_cycles(p_text), parse_cycles(q_text), n)
     try:
         image = toggle_pivot(state)
@@ -290,6 +301,8 @@ def bijection_f(ctx: click.Context, n: int, p_text: str, q_text: str) -> None:
 @click.pass_context
 def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
     """Match an arrangement with the unchosen labels, red or blue."""
+    from .bijections import arrangement_to_matching
+
     labels = parse_labels(chosen)
     if n is not None and n != len(labels):
         raise click.UsageError(f"--n {n} does not match the number of chosen labels, {len(labels)}")
@@ -316,6 +329,8 @@ def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
 @click.pass_context
 def bijection_g_inverse(ctx: click.Context, red: str, blue: str) -> None:
     """Recover the arrangement from a red/blue matching."""
+    from .bijections import ColoredInvolution, matching_to_arrangement
+
     red_inv, blue_inv = parse_cycles(red), parse_cycles(blue)
     if red_inv.fixed_points or blue_inv.fixed_points:
         raise click.UsageError("colored cycles must all be 2-cycles")
@@ -336,6 +351,8 @@ def bijection_g_inverse(ctx: click.Context, red: str, blue: str) -> None:
 @click.pass_context
 def audit(ctx: click.Context, n: int, k: int | None) -> None:
     """Exhaustively audit the cancellation argument; exit 0 iff it all checks out."""
+    from .bijections import signed_cancellation_audit
+
     verdict = signed_cancellation_audit(n, k, limit=ctx.obj["oracle_limit"])
     _emit(ctx, "verdict", {"verdicts": [verdict_payload(verdict)]})
     if not verdict.holds:

@@ -32,45 +32,6 @@ def lds(word: Sequence[int]) -> int:
     return lis(reversed(word))
 
 
-def max_decreasing_subsequences(word: Sequence[int]) -> tuple[int, list[tuple[int, ...]]]:
-    """All index tuples realizing the longest strictly decreasing subsequence.
-
-    Backtracks over a memoized "longest decreasing run starting here" table;
-    the number of maximum-length subsequences can grow exponentially, so
-    callers cap the word length.  Returns (length, index tuples); the empty
-    word yields (0, []).
-    """
-    n = len(word)
-    if n == 0:
-        return 0, []
-    longest = [1] * n
-    for i in range(n - 2, -1, -1):
-        best = 0
-        for j in range(i + 1, n):
-            if word[j] < word[i] and longest[j] > best:
-                best = longest[j]
-        longest[i] = best + 1
-    target = max(longest)
-
-    out: list[tuple[int, ...]] = []
-    prefix: list[int] = []
-
-    def extend(i: int) -> None:
-        prefix.append(i)
-        if longest[i] == 1:
-            out.append(tuple(prefix))
-        else:
-            for j in range(i + 1, n):
-                if word[j] < word[i] and longest[j] == longest[i] - 1:
-                    extend(j)
-        prefix.pop()
-
-    for i in range(n):
-        if longest[i] == target:
-            extend(i)
-    return target, out
-
-
 class Involution:
     """A self-inverse partial permutation, stored as fixed points plus 2-cycles.
 
@@ -289,6 +250,11 @@ def rs_of_involution(v: Involution) -> StandardTableau:
     for label in v.word():
         _row_insert(rows, rank[label])
     return StandardTableau(rows)
+
+
+def check_beissinger(v: Involution) -> bool:
+    """Beissinger's theorem instance: fixed points == odd columns of the image."""
+    return len(v.fixed_points) == odd_columns(rs_of_involution(v))
 
 
 def rs_inverse(t: StandardTableau) -> Involution:

@@ -1,22 +1,18 @@
 """Exact counting and exhaustive generation.
 
 Every count is an arbitrary-precision integer; nothing here touches floats.
-Each closed-form or shape-sum path has a matching generate-and-filter oracle
-(`generate_involutions`, `brute_count_lis_bounded`) so the two routes can be
-checked against each other at small sizes.
+`generate_involutions` is the generate-and-filter route that the shape sums
+are checked against at small sizes.
 """
 
 from __future__ import annotations
 
 from functools import cache
-from itertools import chain, combinations, permutations
+from itertools import chain, combinations
 from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .core import Involution, _conjugate, as_shape, lis
-from .errors import ScaleLimitError
-
-DEFAULT_PERMUTATION_LIMIT = 8
+from .core import Involution, _conjugate, as_shape
 
 
 def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -201,14 +197,6 @@ def generate_involutions(support: Sequence[int]) -> Iterator[Involution]:
 
     for fps, cycles in rec(labels):
         yield Involution(fps, cycles)
-
-
-def brute_count_lis_bounded(k: int, n: int, limit: int = DEFAULT_PERMUTATION_LIMIT) -> int:
-    """Oracle for ``count_perms_lis_bounded``: filter all n! permutations."""
-    _require_bound(k)
-    if n > limit:
-        raise ScaleLimitError(f"oracle scale exceeded: n={n} > limit={limit}")
-    return sum(1 for p in permutations(range(1, n + 1)) if lis(p) <= k)
 
 
 #: (family, k, n) queries: name -> (count function, whether it takes the bound k)

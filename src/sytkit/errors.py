@@ -1,4 +1,8 @@
-"""Shared exception types."""
+"""Shared exception types, and the default pair-space size past which the audit raises ScaleLimitError."""
+
+
+#: largest n whose pair space the cancellation audit enumerates unless told otherwise
+DEFAULT_PAIR_SPACE_LIMIT = 4
 
 
 class ScaleLimitError(RuntimeError):

@@ -14,11 +14,12 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
-from .counting import count_family, validate_family
 from .errors import CacheMismatchError
-from .identities import IdentityVerdict
+
+if TYPE_CHECKING:
+    from .identities import IdentityVerdict
 
 FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
@@ -196,6 +197,8 @@ def _parse_index(name: str, text: str) -> int:
 
 
 def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
+    from .counting import validate_family
+
     parts = line.split()
     if len(parts) != 4:
         raise ValueError("expected 'family k n value'")
@@ -238,6 +241,8 @@ def load_cache(path: str | Path) -> dict[CacheKey, int]:
 
 def verify_cache_entries(entries: dict[CacheKey, int]) -> None:
     """Recompute every entry; raise on the first disagreement."""
+    from .counting import count_family
+
     for (family, k, n), value in sorted(entries.items(), key=lambda kv: _key_sort(kv[0])):
         expected = count_family(family, k, n)
         if expected != value:

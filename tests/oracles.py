@@ -2,11 +2,17 @@
 
 Deliberately naive and structurally different from the library: subsequence
 search over index combinations, tableau generation by backtracking, and
-involution generation by filtering whole permutations.
+involution generation by filtering whole permutations.  The exponential
+routes at the end (every maximum decreasing subsequence, every permutation)
+live here and not in the library, which keeps only what its commands run.
 """
 
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
+
+from sytkit.core import Involution, lis
+from sytkit.errors import ScaleLimitError
 
 
 def brute_lis(word):
@@ -128,3 +134,90 @@ def involution_words_by_filter(n):
 
 def word_fixed_points(w):
     return [i + 1 for i in range(len(w)) if w[i] == i + 1]
+
+
+# ---------------------------------------------------------------- exponential routes
+# These enumerate every witness or every permutation, so they are run at small
+# sizes only; each guards its size with a limit.
+
+DEFAULT_PERMUTATION_LIMIT = 8
+DEFAULT_SUBSEQUENCE_LIMIT = 12
+
+
+def brute_count_lis_bounded(k, n, limit=DEFAULT_PERMUTATION_LIMIT):
+    """Oracle for ``count_perms_lis_bounded``: filter all n! permutations."""
+    if k < 1:
+        raise ValueError(f"bound k must be a positive integer, got {k}")
+    if n > limit:
+        raise ScaleLimitError(f"oracle scale exceeded: n={n} > limit={limit}")
+    return sum(1 for p in permutations(range(1, n + 1)) if lis(p) <= k)
+
+
+def max_decreasing_subsequences(word):
+    """All index tuples realizing the longest strictly decreasing subsequence.
+
+    Backtracks over a memoized "longest decreasing run starting here" table;
+    the number of maximum-length subsequences can grow exponentially, so
+    callers cap the word length.  Returns (length, index tuples); the empty
+    word yields (0, []).
+    """
+    n = len(word)
+    if n == 0:
+        return 0, []
+    longest = [1] * n
+    for i in range(n - 2, -1, -1):
+        best = 0
+        for j in range(i + 1, n):
+            if word[j] < word[i] and longest[j] > best:
+                best = longest[j]
+        longest[i] = best + 1
+    target = max(longest)
+
+    out = []
+    prefix = []
+
+    def extend(i):
+        prefix.append(i)
+        if longest[i] == 1:
+            out.append(tuple(prefix))
+        else:
+            for j in range(i + 1, n):
+                if word[j] < word[i] and longest[j] == longest[i] - 1:
+                    extend(j)
+        prefix.pop()
+
+    for i in range(n):
+        if longest[i] == target:
+            extend(i)
+    return target, out
+
+
+@dataclass(frozen=True)
+class LongestDecreasingReport:
+    """All maximum-length decreasing subsequences of an involution's word.
+
+    When the maximum length is odd, every such subsequence must pass through
+    a fixed point; ``all_contain_fixed_point`` records whether that held.
+    """
+
+    involution: Involution
+    lds_length: int
+    max_decreasing_count: int
+    all_contain_fixed_point: bool
+
+
+def report_longest_decreasing(v, limit=DEFAULT_SUBSEQUENCE_LIMIT):
+    """Enumerate every maximum-length decreasing subsequence and check fixed points.
+
+    An entry of the word is a fixed point exactly when it equals the support
+    label at its own position.
+    """
+    if v.size > limit:
+        raise ScaleLimitError(f"subsequence enumeration limited to {limit} elements, got {v.size}")
+    word = v.word()
+    support = v.support
+    length, index_runs = max_decreasing_subsequences(word)
+    all_fixed = all(
+        any(word[i] == support[i] for i in run) for run in index_runs
+    )
+    return LongestDecreasingReport(v, length, len(index_runs), all_fixed)

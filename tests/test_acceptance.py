@@ -12,7 +12,6 @@ from click.testing import CliRunner
 
 from sytkit import (
     arrangement_to_matching,
-    brute_count_lis_bounded,
     catalan,
     check_beissinger,
     count_fpf,
@@ -25,7 +24,6 @@ from sytkit import (
     lds,
     lis,
     matching_to_arrangement,
-    report_longest_decreasing,
     signed_cancellation_audit,
     verify_a005568,
     verify_corollary_k3,
@@ -36,6 +34,8 @@ from sytkit import (
 )
 from sytkit.cli import main
 from sytkit.output import load_cache, save_cache
+
+from oracles import brute_count_lis_bounded, report_longest_decreasing
 
 
 def ok(criterion, message):

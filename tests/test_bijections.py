@@ -25,7 +25,6 @@ from sytkit import (
     lis,
     matching_to_arrangement,
     pivot,
-    report_longest_decreasing,
     signed_cancellation_audit,
     toggle_pivot,
     toggle_pivot_bounded,
@@ -33,7 +32,7 @@ from sytkit import (
 
 from sytkit import bijections
 
-from oracles import brute_lds
+from oracles import brute_lds, max_decreasing_subsequences, report_longest_decreasing
 
 WORKED_PAIR = PairState(
     Involution((5,), ((1, 3), (2, 6))), Involution((7,), ((4, 8),)), 4
@@ -279,8 +278,6 @@ def test_odd_lds_forces_fixed_points_in_every_witness(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_no_decreasing_witness_contains_two_fixed_points(n):
-    from sytkit import max_decreasing_subsequences
-
     for v in generate_involutions(range(1, n + 1)):
         word, support = v.word(), v.support
         _, runs = max_decreasing_subsequences(word)

@@ -466,6 +466,30 @@ def test_cache_intact_verification_passes(tmp_path):
     assert result.exit_code == 0
 
 
+def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch):
+    import sytkit.counting as counting
+
+    path = tmp_path / "counts.cache"
+    args = ("--cache", str(path), "count", "y", "--k", "3", "--n", "4..9")
+    first = run(*args)
+    walked = []
+    hook_length_count = counting.hook_length_count
+    monkeypatch.setattr(counting, "hook_length_count",
+                        lambda shape: walked.append(shape) or hook_length_count(shape))
+    counting.count_syt_row_bounded.cache_clear()  # as cold as a new process
+    saved = path.read_bytes()
+    second = run(*args)
+    assert second.exit_code == 0 and second.output == first.output
+    assert walked == []
+    assert path.read_bytes() == saved
+
+    counting.count_syt_row_bounded.cache_clear()
+    third = run("--cache", str(path), "count", "y", "--k", "3", "--n", "8..10")
+    assert table_column(third.output, "value") == ["323", "835", "2188"]  # Motzkin numbers
+    assert walked and all(sum(shape) == 10 for shape in walked)  # only the miss is walked
+    assert load_cache(path)[("y", 3, 10)] == 2188
+
+
 def test_cache_round_trips_values_past_the_int_digit_cap(tmp_path, int_digit_cap):
     path = tmp_path / "counts.cache"
     first = run("--cache", str(path), "count", "catalan", "--n", "8000")
@@ -480,6 +504,16 @@ def test_cache_rejects_malformed_file(tmp_path):
     path = tmp_path / "counts.cache"
     path.write_text("not a cache\n")
     assert run("--cache", str(path), "count", "catalan", "--n", "1").exit_code == 2
+
+
+def test_bad_query_is_reported_before_a_bad_cache(tmp_path):
+    path = tmp_path / "counts.cache"
+    path.write_text("not a cache\n")
+    bad_k = run("--cache", str(path), "count", "y", "--k", "0", "--n", "3")
+    assert bad_k.exit_code == 2 and "bound k must be a positive integer, got 0" in bad_k.stderr
+    bad_n = run("--cache", str(path), "count", "y_unbounded", "--n", "-2..1")
+    assert bad_n.exit_code == 2 and "m must be non-negative" in bad_n.stderr
+    assert path.read_text() == "not a cache\n"
 
 
 def test_cache_in_missing_directory_is_a_usage_error(tmp_path):
@@ -555,3 +589,46 @@ def test_cache_save_failure_keeps_old_file(tmp_path, monkeypatch, failure):
         save_cache(entries, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["counts.cache"]
+
+
+# ---------------------------------------------------------------- import contract
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+if len(sys.argv) > 1:
+    from sytkit.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        main.main(args=json.loads(sys.argv[1]), prog_name="sytkit", standalone_mode=False)
+else:
+    import sytkit
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit"))))
+"""
+
+COMMAND_LAYERS = [
+    ((), set()),
+    (("rsk", "--cycles", "(13)(26)(5)"), {"core", "output"}),
+    (("count", "y", "--k", "3", "--n", "0..6"), {"core", "counting", "output"}),
+    (("bijection", "f", "--n", "2", "--p", "(1)", "--q", "(2)(34)"), {"core", "bijections", "output"}),
+    (("bijection", "g", "--chosen", "3 1"), {"core", "bijections", "output"}),
+]
+
+
+def test_each_command_loads_only_its_layers():
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    procs = [subprocess.Popen([sys.executable, "-c", LOADED_MODULES, *([json.dumps(argv)] if argv else [])],
+                              stdout=subprocess.PIPE, env=env, text=True)
+             for argv, _ in COMMAND_LAYERS]
+    for proc, (argv, layers) in zip(procs, COMMAND_LAYERS):
+        out, _ = proc.communicate(timeout=60)
+        assert proc.returncode == 0, argv
+        base = {"sytkit"} | ({"sytkit.cli", "sytkit.errors"} if argv else set())
+        assert set(json.loads(out)) == base | {f"sytkit.{layer}" for layer in layers}, argv
+
+    import sytkit
+
+    listed = dir(sytkit)
+    for name in sytkit.__all__:
+        assert getattr(sytkit, name) is not None and name in listed
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sytkit.no_such_name

@@ -8,7 +8,6 @@ from sytkit import (
     conjugate,
     lds,
     lis,
-    max_decreasing_subsequences,
     odd_columns,
     rs_inverse,
     rs_of_involution,
@@ -16,7 +15,7 @@ from sytkit import (
 from sytkit.core import as_shape
 from sytkit.counting import generate_involutions, hook_length_count, partitions
 
-from oracles import all_syt, brute_lds, brute_lis, brute_max_decreasing
+from oracles import all_syt, brute_lds, brute_lis, brute_max_decreasing, max_decreasing_subsequences
 
 # distinct-entry words (partial permutations with arbitrary labels)
 words = st.sets(st.integers(min_value=1, max_value=60), max_size=10).map(tuple).flatmap(

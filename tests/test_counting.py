@@ -5,7 +5,6 @@ import pytest
 from sytkit import (
     Involution,
     ScaleLimitError,
-    brute_count_lis_bounded,
     catalan,
     conjugate,
     count_family,
@@ -27,6 +26,7 @@ import sytkit.core
 import sytkit.counting
 from oracles import (
     all_partitions,
+    brute_count_lis_bounded,
     all_syt,
     brute_lds,
     brute_lis,
