@@ -182,25 +182,19 @@ def _emit(ctx: click.Context, kind: str, payload: dict) -> None:
 @click.pass_context
 def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
     """Evaluate one counting family at the given sizes."""
-    from .counting import count_family
+    from .counting import count_family, validate_family
 
     sizes = parse_range(n_range)
+    validate_family(family, k, sizes[0])  # before the cache, so a bad query is reported first
     cache_path = ctx.obj["cache"]
-    entries = {}
-    if cache_path is not None:
-        try:
-            entries = load_cache(cache_path) if Path(cache_path).exists() else {}
-            if ctx.obj["verify_cache"]:
-                verify_cache_entries(entries)
-        except (ValueError, OSError, CacheMismatchError):
-            # a bad query is reported before a bad cache; it always fails at the smallest n
-            count_family(family, k, sizes[0])
-            raise
-    for n in sizes:
-        if (family, k, n) not in entries:  # a cached value is not recomputed
-            entries[family, k, n] = count_family(family, k, n)
+    entries = load_cache(cache_path) if cache_path is not None and Path(cache_path).exists() else {}
+    if ctx.obj["verify_cache"]:
+        verify_cache_entries(entries)
+    missing = [n for n in sizes if (family, k, n) not in entries]  # a cached value is not recomputed
+    for n in missing:
+        entries[family, k, n] = count_family(family, k, n)
     rows = [{"family": family, "k": k, "n": n, "value": entries[family, k, n]} for n in sizes]
-    if cache_path is not None:
+    if cache_path is not None and missing:
         save_cache(entries, cache_path)
 
     _emit(ctx, "count", {"rows": rows})
@@ -215,13 +209,11 @@ def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
 @click.pass_context
 def verify(ctx: click.Context, identity: str, k: int | None, n_range: str) -> None:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
+    from .counting import check_takes_k
     from .identities import IDENTITIES
 
     verifier, takes_k = IDENTITIES[identity]
-    if takes_k and k is None:
-        raise click.UsageError(f"identity {identity!r} requires --k")
-    if not takes_k and k is not None:
-        raise click.UsageError(f"identity {identity!r} takes no --k")
+    check_takes_k("identity", identity, takes_k, k)
     verdicts = [verifier(k, n) if takes_k else verifier(n) for n in parse_range(n_range)]
     _emit(ctx, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
     if not all(v.holds for v in verdicts):

@@ -210,19 +210,28 @@ FAMILIES = {
 }
 
 
-def validate_family(family: str, k: int | None) -> None:
-    """Check a (family, k) query combination; k goes with u, y, x only."""
+def check_takes_k(kind: str, name: str, takes_k: bool, k: int | None) -> None:
+    """Check that the bound k is given exactly when a registry entry takes one."""
+    if takes_k and k is None:
+        raise ValueError(f"{kind} {name!r} requires a bound k")
+    if not takes_k and k is not None:
+        raise ValueError(f"{kind} {name!r} takes no bound k")
+
+
+def validate_family(family: str, k: int | None, n: int) -> None:
+    """Check a (family, k, n) count query without counting anything: a known
+    family, k given for u, y, x only and then k >= 1, and n >= 0."""
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    takes_k = FAMILIES[family][1]
-    if takes_k and k is None:
-        raise ValueError(f"family {family!r} requires a bound k")
-    if not takes_k and k is not None:
-        raise ValueError(f"family {family!r} takes no bound k")
+    check_takes_k("family", family, FAMILIES[family][1], k)
+    if k is not None:
+        _require_bound(k)
+    if n < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
 
 
 def count_family(family: str, k: int | None, n: int) -> int:
     """Evaluate one (family, k, n) count query."""
-    validate_family(family, k)
+    validate_family(family, k, n)
     count, takes_k = FAMILIES[family]
     return count(k, n) if takes_k else count(n)

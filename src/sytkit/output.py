@@ -1,16 +1,14 @@
 """Structured output records, text renderers, and the persistent count cache.
 
 All integers are rendered as decimal strings in every format; the same
-record carries the same digit strings whether printed as a table, JSON, or
-CSV.  The cache file is a versioned, sorted-key text document so that a
-load/save round trip is byte-identical.
+record carries the same digit strings as a table, JSON, or CSV, and the json
+and csv modules load only for their own formats.  The cache file is a
+versioned, sorted-key text document, so a load/save round trip is byte-identical.
 """
 
 from __future__ import annotations
 
-import csv
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -63,6 +61,8 @@ def verdict_payload(v: IdentityVerdict) -> dict:
 def render(kind: str, payload: dict, fmt: str) -> str:
     """One record (kind count, verdict or trace) as text in the given format."""
     if fmt == "json":
+        import json
+
         return json.dumps({"kind": kind, **_s(payload)}, indent=2)
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
@@ -88,6 +88,8 @@ def render(kind: str, payload: dict, fmt: str) -> str:
 # ---------------------------------------------------------------- csv
 
 def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -205,11 +207,7 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
     family, k_text, n_text, value_text = parts
     k = None if k_text == "-" else _parse_index("k", k_text)
     n = _parse_index("n", n_text)
-    validate_family(family, k)
-    if k is not None and k < 1:
-        raise ValueError(f"bound k must be a positive integer, got {k}")
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    validate_family(family, k, n)
     # every family's count is at most n**n (1 at n = 0); checked before the quadratic int()
     if len(value_text) > max(1, n * len(str(n))):
         raise ValueError(f"count has {len(value_text)} digits, more than any count at n={n}")

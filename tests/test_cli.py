@@ -153,8 +153,10 @@ def test_verify_naive_failure_counterexample():
 def test_verify_parity_usage_errors():
     assert run("verify", "odd", "--k", "2", "--n", "3").exit_code == 2
     assert run("verify", "wilf", "--k", "3", "--n", "3").exit_code == 2
-    assert run("verify", "unrestricted", "--k", "2", "--n", "3").exit_code == 2
-    assert run("verify", "odd", "--n", "3").exit_code == 2  # missing required k
+    extra = run("verify", "unrestricted", "--k", "2", "--n", "3")
+    assert extra.exit_code == 2 and "identity 'unrestricted' takes no bound k" in extra.stderr
+    missing = run("verify", "odd", "--n", "3")
+    assert missing.exit_code == 2 and "identity 'odd' requires a bound k" in missing.stderr
 
 
 def test_verify_failure_exit_code():
@@ -490,6 +492,46 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch):
     assert load_cache(path)[("y", 3, 10)] == 2188
 
 
+def test_all_hit_cached_count_leaves_the_file_alone(tmp_path, monkeypatch):
+    import sytkit.cli as cli
+
+    path = tmp_path / "counts.cache"
+    args = ("--cache", str(path), "count", "y", "--k", "3", "--n", "4..9")
+    assert run(*args).exit_code == 0
+    before = path.stat().st_ino, path.read_bytes()
+    saved = []
+    monkeypatch.setattr(cli, "save_cache", lambda entries, p: saved.append(p) or save_cache(entries, p))
+    assert run(*args).exit_code == 0
+    assert saved == []
+    assert (path.stat().st_ino, path.read_bytes()) == before
+
+    assert run("--cache", str(path), "count", "y", "--k", "3", "--n", "4..10").exit_code == 0
+    assert saved == [str(path)]  # one miss, one save
+    assert load_cache(path)[("y", 3, 10)] == 2188
+
+
+@pytest.mark.parametrize("body, verify_flag, code", [
+    ("not a cache\n", (), 2),
+    ("sytkit cache v1\ny 3 2 2\ny 3 2 2\n", (), 2),
+    ("sytkit cache v1\ny 4 4 9\n", ("--verify-cache",), 1),  # i(4) = 10, found without a shape walk
+], ids=["header", "duplicate", "poisoned"])
+def test_bad_cache_is_reported_without_counting(tmp_path, monkeypatch, body, verify_flag, code):
+    import sytkit.counting as counting
+
+    walked = []
+    hook_length_count = counting.hook_length_count
+    monkeypatch.setattr(counting, "hook_length_count",
+                        lambda shape: walked.append(shape) or hook_length_count(shape))
+    counting.count_syt_row_bounded.cache_clear()  # as cold as a new process
+    path = tmp_path / "counts.cache"
+    path.write_bytes(body.encode())
+    result = run("--cache", str(path), *verify_flag, "count", "y", "--k", "3", "--n", "9")
+    assert result.exit_code == code, result.stderr
+    assert "cache" in result.stderr and result.stdout == ""
+    assert walked == []
+    assert path.read_bytes() == body.encode()
+
+
 def test_cache_round_trips_values_past_the_int_digit_cap(tmp_path, int_digit_cap):
     path = tmp_path / "counts.cache"
     first = run("--cache", str(path), "count", "catalan", "--n", "8000")
@@ -512,7 +554,7 @@ def test_bad_query_is_reported_before_a_bad_cache(tmp_path):
     bad_k = run("--cache", str(path), "count", "y", "--k", "0", "--n", "3")
     assert bad_k.exit_code == 2 and "bound k must be a positive integer, got 0" in bad_k.stderr
     bad_n = run("--cache", str(path), "count", "y_unbounded", "--n", "-2..1")
-    assert bad_n.exit_code == 2 and "m must be non-negative" in bad_n.stderr
+    assert bad_n.exit_code == 2 and "n must be non-negative, got -2" in bad_n.stderr
     assert path.read_text() == "not a cache\n"
 
 
@@ -611,6 +653,24 @@ COMMAND_LAYERS = [
     (("bijection", "f", "--n", "2", "--p", "(1)", "--q", "(2)(34)"), {"core", "bijections", "output"}),
     (("bijection", "g", "--chosen", "3 1"), {"core", "bijections", "output"}),
 ]
+
+
+TABLE_FORMAT_LOADS = """
+import contextlib, io, sys
+from sytkit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    main.main(args=sys.argv[1:], prog_name="sytkit", standalone_mode=False)
+print(sorted({"csv", "json"} & set(sys.modules)))
+"""
+
+
+def test_table_format_loads_neither_csv_nor_json():
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    proc = subprocess.run([sys.executable, "-c", TABLE_FORMAT_LOADS, "rsk", "--cycles", "(13)(26)(5)"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_each_command_loads_only_its_layers():

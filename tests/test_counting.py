@@ -406,9 +406,15 @@ def test_count_family_dispatch():
 def test_count_family_validates_bound_usage():
     for family in ("u", "y", "x"):
         with pytest.raises(ValueError):
-            validate_family(family, None)
+            validate_family(family, None, 3)
+        with pytest.raises(ValueError, match="bound k must be a positive integer, got 0"):
+            validate_family(family, 0, 3)
+        with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+            validate_family(family, 2, -1)
     for family in ("y_unbounded", "x_unbounded", "catalan"):
         with pytest.raises(ValueError):
-            validate_family(family, 2)
+            validate_family(family, 2, 3)
+        with pytest.raises(ValueError, match="n must be non-negative, got -1"):
+            validate_family(family, None, -1)
     with pytest.raises(ValueError):
-        validate_family("z", None)
+        validate_family("z", None, 3)
