@@ -44,7 +44,6 @@ _LAYERS = {
         "count_involutions",
         "count_perms_lis_bounded",
         "count_syt_row_bounded",
-        "generate_involutions",
         "hook_length_count",
         "partitions",
     ),

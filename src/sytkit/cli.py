@@ -19,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from .core import Involution, check_beissinger, lds, lis, odd_columns, rs_of_involution
+from .core import Involution, lds, lis, odd_columns, rs_of_involution
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, PivotAbsentError, ScaleLimitError
 from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
@@ -44,22 +44,18 @@ def parse_range(text: str) -> list[int]:
 
 
 def _parse_cycle_group(group: str) -> list[int]:
-    if group.endswith(",") and "," not in group[:-1]:
-        body = group[:-1]  # '(12,)' is a fixed point with a wide label
-        if not body.isdigit():
-            raise click.UsageError(f"malformed cycle ({group})")
-        return [int(body)]
-    if "," in group:
-        pieces = group.split(",")
-        if not all(p.isdigit() for p in pieces):
-            raise click.UsageError(f"malformed cycle ({group})")
-        return [int(p) for p in pieces]
-    if not group.isdigit():
+    """Labels of one group: comma form ('12,3', or '12,' for a fixed point),
+    a single digit, or juxtaposed single digits ('13')."""
+    pieces = group.split(",")
+    juxtaposed = len(pieces) == 1 and len(group) > 1
+    if juxtaposed:
+        pieces = list(group)
+    elif pieces[1:] == [""]:
+        pieces.pop()  # '(12,)' is a fixed point with a wide label
+    if not all(p.isdigit() for p in pieces):
         raise click.UsageError(f"malformed cycle ({group})")
-    if len(group) == 1:
-        return [int(group)]
-    labels = [int(ch) for ch in group]  # juxtaposed single digits
-    if 0 in labels:
+    labels = [int(p) for p in pieces]
+    if juxtaposed and 0 in labels:
         raise click.UsageError(f"cycle ({group}) needs comma form for labels >= 10")
     return labels
 
@@ -85,22 +81,17 @@ def parse_cycles(text: str) -> Involution:
     return Involution(fixed, cycles)
 
 
+def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
+    """Whitespace- or comma-separated integers; ``noun`` names them in the error."""
+    try:
+        return tuple(int(p) for p in re.split(r"[,\s]+", text.strip()) if p)
+    except ValueError:
+        raise click.UsageError(f"{noun} must be integers, got {text!r}")
+
+
 def parse_word(text: str) -> Involution:
     """One-line word, whitespace- or comma-separated."""
-    pieces = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    try:
-        entries = [int(p) for p in pieces]
-    except ValueError:
-        raise click.UsageError(f"word entries must be integers, got {text!r}")
-    return Involution.from_word(entries)
-
-
-def parse_labels(text: str) -> tuple[int, ...]:
-    pieces = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    try:
-        return tuple(int(p) for p in pieces)
-    except ValueError:
-        raise click.UsageError(f"labels must be integers, got {text!r}")
+    return Involution.from_word(_parse_ints(text, "word entries"))
 
 
 def _cycles_str(pairs) -> str:
@@ -154,19 +145,14 @@ class IdentityChoice(click.Choice):
               help="Override the exhaustive-search size limit.")
 @click.option("--trace", is_flag=True, help="Show intermediate bijection data.")
 @click.pass_context
-def main(ctx: click.Context, fmt: str, cache_path: str | None, verify_cache: bool,
-         oracle_limit: int, trace: bool) -> None:
+def main(ctx: click.Context, cache_path: str | None, verify_cache: bool, **_: object) -> None:
     """Exact tableau/involution counts, identity checks, and bijection tools."""
+    if verify_cache and cache_path is None:
+        raise click.UsageError("--verify-cache needs --cache")
     # exact counts can run past Python's int/str digit cap; the setting is process-wide
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    ctx.obj = {
-        "fmt": fmt,
-        "cache": cache_path,
-        "verify_cache": verify_cache,
-        "oracle_limit": oracle_limit,
-        "trace": trace,
-    }
+    ctx.obj = ctx.params  # the global flags, by parameter name
 
 
 def _emit(ctx: click.Context, kind: str, payload: dict) -> None:
@@ -186,7 +172,7 @@ def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
 
     sizes = parse_range(n_range)
     validate_family(family, k, sizes[0])  # before the cache, so a bad query is reported first
-    cache_path = ctx.obj["cache"]
+    cache_path = ctx.obj["cache_path"]
     entries = load_cache(cache_path) if cache_path is not None and Path(cache_path).exists() else {}
     if ctx.obj["verify_cache"]:
         verify_cache_entries(entries)
@@ -233,6 +219,7 @@ def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
     v = parse_cycles(cycles) if cycles is not None else parse_word(word)
     t = rs_of_involution(v)
     w = v.word()
+    odd = odd_columns(t)
     fields = [
         ("involution", v.cycle_string()),
         ("word", " ".join(str(x) for x in w) or "-"),
@@ -241,8 +228,8 @@ def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
         ("lis", lis(w)),
         ("lds", lds(w)),
         ("fixed_points", len(v.fixed_points)),
-        ("odd_columns", odd_columns(t)),
-        ("beissinger_ok", check_beissinger(v)),
+        ("odd_columns", odd),
+        ("beissinger_ok", odd == len(v.fixed_points)),
     ]
     _emit(ctx, "trace", {"fields": fields})
 
@@ -295,7 +282,7 @@ def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
     """Match an arrangement with the unchosen labels, red or blue."""
     from .bijections import arrangement_to_matching
 
-    labels = parse_labels(chosen)
+    labels = _parse_ints(chosen, "labels")
     if n is not None and n != len(labels):
         raise click.UsageError(f"--n {n} does not match the number of chosen labels, {len(labels)}")
     colored = arrangement_to_matching(labels)

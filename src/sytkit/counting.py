@@ -1,8 +1,6 @@
-"""Exact counting and exhaustive generation.
+"""Exact counting.
 
 Every count is an arbitrary-precision integer; nothing here touches floats.
-`generate_involutions` is the generate-and-filter route that the shape sums
-are checked against at small sizes.
 """
 
 from __future__ import annotations
@@ -12,7 +10,7 @@ from itertools import chain, combinations
 from math import comb, factorial, prod
 from typing import Callable, Iterator, Sequence
 
-from .core import Involution, _conjugate, as_shape
+from .core import _conjugate, as_shape
 
 
 def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -172,31 +170,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("n must be non-negative")
     return comb(2 * n, n) // (n + 1)
-
-
-def generate_involutions(support: Sequence[int]) -> Iterator[Involution]:
-    """Yield every involution on the given labels, deterministically ordered.
-
-    Recursion on the smallest unmatched label: first leave it fixed, then
-    pair it with each larger label in turn.
-    """
-    labels = tuple(sorted(int(x) for x in support))
-    if len(set(labels)) != len(labels):
-        raise ValueError("support labels must be distinct")
-
-    def rec(remaining: tuple[int, ...]) -> Iterator[tuple[tuple[int, ...], tuple[tuple[int, int], ...]]]:
-        if not remaining:
-            yield (), ()
-            return
-        s, rest = remaining[0], remaining[1:]
-        for fps, cycles in rec(rest):
-            yield (s, *fps), cycles
-        for i, t in enumerate(rest):
-            for fps, cycles in rec(rest[:i] + rest[i + 1:]):
-                yield fps, ((s, t), *cycles)
-
-    for fps, cycles in rec(labels):
-        yield Involution(fps, cycles)
 
 
 #: (family, k, n) queries: name -> (count function, whether it takes the bound k)

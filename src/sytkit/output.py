@@ -98,27 +98,28 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return buf.getvalue().rstrip("\n")
 
 
-_VERDICT_CSV_HEADER = [
-    "row_type", "identity", "k", "n", "lhs", "rhs", "holds",
-    "side", "r", "sign", "binomial", "left_factor", "right_factor", "term_value",
-    "check_name", "check_value",
-]
+#: the columns of one ``TermBreakdown``, in the order both verdict layouts print them
+_TERM_FIELDS = ("r", "sign", "binomial", "left_factor", "right_factor", "term_value")
+_VERDICT_CSV_HEADER = ["row_type", "identity", "k", "n", "lhs", "rhs", "holds",
+                       "side", *_TERM_FIELDS, "check_name", "check_value"]
+
+
+def _term_rows(v: dict) -> list[list[Any]]:
+    """One row per term of a verdict payload: its side, then its ``_TERM_FIELDS``."""
+    return [[side, *(t[f] for f in _TERM_FIELDS)]
+            for side in ("lhs", "rhs") for t in v[f"{side}_terms"]]
 
 
 def _verdicts_csv(verdicts: list[dict]) -> str:
+    no_term = [""] * (1 + len(_TERM_FIELDS))
     rows = []
     for v in verdicts:
         base = [v["identity"], v["k"], v["n"]]
-        rows.append(["verdict", *base, v["lhs"], v["rhs"], v["holds"],
-                     "", "", "", "", "", "", "", "", ""])
-        for side, terms in (("lhs", v["lhs_terms"]), ("rhs", v["rhs_terms"])):
-            for t in terms:
-                rows.append(["term", *base, "", "", "", side, t["r"], t["sign"],
-                             t["binomial"], t["left_factor"], t["right_factor"],
-                             t["term_value"], "", ""])
+        rows.append(["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""])
+        for term in _term_rows(v):
+            rows.append(["term", *base, "", "", "", *term, "", ""])
         for c in v["checks"]:
-            rows.append(["check", *base, "", "", "", "", "", "", "", "", "", "",
-                         c["name"], c["value"]])
+            rows.append(["check", *base, "", "", "", *no_term, c["name"], c["value"]])
     return _csv_text(_VERDICT_CSV_HEADER, rows)
 
 
@@ -140,16 +141,7 @@ def _verdicts_table(verdicts: list[dict]) -> str:
             f"{v['identity']}  k={_cell(v['k'])}  n={v['n']}  "
             f"lhs={v['lhs']}  rhs={v['rhs']}  [{status}]"
         )
-        rows = []
-        for side, terms in (("lhs", v["lhs_terms"]), ("rhs", v["rhs_terms"])):
-            for t in terms:
-                rows.append([side, t["r"], t["sign"], t["binomial"],
-                             t["left_factor"], t["right_factor"], t["term_value"]])
-        body = _aligned(
-            ["side", "r", "sign", "binomial", "left_factor", "right_factor", "term_value"],
-            rows,
-        )
-        block = head + "\n" + body
+        block = head + "\n" + _aligned(["side", *_TERM_FIELDS], _term_rows(v))
         if v["checks"]:
             block += "\n" + "\n".join(f"  {c['name']} = {c['value']}" for c in v["checks"])
         blocks.append(block)

@@ -2,9 +2,11 @@
 
 Deliberately naive and structurally different from the library: subsequence
 search over index combinations, tableau generation by backtracking, and
-involution generation by filtering whole permutations.  The exponential
-routes at the end (every maximum decreasing subsequence, every permutation)
-live here and not in the library, which keeps only what its commands run.
+involution generation by filtering whole permutations or by recursion on the
+smallest label (the reference for the audit's generation order).  The
+exponential routes at the end (every maximum decreasing subsequence, every
+permutation) live here and not in the library, which keeps only what its
+commands run.
 """
 
 from dataclasses import dataclass
@@ -130,6 +132,32 @@ def involution_words_by_filter(n):
     """Involutions on {1..n} as one-line words, by filtering all n! permutations."""
     return [p for p in permutations(range(1, n + 1))
             if all(p[p[i] - 1] == i + 1 for i in range(n))]
+
+
+def generate_involutions(support):
+    """Yield every involution on the given labels, deterministically ordered.
+
+    Recursion on the smallest unmatched label: first leave it fixed, then
+    pair it with each larger label in turn.  This is the order the audit's
+    side-word lists follow, so it is the reference they are checked against.
+    """
+    labels = tuple(sorted(int(x) for x in support))
+    if len(set(labels)) != len(labels):
+        raise ValueError("support labels must be distinct")
+
+    def rec(remaining):
+        if not remaining:
+            yield (), ()
+            return
+        s, rest = remaining[0], remaining[1:]
+        for fps, cycles in rec(rest):
+            yield (s, *fps), cycles
+        for i, t in enumerate(rest):
+            for fps, cycles in rec(rest[:i] + rest[i + 1:]):
+                yield fps, ((s, t), *cycles)
+
+    for fps, cycles in rec(labels):
+        yield Involution(fps, cycles)
 
 
 def word_fixed_points(w):

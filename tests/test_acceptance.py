@@ -20,7 +20,6 @@ from sytkit import (
     count_perms_lis_bounded,
     count_syt_row_bounded,
     demonstrate_naive_failure,
-    generate_involutions,
     lds,
     lis,
     matching_to_arrangement,
@@ -35,7 +34,7 @@ from sytkit import (
 from sytkit.cli import main
 from sytkit.output import load_cache, save_cache
 
-from oracles import brute_count_lis_bounded, report_longest_decreasing
+from oracles import brute_count_lis_bounded, generate_involutions, report_longest_decreasing
 
 
 def ok(criterion, message):

@@ -20,7 +20,6 @@ from sytkit import (
     count_syt_row_bounded,
     enumerate_pair_space,
     free_points,
-    generate_involutions,
     lds,
     lis,
     matching_to_arrangement,
@@ -32,7 +31,7 @@ from sytkit import (
 
 from sytkit import bijections
 
-from oracles import brute_lds, max_decreasing_subsequences, report_longest_decreasing
+from oracles import brute_lds, generate_involutions, max_decreasing_subsequences, report_longest_decreasing
 
 WORKED_PAIR = PairState(
     Involution((5,), ((1, 3), (2, 6))), Involution((7,), ((4, 8),)), 4

@@ -8,6 +8,7 @@ import time
 from itertools import permutations
 from math import comb, prod
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -57,6 +58,19 @@ def test_parse_cycles():
     for bad in ("(123)", "(1)(1)", "(1", "(1)x", "(1,2,3)", "(a)"):
         with pytest.raises(Exception):
             parse_cycles(bad)
+    assert parse_cycles("(12,)(3)") == Involution((3, 12))
+    for bad, message in (
+        ("(1,2,)", "malformed cycle (1,2,)"),
+        ("(,)", "malformed cycle (,)"),
+        ("(00)", "cycle (00) needs comma form for labels >= 10"),
+        ("(10)", "cycle (10) needs comma form for labels >= 10"),
+        ("(1)()", "malformed cycle ()"),
+        ("(123)", "cycle (123) has 3 labels; involutions allow 1 or 2"),
+        ("(1,2,3)", "cycle (1,2,3) has 3 labels; involutions allow 1 or 2"),
+    ):
+        with pytest.raises(click.UsageError) as caught:
+            parse_cycles(bad)
+        assert caught.value.format_message() == message, bad
 
 
 def test_parse_word():
@@ -189,6 +203,23 @@ def test_rsk_cycles_worked_example():
     assert fields["fixed_points"] == "1"
     assert fields["odd_columns"] == "1"
     assert fields["beissinger_ok"] == "true"
+
+
+def test_rsk_runs_robinson_schensted_once(monkeypatch):
+    from sytkit import cli, core
+
+    original, calls = core.rs_of_involution, []
+
+    def counted(v):
+        calls.append(v)
+        return original(v)
+
+    monkeypatch.setattr(cli, "rs_of_involution", counted)
+    monkeypatch.setattr(core, "rs_of_involution", counted)
+    result = run("rsk", "--cycles", "(31)(62)(5)")
+    assert result.exit_code == 0
+    assert trace_fields(result.output)["beissinger_ok"] == "true"
+    assert len(calls) == 1
 
 
 def test_rsk_identity_word():
@@ -444,6 +475,13 @@ def test_cache_merges_and_sorts_entries(tmp_path):
     before = path.read_bytes()
     save_cache(load_cache(path), path)
     assert path.read_bytes() == before
+
+
+def test_verify_cache_without_cache_is_a_usage_error():
+    result = run("--verify-cache", "count", "catalan", "--n", "3")
+    assert result.exit_code == 2
+    assert "Error: --verify-cache needs --cache" in result.stderr
+    assert result.stdout == ""
 
 
 def test_cache_poisoned_value_is_detected(tmp_path):

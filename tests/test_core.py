@@ -13,9 +13,16 @@ from sytkit import (
     rs_of_involution,
 )
 from sytkit.core import as_shape
-from sytkit.counting import generate_involutions, hook_length_count, partitions
+from sytkit.counting import hook_length_count, partitions
 
-from oracles import all_syt, brute_lds, brute_lis, brute_max_decreasing, max_decreasing_subsequences
+from oracles import (
+    all_syt,
+    brute_lds,
+    brute_lis,
+    brute_max_decreasing,
+    generate_involutions,
+    max_decreasing_subsequences,
+)
 
 # distinct-entry words (partial permutations with arbitrary labels)
 words = st.sets(st.integers(min_value=1, max_value=60), max_size=10).map(tuple).flatmap(

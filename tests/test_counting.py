@@ -14,7 +14,6 @@ from sytkit import (
     count_involutions,
     count_perms_lis_bounded,
     count_syt_row_bounded,
-    generate_involutions,
     hook_length_count,
     lds,
     lis,
@@ -34,6 +33,7 @@ from oracles import (
     catalan_pair_product,
     central_binomial,
     column_lengths,
+    generate_involutions,
     hook_product_count,
     motzkin,
     involution_words_by_filter,
