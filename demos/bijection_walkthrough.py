@@ -43,8 +43,7 @@ print("The arrangement/colored-matching correspondence")
 print("-" * 60)
 for chosen in ((3, 1), (2,), (1,), (4, 2, 6)):
     colored = arrangement_to_matching(chosen)
-    red = Involution((), colored.red).cycle_string()
-    blue = Involution((), colored.blue).cycle_string()
+    red, blue = colored.p.cycle_string(), colored.q.cycle_string()
     recovered = matching_to_arrangement(colored)
     print(f"chosen {chosen} -> red {red} blue {blue} -> recovered {recovered}")
 

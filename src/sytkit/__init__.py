@@ -13,7 +13,6 @@ import importlib
 
 _LAYERS = {
     "bijections": (
-        "ColoredInvolution",
         "PairState",
         "arrangement_to_matching",
         "enumerate_pair_space",

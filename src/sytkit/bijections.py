@@ -7,7 +7,8 @@ Two maps do the real work:
   sign-reversing involution, so all pairs cancel out of the alternating sum
   except those where it is undefined (both sides fixed-point-free);
 * the arrangement/matching correspondence: an ordered choice of n labels
-  from [2n] versus a red/blue-colored perfect matching on [2n].
+  from [2n] versus a red/blue-colored perfect matching on [2n], which is a
+  fixed-point-free `PairState` with the red cycles on p and the blue on q.
 
 `signed_cancellation_audit` replays the cancellation argument exhaustively
 and compares the surviving pairs against the closed counts.
@@ -43,22 +44,6 @@ class PairState:
         size = 2 * self.n if self.n > 0 else 0  # [2n] is empty for n <= 0
         if len(sp) + len(sq) != size or max((0, *sp, *sq)) > size:
             raise ValueError(f"supports must partition 1..{2 * self.n}")
-
-
-@dataclass(frozen=True)
-class ColoredInvolution:
-    """A fixed-point-free involution on [2n] with each 2-cycle colored red or blue."""
-
-    n: int
-    red: tuple[tuple[int, int], ...]
-    blue: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        # Involution rejects degenerate, overlapping and non-positive cycles and sorts them
-        for color in ("red", "blue"):
-            object.__setattr__(self, color, Involution((), getattr(self, color)).two_cycles)
-        if Involution((), self.red + self.blue).support != tuple(range(1, 2 * self.n + 1)):
-            raise ValueError(f"cycles must cover 1..{2 * self.n}")
 
 
 def free_points(s: PairState) -> tuple[int, ...]:
@@ -121,7 +106,7 @@ def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
     return out
 
 
-def arrangement_to_matching(chosen: Sequence[int]) -> ColoredInvolution:
+def arrangement_to_matching(chosen: Sequence[int]) -> PairState:
     """Pair an arranged n-subset of [2n] with the unchosen labels, coloring by order.
 
     The j-th smallest unchosen label is matched with the j-th chosen one; the
@@ -138,15 +123,17 @@ def arrangement_to_matching(chosen: Sequence[int]) -> ColoredInvolution:
     unchosen = sorted(ground - set(a))
     red, blue = [], []
     for i_j, a_j in zip(unchosen, a):
-        (red if i_j < a_j else blue).append((min(i_j, a_j), max(i_j, a_j)))
-    return ColoredInvolution(n, tuple(red), tuple(blue))
+        (red if i_j < a_j else blue).append((i_j, a_j))  # Involution sorts each cycle
+    return PairState(Involution((), red), Involution((), blue), n)
 
 
-def matching_to_arrangement(c: ColoredInvolution) -> tuple[int, ...]:
+def matching_to_arrangement(s: PairState) -> tuple[int, ...]:
     """Invert the pairing: small entries of red cycles and large entries of blue
     cycles are the unchosen labels; their partners, in that order, are the
     arrangement."""
-    pairs = sorted([(a, b) for a, b in c.red] + [(b, a) for a, b in c.blue])
+    if pivot(s) is not None:
+        raise ValueError("colored cycles must all be 2-cycles")
+    pairs = sorted([(a, b) for a, b in s.p.two_cycles] + [(b, a) for a, b in s.q.two_cycles])
     return tuple(chosen for _, chosen in pairs)
 
 

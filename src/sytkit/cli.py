@@ -19,7 +19,7 @@ from pathlib import Path
 
 import click
 
-from .core import Involution, lds, lis, odd_columns, rs_of_involution
+from .core import Involution, odd_columns, rs_of_involution
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, PivotAbsentError, ScaleLimitError
 from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
@@ -29,18 +29,16 @@ EXIT_SCALE_LIMIT = 3
 
 # ---------------------------------------------------------------- parsing
 
-def parse_range(text: str) -> list[int]:
+def parse_range(text: str) -> range:
     """Inclusive 'a..b' range, or a single integer."""
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)\.\.(-?\d+)", text)
-    if m:
-        lo, hi = int(m.group(1)), int(m.group(2))
-        if lo > hi:
-            raise click.UsageError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    if re.fullmatch(r"-?\d+", text):
-        return [int(text)]
-    raise click.UsageError(f"expected an integer or 'a..b' range, got {text!r}")
+    m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
+    if m is None:
+        raise click.UsageError(f"expected an integer or 'a..b' range, got {text!r}")
+    lo, hi = int(m.group(1)), int(m.group(2) or m.group(1))
+    if lo > hi:
+        raise click.UsageError(f"empty range {text!r}")
+    return range(lo, hi + 1)
 
 
 def _parse_cycle_group(group: str) -> list[int]:
@@ -92,10 +90,6 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
 def parse_word(text: str) -> Involution:
     """One-line word, whitespace- or comma-separated."""
     return Involution.from_word(_parse_ints(text, "word entries"))
-
-
-def _cycles_str(pairs) -> str:
-    return Involution((), pairs).cycle_string()
 
 
 # ---------------------------------------------------------------- group
@@ -218,15 +212,15 @@ def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
         raise click.UsageError("provide exactly one of --cycles or --word")
     v = parse_cycles(cycles) if cycles is not None else parse_word(word)
     t = rs_of_involution(v)
-    w = v.word()
     odd = odd_columns(t)
+    # Schensted: the first row is a longest increasing subsequence, the rows count a decreasing one
     fields = [
         ("involution", v.cycle_string()),
-        ("word", " ".join(str(x) for x in w) or "-"),
+        ("word", " ".join(str(x) for x in v.word()) or "-"),
         ("tableau", str([list(r) for r in t.rows])),
         ("shape", str(list(t.shape))),
-        ("lis", lis(w)),
-        ("lds", lds(w)),
+        ("lis", t.shape[0] if t.rows else 0),
+        ("lds", len(t.rows)),
         ("fixed_points", len(v.fixed_points)),
         ("odd_columns", odd),
         ("beissinger_ok", odd == len(v.fixed_points)),
@@ -289,15 +283,15 @@ def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
     payload = {"fields": [
         ("n", colored.n),
         ("chosen", " ".join(str(x) for x in labels) or "-"),
-        ("red", _cycles_str(colored.red)),
-        ("blue", _cycles_str(colored.blue)),
+        ("red", colored.p.cycle_string()),
+        ("blue", colored.q.cycle_string()),
     ]}
     if ctx.obj["trace"]:
         # red cycles have the unchosen label first, blue ones the chosen label
         payload["table"] = {
             "columns": ["unchosen", "chosen", "color"],
-            "rows": sorted([[a, b, "red"] for a, b in colored.red]
-                           + [[b, a, "blue"] for a, b in colored.blue]),
+            "rows": sorted([[a, b, "red"] for a, b in colored.p.two_cycles]
+                           + [[b, a, "blue"] for a, b in colored.q.two_cycles]),
         }
     _emit(ctx, "trace", payload)
 
@@ -308,16 +302,13 @@ def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
 @click.pass_context
 def bijection_g_inverse(ctx: click.Context, red: str, blue: str) -> None:
     """Recover the arrangement from a red/blue matching."""
-    from .bijections import ColoredInvolution, matching_to_arrangement
+    from .bijections import PairState, matching_to_arrangement
 
     red_inv, blue_inv = parse_cycles(red), parse_cycles(blue)
-    if red_inv.fixed_points or blue_inv.fixed_points:
-        raise click.UsageError("colored cycles must all be 2-cycles")
-    pairs = red_inv.two_cycles + blue_inv.two_cycles
-    colored = ColoredInvolution(len(pairs), red_inv.two_cycles, blue_inv.two_cycles)
+    colored = PairState(red_inv, blue_inv, (red_inv.size + blue_inv.size) // 2)
     _emit(ctx, "trace", {"fields": [
-        ("red", _cycles_str(colored.red)),
-        ("blue", _cycles_str(colored.blue)),
+        ("red", red_inv.cycle_string()),
+        ("blue", blue_inv.cycle_string()),
         ("chosen", " ".join(str(x) for x in matching_to_arrangement(colored)) or "-"),
     ]})
 

@@ -7,7 +7,6 @@ from math import comb, factorial
 import pytest
 
 from sytkit import (
-    ColoredInvolution,
     Involution,
     PairState,
     PivotAbsentError,
@@ -179,15 +178,20 @@ def test_increasing_bound_analogue_has_closure_counterexample():
 
 def test_arrangement_to_matching_examples():
     c = arrangement_to_matching((3, 1))
-    assert c.red == ((2, 3),) and c.blue == ((1, 4),)
-    assert arrangement_to_matching((2,)).red == ((1, 2),)
-    assert arrangement_to_matching((1,)).blue == ((1, 2),)
+    assert c.p.two_cycles == ((2, 3),) and c.q.two_cycles == ((1, 4),)
+    assert arrangement_to_matching((2,)).p.two_cycles == ((1, 2),)
+    assert arrangement_to_matching((1,)).q.two_cycles == ((1, 2),)
 
 
 def test_matching_to_arrangement_examples():
-    assert matching_to_arrangement(ColoredInvolution(2, ((2, 3),), ((1, 4),))) == (3, 1)
-    assert matching_to_arrangement(ColoredInvolution(1, ((1, 2),), ())) == (2,)
-    assert matching_to_arrangement(ColoredInvolution(1, (), ((1, 2),))) == (1,)
+    assert matching_to_arrangement(PairState(Involution((), ((2, 3),)), Involution((), ((1, 4),)), 2)) == (3, 1)
+    assert matching_to_arrangement(PairState(Involution((), ((1, 2),)), Involution((), ()), 1)) == (2,)
+    assert matching_to_arrangement(PairState(Involution((), ()), Involution((), ((1, 2),)), 1)) == (1,)
+
+
+def test_matching_to_arrangement_rejects_fixed_points():
+    with pytest.raises(ValueError, match="2-cycles"):
+        matching_to_arrangement(PairState(Involution((1,)), Involution((2,)), 1))
 
 
 def test_arrangement_validation():
@@ -199,12 +203,12 @@ def test_arrangement_validation():
 
 def test_colored_involution_validation():
     with pytest.raises(ValueError):
-        ColoredInvolution(1, ((1, 1),), ())
+        PairState(Involution((), ((1, 1),)), Involution((), ()), 1)
     with pytest.raises(ValueError):
-        ColoredInvolution(2, ((1, 2),), ((2, 3),))  # overlap
+        PairState(Involution((), ((1, 2),)), Involution((), ((2, 3),)), 2)  # overlap
     with pytest.raises(ValueError):
-        ColoredInvolution(2, ((1, 2),), ())  # does not cover 1..4
-    assert ColoredInvolution(1, ((2, 1),), ()).red == ((1, 2),)  # normalized
+        PairState(Involution((), ((1, 2),)), Involution((), ()), 2)  # does not cover 1..4
+    assert PairState(Involution((), ((2, 1),)), Involution((), ()), 1).p.two_cycles == ((1, 2),)  # normalized
 
 
 @pytest.mark.parametrize("n", (1, 2, 3))
@@ -226,7 +230,7 @@ def test_coloring_bijection_round_trips(n):
         for mask in range(2 ** n):
             red = tuple(c for i, c in enumerate(cycles) if mask >> i & 1)
             blue = tuple(c for i, c in enumerate(cycles) if not mask >> i & 1)
-            all_colorings.add(ColoredInvolution(n, red, blue))
+            all_colorings.add(PairState(Involution((), red), Involution((), blue), n))
     assert images == all_colorings
     assert len(images) == count_fpf(2 * n) * 2 ** n
     for c in all_colorings:
@@ -238,11 +242,10 @@ def test_audit_survivors_map_onto_every_arrangement(n):
     survivors = [s for s in enumerate_pair_space(n) if pivot(s) is None]
     images = {}
     for s in survivors:
-        c = ColoredInvolution(n, s.p.two_cycles, s.q.two_cycles)
-        images[matching_to_arrangement(c)] = c
+        images[matching_to_arrangement(s)] = s
     assert len(images) == len(survivors) == comb(2 * n, n) * factorial(n)
-    for a, c in images.items():
-        assert arrangement_to_matching(a) == c
+    for a, s in images.items():
+        assert arrangement_to_matching(a) == s
 
 
 # ---------------------------------------------------------------- subsequence reports

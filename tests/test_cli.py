@@ -43,8 +43,8 @@ def trace_fields(output):
 # ---------------------------------------------------------------- parsing helpers
 
 def test_parse_range():
-    assert parse_range("0..4") == [0, 1, 2, 3, 4]
-    assert parse_range("7") == [7]
+    assert list(parse_range("0..4")) == [0, 1, 2, 3, 4]
+    assert list(parse_range("7")) == [7]
     for bad in ("", "4..1", "1..", "a", "1-3"):
         with pytest.raises(Exception):
             parse_range(bad)
@@ -227,6 +227,13 @@ def test_rsk_identity_word():
     assert fields["shape"] == "[3]"
     assert fields["fixed_points"] == "3"
     assert fields["odd_columns"] == "3"
+
+
+def test_rsk_empty_involution():
+    result = run("rsk", "--cycles", "()")
+    assert result.exit_code == 0
+    fields = trace_fields(result.output)
+    assert (fields["lis"], fields["lds"], fields["shape"]) == ("0", "0", "[]")
 
 
 def test_rsk_parse_errors():
