@@ -16,7 +16,7 @@ and compares the surviving pairs against the closed counts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -27,7 +27,12 @@ if TYPE_CHECKING:
     from .identities import IdentityVerdict
 
 # not frozen, since a frozen build sets each field through object.__setattr__ and the
-# audit builds a state per toggle; like Involution, it is treated as immutable
+# audit builds a state per toggle; like Involution, it is treated as immutable.
+# The keyword-only _trusted=True skips the [2n] cover check, for the two builders
+# that produce the cover by construction: enumerate_pair_space, whose sides are
+# relabelled onto a subset and its complement, and toggle_pivot, which moves one
+# label between the sides of a state that already covers [2n].  Any other build,
+# and so all outside input, is checked.
 @dataclass(slots=True, unsafe_hash=True)
 class PairState:
     """An ordered pair of involutions whose supports partition [2n]."""
@@ -35,8 +40,12 @@ class PairState:
     p: Involution
     q: Involution
     n: int
+    _: KW_ONLY
+    _trusted: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, _trusted: bool) -> None:
+        if _trusted:
+            return
         sp, sq = self.p._partner, self.q._partner
         if not sp.keys().isdisjoint(sq):
             raise ValueError(f"supports overlap: {sorted(sp.keys() & sq.keys())}")
@@ -84,7 +93,7 @@ def toggle_pivot(s: PairState) -> PairState:
     if m is None:
         raise PivotAbsentError("toggle undefined: both involutions are fixed-point-free")
     # the supports partition [2n], so m is fixed on exactly one side and absent from the other
-    return PairState(_toggle_fixed_point(s.p, m), _toggle_fixed_point(s.q, m), s.n)
+    return PairState(_toggle_fixed_point(s.p, m), _toggle_fixed_point(s.q, m), s.n, _trusted=True)
 
 
 def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
@@ -196,7 +205,7 @@ def enumerate_pair_space(
             for w in words[r]:
                 p = _relabel(w, chosen)
                 for q in qs:
-                    yield PairState(p, q, n)
+                    yield PairState(p, q, n, _trusted=True)
 
 
 def signed_cancellation_audit(

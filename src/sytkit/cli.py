@@ -2,6 +2,9 @@
 
 Subcommands: count, verify, rsk, bijection f|g|g-inverse, audit.  Global flags
 --format, --cache, --verify-cache, --oracle-limit, --trace come before the subcommand.
+Every command reads --format; only count reads --cache and --verify-cache, only
+bijection f and g read --trace, and only audit reads --oracle-limit.  A global flag
+given to a command that does not read it is a usage error.
 
 Exit codes: 0 success / all verdicts hold, 1 verification failure,
 2 usage or parse error, 3 scale-limit error.
@@ -18,6 +21,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from .core import Involution, odd_columns, rs_of_involution
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, PivotAbsentError, ScaleLimitError
@@ -95,9 +99,16 @@ def parse_word(text: str) -> Involution:
 # ---------------------------------------------------------------- group
 
 class ExitCodeCommand(click.Command):
-    """A subcommand whose library errors end in the documented exit codes."""
+    """A subcommand whose library errors end in the documented exit codes, and
+    which refuses a global flag given on the command line that it does not read."""
 
     def invoke(self, ctx: click.Context):
+        root, reads = ctx.find_root(), {"--format", *GLOBAL_FLAGS_READ.get(self.name, ())}
+        unread = [f.opts[0] for f in root.command.params if f.opts[0] not in reads
+                  and root.get_parameter_source(f.name) is ParameterSource.COMMANDLINE]
+        if unread:
+            flags = "flags" if len(unread) > 1 else "flag"
+            raise click.UsageError(f"{ctx.command_path} does not read the global {flags} {', '.join(unread)}", ctx)
         try:
             return super().invoke(ctx)
         except ScaleLimitError as exc:
@@ -147,6 +158,12 @@ def main(ctx: click.Context, cache_path: str | None, verify_cache: bool, **_: ob
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     ctx.obj = ctx.params  # the global flags, by parameter name
+
+
+# the global flags each command reads besides --format, which every command reads;
+# bijection f and g are the subcommands named f and g
+GLOBAL_FLAGS_READ = {"count": ("--cache", "--verify-cache"), "f": ("--trace",), "g": ("--trace",),
+                     "audit": ("--oracle-limit",)}
 
 
 def _emit(ctx: click.Context, kind: str, payload: dict) -> None:

@@ -393,6 +393,20 @@ def test_trusted_sides_equal_validated_sides(n, k):
             assert same(v, Involution.from_word(v.word()))
 
 
+@pytest.mark.parametrize("k", (None, 1, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_trusted_pair_states_pass_the_cover_check(n, k):
+    # the pair space and the toggle build their states without the [2n] cover check
+    for s in enumerate_pair_space(n, k):
+        for state in [s] if pivot(s) is None else [s, toggle_pivot(s)]:
+            assert PairState(state.p, state.q, state.n) == state
+
+
+def test_pair_state_trust_flag_is_keyword_only():
+    with pytest.raises(TypeError):
+        PairState(Involution((1,)), Involution((2,)), 1, True)
+
+
 def test_pair_space_bound_filters_both_sides():
     for s in enumerate_pair_space(2, 2):
         assert brute_lds(s.p.word()) <= 2 and brute_lds(s.q.word()) <= 2

@@ -397,6 +397,59 @@ def test_oracle_limit_must_be_positive():
     assert "--oracle-limit" in result.stderr
 
 
+# ---------------------------------------------------------------- global flags
+
+# command -> (a valid call, the global flags besides --format that it reads)
+COMMAND_CALLS = {
+    "count": (("count", "catalan", "--n", "3"), {"--cache", "--verify-cache"}),
+    "verify": (("verify", "wilf", "--k", "2", "--n", "3"), set()),
+    "rsk": (("rsk", "--cycles", "(1)"), set()),
+    "bijection f": (("bijection", "f", "--n", "1", "--p", "(1)", "--q", "(2)"), {"--trace"}),
+    "bijection g": (("bijection", "g", "--chosen", "2 1"), {"--trace"}),
+    "bijection g-inverse": (("bijection", "g-inverse", "--red", "(12)", "--blue", ""), set()),
+    "audit": (("audit", "--n", "1"), {"--oracle-limit"}),
+}
+GLOBAL_FLAGS = ("--cache", "--verify-cache", "--oracle-limit", "--trace")
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command.replace(' ', '-')}{flag}")
+    for command, (_, reads) in COMMAND_CALLS.items() for flag in GLOBAL_FLAGS if flag not in reads
+])
+def test_global_flag_the_command_does_not_read_is_a_usage_error(tmp_path, command, flag):
+    call = COMMAND_CALLS[command][0]
+    assert run(*call).exit_code == 0
+    cache = str(tmp_path / "c.cache")
+    given = {
+        "--cache": ("--cache", cache),
+        "--verify-cache": ("--cache", cache, "--verify-cache"),  # --verify-cache needs --cache
+        "--oracle-limit": ("--oracle-limit", "9"),
+        "--trace": ("--trace",),
+    }[flag]
+    result = run(*given, *call)
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{command} does not read the global flag" in result.stderr
+    assert flag in result.stderr and "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_global_flags_are_read_by_their_commands(tmp_path):
+    cache = tmp_path / "c.cache"
+    assert run("--cache", str(cache), "count", "catalan", "--n", "3").exit_code == 0
+    assert load_cache(cache) == {("catalan", None, 3): 5}
+    assert run("--cache", str(cache), "--verify-cache", "count", "catalan", "--n", "3").exit_code == 0
+    f_call, g_call = COMMAND_CALLS["bijection f"][0], COMMAND_CALLS["bijection g"][0]
+    assert trace_fields(run("--trace", *f_call).stdout)["pivot"] == "2"
+    assert "unchosen" in run("--trace", *g_call).stdout
+    assert run("--oracle-limit", "1", "audit", "--n", "2").exit_code == 3
+    assert run("--oracle-limit", "9", "audit", "--n", "1").exit_code == 0
+    for call, _ in COMMAND_CALLS.values():
+        result = run("--format", "json", *call)
+        assert result.exit_code == 0
+        json.loads(result.stdout)
+
+
 # ---------------------------------------------------------------- formats
 
 def csv_rows(output):
@@ -655,6 +708,19 @@ def test_cache_rejects_oversized_value_and_leaves_file_untouched(tmp_path, body,
     assert time.perf_counter() - start < 1
     assert result.exit_code == 2
     assert "digits" in result.stderr
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("n", (0, 1))
+def test_cache_digit_bound_is_one_digit_at_n_up_to_1(tmp_path, n):
+    # every count at n <= 1 is 1 (0 for fixed-point-free at n = 1), so a 2-digit value is refused
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\ncatalan - {n} 10\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), "count", "catalan", "--n", str(n))
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "count has 2 digits" in result.stderr
     assert path.read_bytes() == before
 
 
