@@ -20,7 +20,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import Involution, lds
+from .core import Involution, lds, lis
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsentError, ScaleLimitError
 
 if TYPE_CHECKING:
@@ -96,6 +96,18 @@ def toggle_pivot(s: PairState) -> PairState:
     return PairState(_toggle_fixed_point(s.p, m), _toggle_fixed_point(s.q, m), s.n, _trusted=True)
 
 
+def _side_lds(v: Involution) -> int:
+    """lds(v.word()), read off the partner map from the largest label down, with no word built."""
+    return lis(map(v._partner.__getitem__, sorted(v._partner, reverse=True)))
+
+
+def _closure_breach(s: PairState, image: PairState, k: int) -> str | None:
+    """Why the toggle image of s leaves the lds <= k space, or None when both sides stay in."""
+    if _side_lds(image.p) > k or _side_lds(image.q) > k:
+        return f"toggle left the lds<={k} space at n={s.n}: p={s.p.cycle_string()} q={s.q.cycle_string()}"
+    return None
+
+
 def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
     """The toggle restricted to pairs with both decreasing statistics <= k.
 
@@ -105,13 +117,11 @@ def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"bounded toggle requires an odd bound, got k={k}")
-    if lds(s.p.word()) > k or lds(s.q.word()) > k:
+    if _side_lds(s.p) > k or _side_lds(s.q) > k:
         raise ValueError(f"pair outside the bounded space: a side exceeds lds bound {k}")
     out = toggle_pivot(s)
-    if lds(out.p.word()) > k or lds(out.q.word()) > k:
-        raise ClosureViolationError(
-            f"toggle left the lds<={k} space at n={s.n}: p={s.p.cycle_string()} q={s.q.cycle_string()}"
-        )
+    if breach := _closure_breach(s, out, k):
+        raise ClosureViolationError(breach)
     return out
 
 
@@ -238,7 +248,10 @@ def signed_cancellation_audit(
                 failures.append(f"survivor with a fixed point: {s}")
             survivors_by_r[r] += 1
             continue
-        image = toggle_pivot(s) if k is None else toggle_pivot_bounded(s, k)
+        # the enumeration kept only sides with lds <= k, so only the image is checked
+        image = toggle_pivot(s)
+        if k is not None and (breach := _closure_breach(s, image, k)):
+            failures.append(breach)
         orbits += 1  # each 2-element orbit is seen once from each end
         back = toggle_pivot(image)
         if back != s:

@@ -5,8 +5,10 @@ from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
+from click.testing import CliRunner
 
 from sytkit import (
+    ClosureViolationError,
     Involution,
     PairState,
     PivotAbsentError,
@@ -28,7 +30,7 @@ from sytkit import (
     toggle_pivot_bounded,
 )
 
-from sytkit import bijections
+from sytkit import bijections, cli
 
 from oracles import brute_lds, generate_involutions, max_decreasing_subsequences, report_longest_decreasing
 
@@ -158,6 +160,18 @@ def test_bounded_toggle_closure_for_odd_bounds(k, n):
             continue
         image = toggle_pivot_bounded(s, k)  # raises ClosureViolationError on failure
         assert lds(image.p.word()) <= k and lds(image.q.word()) <= k
+
+
+def test_side_lds_agrees_with_the_word_routes():
+    # validated, relabelled and toggled sides of every involution on every subset of [7]
+    for r in range(8):
+        words = [v.word() for v in generate_involutions(range(1, r + 1))]
+        for labels in combinations(range(1, 8), r):
+            sides = [*generate_involutions(labels), *(bijections._relabel(w, labels) for w in words)]
+            toggled = [bijections._toggle_fixed_point(v, 8) for v in sides]
+            toggled += [bijections._toggle_fixed_point(v, v.fixed_points[-1]) for v in sides if v.fixed_points]
+            for v in sides + toggled:
+                assert bijections._side_lds(v) == lds(v.word()) == brute_lds(v.word())
 
 
 def test_increasing_bound_analogue_has_closure_counterexample():
@@ -471,6 +485,57 @@ def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args
     monkeypatch.setattr(Involution, "__init__", counted)
     assert signed_cancellation_audit(*args).holds
     assert calls == built
+
+
+@pytest.mark.parametrize("k", (None, 3))
+def test_audit_checks_closure_on_both_sides_of_every_image(monkeypatch, k):
+    calls = 0
+    side_lds = bijections._side_lds
+
+    def counted(v):
+        nonlocal calls
+        calls += 1
+        return side_lds(v)
+
+    monkeypatch.setattr(bijections, "_side_lds", counted)
+    checks = dict(signed_cancellation_audit(3, k).checks)
+    toggled = checks["states"] - checks["survivors"]
+    assert toggled > 0
+    assert calls == (0 if k is None else 2 * toggled)
+
+
+# a toggle that swaps the p side's 2-cycles (1 2)(3 4) <-> (1 4)(2 3): still an involution
+# that flips parity and keeps the free points, but (1 4)(2 3) has lds 4, so each image of
+# a state with (1 2)(3 4) on p breaches the lds <= 3 space and no other check fails
+BREACH_CYCLES = {((1, 2), (3, 4)): ((1, 4), (2, 3)), ((1, 4), (2, 3)): ((1, 2), (3, 4))}
+
+
+def breaching_toggle(s):
+    image = toggle_pivot(s)
+    cycles = BREACH_CYCLES.get(image.p.two_cycles)
+    if cycles is None:
+        return image
+    return PairState(Involution(image.p.fixed_points, cycles), image.q, image.n)
+
+
+def test_audit_records_a_closure_breach_as_a_failure(monkeypatch):
+    breaching = [s for s in enumerate_pair_space(3, 3)
+                 if pivot(s) is not None and s.p.two_cycles in BREACH_CYCLES]
+    assert breaching
+    expected = dict(signed_cancellation_audit(3, 3).checks)
+    monkeypatch.setattr(bijections, "toggle_pivot", breaching_toggle)
+    v = signed_cancellation_audit(3, 3)
+    assert not v.holds
+    assert dict(v.checks) == {**expected, "assertion_failures": len(breaching)}
+    # a direct caller of the bounded toggle still gets the exception
+    with pytest.raises(ClosureViolationError, match=r"^toggle left the lds<=3 space at n=3: p="):
+        toggle_pivot_bounded(breaching[0], 3)
+
+    result = CliRunner().invoke(cli.main, ["audit", "--n", "3", "--k", "3"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output + result.stderr
+    assert "[FAILS]" in result.output and f"assertion_failures = {len(breaching)}\n" in result.output
 
 
 def test_audit_rejects_even_bound_and_scale():
