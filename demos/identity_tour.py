@@ -11,6 +11,7 @@ from sytkit import (
     verify_unrestricted,
     verify_wilf_even,
 )
+from sytkit.output import render, verdict_payload
 
 
 def show(verdict):
@@ -38,16 +39,12 @@ for n in range(0, 6):
     show(verify_a005568(n))
 
 print()
-print("One instance in full: the odd-bound identity at k=3, n=2")
+print("One instance in full: the odd-bound identity at k=3, n=2, the record")
+print("`sytkit verify odd --k 3 --n 2` prints")
+print("lhs: sum of C(4,r) * fpf(r, lds<=3) * fpf(4-r, lds<=3)")
+print("rhs: sum of (-1)^r C(4,r) * rows<=3 tableau counts")
 print("-" * 68)
-verdict = verify_odd_k(3, 2)
-print("positive side: sum of C(4,r) * fpf(r, lds<=3) * fpf(4-r, lds<=3)")
-for t in verdict.lhs_terms:
-    print(f"  r={t.r}: {t.sign:+d} * {t.binomial} * {t.left_factor} * {t.right_factor} = {t.term_value}")
-print("alternating side: sum of (-1)^r C(4,r) * rows<=3 tableau counts")
-for t in verdict.rhs_terms:
-    print(f"  r={t.r}: {t.sign:+d} * {t.binomial} * {t.left_factor} * {t.right_factor} = {t.term_value}")
-print(f"both sides: {verdict.lhs} == {verdict.rhs}")
+print(render("verdict", {"verdicts": [verdict_payload(verify_odd_k(3, 2))]}, "table"))
 
 print()
 print("Why the obvious variant is NOT an identity: bound the increasing")

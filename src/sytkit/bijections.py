@@ -16,6 +16,7 @@ and compares the surviving pairs against the closed counts.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import KW_ONLY, InitVar, dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -159,14 +160,10 @@ def matching_to_arrangement(s: PairState) -> tuple[int, ...]:
 def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:
     """Carry the word of an involution on 1..m onto m sorted labels by x -> labels[x - 1].
 
-    The map is increasing, so reading the relabelled pairs in label order
-    gives fixed points and cycles in canonical order and the trusted build
-    applies.
+    The labels are sorted, so the relabelled map is filled in label order
+    and the trusted build applies.
     """
-    partner = {x: labels[y - 1] for x, y in zip(labels, word)}
-    fps = tuple(x for x, y in partner.items() if x == y)
-    cycles = tuple((x, y) for x, y in partner.items() if x < y)
-    return Involution(fps, cycles, _partner=partner)
+    return Involution._from_partner({x: labels[y - 1] for x, y in zip(labels, word)})
 
 
 def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
@@ -234,9 +231,8 @@ def signed_cancellation_audit(
 
     if k is not None and (k < 1 or k % 2 == 0):
         raise ValueError(f"audit bound must be odd, got k={k}")
-    survivors_by_r = [0] * (2 * n + 1)
+    survivors_by_r: Counter[int] = Counter()
     states = 0
-    orbits = 0
     signed_total = 0
     failures: list[str] = []
     for s in enumerate_pair_space(n, k, limit):
@@ -252,7 +248,6 @@ def signed_cancellation_audit(
         image = toggle_pivot(s)
         if k is not None and (breach := _closure_breach(s, image, k)):
             failures.append(breach)
-        orbits += 1  # each 2-element orbit is seen once from each end
         back = toggle_pivot(image)
         if back != s:
             failures.append(f"toggle not an involution at {s}")
@@ -260,7 +255,6 @@ def signed_cancellation_audit(
             failures.append(f"toggle did not flip parity at {s}")
         if free_points(image) != free_points(s):
             failures.append(f"free points not preserved at {s}")
-    orbits //= 2
 
     count = count_fpf if k is None else (lambda r: count_fpf_lds_bounded(k, r))
     lhs_terms = tuple(
@@ -272,7 +266,8 @@ def signed_cancellation_audit(
     holds = not failures and per_r_match and lhs == rhs and signed_total == lhs
     checks = (
         ("states", states),
-        ("orbits", orbits),
+        # every state but a survivor is toggled, and each 2-element orbit is met from both ends
+        ("orbits", (states - lhs) // 2),
         ("survivors", lhs),
         ("signed_total", signed_total),
         ("assertion_failures", len(failures)),

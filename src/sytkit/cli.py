@@ -253,7 +253,7 @@ def bijection() -> None:
 
 
 @bijection.command("f")
-@click.option("--n", type=int, required=True, help="Half the ground-set size.")
+@click.option("--n", type=click.IntRange(min=0), required=True, help="Half the ground-set size.")
 @click.option("--p", "p_text", required=True, help="First involution, cycle notation.")
 @click.option("--q", "q_text", required=True, help="Second involution, cycle notation.")
 @click.pass_context

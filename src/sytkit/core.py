@@ -52,33 +52,37 @@ class Involution:
         *,
         _partner: dict[int, int] | None = None,
     ):
-        if _partner is not None:
-            self.fixed_points = fixed_points
-            self.two_cycles = two_cycles
-            self._partner = _partner
-            return
-        fps = tuple(sorted(int(x) for x in fixed_points))
-        cycles = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in two_cycles))
-        partner: dict[int, int] = {}
-        for x in fps:
-            if x < 1:
-                raise ValueError(f"labels must be positive, got {x}")
-            if x in partner:
-                raise ValueError(f"label {x} appears twice")
-            partner[x] = x
-        for a, b in cycles:
-            if a < 1:
-                raise ValueError(f"labels must be positive, got {a}")
-            if a == b:
-                raise ValueError(f"degenerate 2-cycle ({a},{b})")
-            for x in (a, b):
-                if x in partner:
+        if _partner is None:
+            fixed_points = tuple(sorted(int(x) for x in fixed_points))
+            two_cycles = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in two_cycles))
+            _partner = {}
+            for x in fixed_points:
+                if x < 1:
+                    raise ValueError(f"labels must be positive, got {x}")
+                if x in _partner:
                     raise ValueError(f"label {x} appears twice")
-            partner[a] = b
-            partner[b] = a
-        self.fixed_points = fps
-        self.two_cycles = cycles
-        self._partner = partner
+                _partner[x] = x
+            for a, b in two_cycles:
+                if a < 1:
+                    raise ValueError(f"labels must be positive, got {a}")
+                if a == b:
+                    raise ValueError(f"degenerate 2-cycle ({a},{b})")
+                for x in (a, b):
+                    if x in _partner:
+                        raise ValueError(f"label {x} appears twice")
+                _partner[a] = b
+                _partner[b] = a
+        self.fixed_points = fixed_points
+        self.two_cycles = two_cycles
+        self._partner = _partner
+
+    @classmethod
+    def _from_partner(cls, partner: dict[int, int]) -> "Involution":
+        """The trusted build from a self-inverse map on positive labels, keys inserted in
+        increasing order, so that the fixed points and cycles read off it are canonical."""
+        fps = tuple(x for x, y in partner.items() if x == y)
+        cycles = tuple((x, y) for x, y in partner.items() if x < y)
+        return cls(fps, cycles, _partner=partner)
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "Involution":
@@ -86,22 +90,20 @@ class Involution:
 
         Position i of the word holds the image of the i-th smallest support
         label; the support is the set of word entries.  Raises if the word
-        has repeats or the induced map is not its own inverse.
+        has repeats, a label below 1, or an induced map that is not its own inverse.
         """
         entries = tuple(int(x) for x in word)
         if len(set(entries)) != len(entries):
             raise ValueError("word has repeated labels")
-        image = dict(zip(sorted(entries), entries))
-        fps = []
-        cycles = []
-        for x, y in image.items():
-            if image[y] != x:
-                raise ValueError(f"not an involution: {x} -> {y} -> {image[y]}")
-            if y == x:
-                fps.append(x)
-            elif x < y:
-                cycles.append((x, y))
-        return cls(fps, cycles)
+        partner = dict(zip(sorted(entries), entries))
+        for x, y in partner.items():
+            if partner[y] != x:
+                raise ValueError(f"not an involution: {x} -> {y} -> {partner[y]}")
+        # as in the validated build, a non-positive fixed point is named before any cycle label
+        bad = next((x for x, y in partner.items() if x == y and x < 1), min(partner, default=1))
+        if bad < 1:
+            raise ValueError(f"labels must be positive, got {bad}")
+        return cls._from_partner(partner)
 
     @property
     def support(self) -> tuple[int, ...]:

@@ -67,15 +67,9 @@ def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[int, t
     return sum(t.term_value for t in terms), tuple(terms)
 
 
-def _product_side(n: int, factor: int) -> tuple[int, tuple[TermBreakdown, ...]]:
-    """C(2n, n) * factor as a single-term side (indexed at r = n)."""
-    term = _term(n, 1, comb(2 * n, n), factor, 1)
-    return term.term_value, (term,)
-
-
-def _catalan_product_side(n: int) -> tuple[int, tuple[TermBreakdown, ...]]:
-    """C_n * C_{n+1} as a single-term side (indexed at r = n)."""
-    term = _term(n, 1, 1, catalan(n), catalan(n + 1))
+def _one_term_side(n: int, binomial: int, left: int, right: int) -> tuple[int, tuple[TermBreakdown, ...]]:
+    """binomial * left * right as a single-term side (indexed at r = n)."""
+    term = _term(n, 1, binomial, left, right)
     return term.term_value, (term,)
 
 
@@ -94,7 +88,7 @@ def verify_wilf_even(k: int, n: int) -> IdentityVerdict:
     if k < 1 or k % 2 == 1:
         raise ValueError(f"this identity needs an even bound; got k={k} (see verify_odd_k)")
     _require_positive(n)
-    lhs, lhs_terms = _product_side(n, count_perms_lis_bounded(k, n))
+    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), count_perms_lis_bounded(k, n), 1)
     rhs, rhs_terms = _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True)
     return IdentityVerdict("wilf_even", k, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
 
@@ -102,7 +96,7 @@ def verify_wilf_even(k: int, n: int) -> IdentityVerdict:
 def verify_unrestricted(n: int) -> IdentityVerdict:
     """C(2n,n) n! against the alternating involution-count sum (no bound)."""
     _require_positive(n)
-    lhs, lhs_terms = _product_side(n, factorial(n))
+    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), factorial(n), 1)
     rhs, rhs_terms = _pair_sum(count_involutions, n, signed=True)
     return IdentityVerdict("unrestricted", None, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
 
@@ -110,7 +104,7 @@ def verify_unrestricted(n: int) -> IdentityVerdict:
 def verify_fpf_pairs(n: int) -> IdentityVerdict:
     """C(2n,n) n! against the positive fixed-point-free pair sum."""
     _require_positive(n)
-    lhs, lhs_terms = _product_side(n, factorial(n))
+    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), factorial(n), 1)
     rhs, rhs_terms = _pair_sum(count_fpf, n, signed=False)
     return IdentityVerdict("fpf_pairs", None, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
 
@@ -134,7 +128,7 @@ def verify_corollary_k3(n: int) -> IdentityVerdict:
     = C_n C_{n+1} = the closed binomial form."""
     _require_positive(n)
     lhs, lhs_terms = _pair_sum(lambda r: count_syt_row_bounded(3, r), n, signed=True)
-    rhs, rhs_terms = _catalan_product_side(n)
+    rhs, rhs_terms = _one_term_side(n, 1, catalan(n), catalan(n + 1))
     row_bound_4 = count_syt_row_bounded(4, 2 * n)
     closed_form = comb(2 * n, n) * comb(2 * n + 2, n + 1) // ((n + 1) * (n + 2))
     holds = lhs == rhs == row_bound_4 == closed_form
@@ -155,7 +149,7 @@ def verify_a005568(n: int) -> IdentityVerdict:
         _term(i, 1, comb(2 * n, 2 * i), catalan(i), catalan(n - i)) for i in range(n + 1)
     )
     lhs = sum(t.term_value for t in lhs_terms)
-    rhs, rhs_terms = _catalan_product_side(n)
+    rhs, rhs_terms = _one_term_side(n, 1, catalan(n), catalan(n + 1))
     pair_sum, _ = _pair_sum(lambda r: count_fpf_lds_bounded(2, r), n, signed=False)
     holds = lhs == rhs == pair_sum
     checks = (("fpf_lds2_pair_sum", pair_sum),)
@@ -172,7 +166,7 @@ def demonstrate_naive_failure(k: int, n: int) -> IdentityVerdict:
     if k < 1:
         raise ValueError(f"bound k must be a positive integer, got {k}")
     _require_positive(n)
-    lhs, lhs_terms = _product_side(n, count_perms_lis_bounded(k, n))
+    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), count_perms_lis_bounded(k, n), 1)
     rhs, rhs_terms = _pair_sum(lambda r: count_fpf_lis_bounded(k, r), n, signed=False)
     return IdentityVerdict("naive_failure", k, n, lhs, rhs, lhs_terms, rhs_terms, lhs != rhs)
 

@@ -60,12 +60,14 @@ def verdict_payload(v: IdentityVerdict) -> dict:
 
 def render(kind: str, payload: dict, fmt: str) -> str:
     """One record (kind count, verdict or trace) as text in the given format."""
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}")
+    if kind not in ("count", "verdict", "trace"):
+        raise ValueError(f"unknown record kind {kind!r}")
     if fmt == "json":
         import json
 
         return json.dumps({"kind": kind, **_s(payload)}, indent=2)
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}")
     tabulate = _aligned if fmt == "table" else _csv_text
     if kind == "count":
         return tabulate(
@@ -74,15 +76,14 @@ def render(kind: str, payload: dict, fmt: str) -> str:
         )
     if kind == "verdict":
         return (_verdicts_table if fmt == "table" else _verdicts_csv)(payload["verdicts"])
-    if kind == "trace":
-        if fmt == "table":
-            out = "\n".join(f"{name}: {_cell(value)}" for name, value in payload["fields"])
-        else:
-            out = _csv_text(["name", "value"], payload["fields"])
-        if "table" in payload:
-            out += "\n" + tabulate(payload["table"]["columns"], payload["table"]["rows"])
-        return out
-    raise ValueError(f"unknown record kind {kind!r}")
+    # a trace: its named fields, then an optional table
+    if fmt == "table":
+        out = "\n".join(f"{name}: {_cell(value)}" for name, value in payload["fields"])
+    else:
+        out = _csv_text(["name", "value"], payload["fields"])
+    if "table" in payload:
+        out += "\n" + tabulate(payload["table"]["columns"], payload["table"]["rows"])
+    return out
 
 
 # ---------------------------------------------------------------- csv

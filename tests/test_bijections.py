@@ -543,3 +543,12 @@ def test_audit_rejects_even_bound_and_scale():
         signed_cancellation_audit(2, 2)
     with pytest.raises(ScaleLimitError):
         signed_cancellation_audit(9)
+    # nothing is sized from n before the pair space accepts it
+    tracemalloc.start()
+    try:
+        with pytest.raises(ScaleLimitError):
+            signed_cancellation_audit(10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from sytkit.cli import main, parse_cycles, parse_range, parse_word
 from sytkit.core import Involution
 from sytkit.counting import catalan
-from sytkit.output import load_cache, save_cache
+from sytkit.output import load_cache, render, save_cache
 
 runner = CliRunner()
 
@@ -273,6 +273,10 @@ def test_bijection_f_undefined_on_fpf_pair():
 def test_bijection_f_validates_pair():
     assert run("bijection", "f", "--n", "2", "--p", "(1)", "--q", "(2)").exit_code == 2
     assert run("bijection", "f", "--n", "1", "--p", "(1)").exit_code == 2  # missing q
+    result = run("bijection", "f", "--n", "-1", "--p", "(1)", "--q", "")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert "Error: Invalid value for '--n': -1 is not in the range x>=0." in result.stderr
 
 
 def test_bijection_f_rejects_a_huge_n_at_once():
@@ -389,6 +393,14 @@ def test_audit_scale_and_parity_errors():
     assert "limit" in result.stderr
     assert run("audit", "--n", "2", "--k", "2").exit_code == 2
     assert run("--oracle-limit", "3", "audit", "--n", "4").exit_code == 3
+    start = time.perf_counter()
+    result = run("audit", "--n", "10000000000000")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 3
+    assert isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    assert "pair space enumeration limited to n=4, got n=10000000000000" in result.stderr
 
 
 def test_oracle_limit_must_be_positive():
@@ -480,6 +492,15 @@ def test_verdict_formats_agree():
 
     table_out = run(*args).output
     assert "lhs=12" in table_out and "rhs=12" in table_out
+
+
+@pytest.mark.parametrize("fmt", ("table", "json", "csv"))
+def test_render_checks_the_record_kind_in_every_format(fmt):
+    with pytest.raises(ValueError, match=r"^unknown record kind 'bogus'$"):
+        render("bogus", {}, fmt)
+    assert render("trace", {"fields": [("n", 1)]}, fmt)
+    with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
+        render("bogus", {}, "xml")  # the format is checked first
 
 
 def test_json_serializes_integers_as_strings():

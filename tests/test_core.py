@@ -100,6 +100,16 @@ def test_involution_from_word():
         Involution.from_word((2, 1, 2))
     with pytest.raises(ValueError):
         Involution.from_word((2, 3, 1))  # a 3-cycle, not self-inverse
+    # with several faults, the involution check comes first, then a non-positive fixed point
+    # is named before a smaller non-positive cycle label, as the validated build names them
+    with pytest.raises(ValueError, match=r"^not an involution: 0 -> 2 -> 1$"):
+        Involution.from_word((2, 3, 1, 0))
+    with pytest.raises(ValueError, match=r"^labels must be positive, got 0$"):
+        Involution.from_word((1, 0, -1))
+    with pytest.raises(ValueError, match=r"^labels must be positive, got -1$"):
+        Involution.from_word((0, -1, -2))
+    with pytest.raises(ValueError, match=r"^labels must be positive, got -1$"):
+        Involution.from_word((2, 1, -1))  # no fixed point below 1, so the smallest cycle label
 
 
 def test_cycle_string_uses_commas_for_wide_labels():

@@ -4,6 +4,9 @@ from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from sytkit.cli import main
 
 DEMOS = sorted((Path(__file__).parent.parent / "demos").glob("*.py"))
 
@@ -16,3 +19,12 @@ def test_demo_runs_clean(script):
     out = buf.getvalue()
     assert out.strip()
     assert "FAIL" not in out
+
+
+def test_identity_tour_prints_the_record_verify_prints():
+    record = CliRunner().invoke(main, ["verify", "odd", "--k", "3", "--n", "2"]).output
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        runpy.run_path(str(Path(__file__).parent.parent / "demos" / "identity_tour.py"), run_name="__main__")
+    assert "odd_k  k=3  n=2  lhs=10  rhs=10  [holds]" in record
+    assert record in buf.getvalue()
