@@ -17,7 +17,7 @@ and compares the surviving pairs against the closed counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import KW_ONLY, InitVar, dataclass
+from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -27,13 +27,10 @@ from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsent
 if TYPE_CHECKING:
     from .identities import IdentityVerdict
 
-# not frozen, since a frozen build sets each field through object.__setattr__ and the
-# audit builds a state per toggle; like Involution, it is treated as immutable.
-# The keyword-only _trusted=True skips the [2n] cover check, for the two builders
-# that produce the cover by construction: enumerate_pair_space, whose sides are
-# relabelled onto a subset and its complement, and toggle_pivot, which moves one
-# label between the sides of a state that already covers [2n].  Any other build,
-# and so all outside input, is checked.
+# not frozen, since a frozen build sets each field through object.__setattr__; like Involution,
+# it is treated as immutable.  PairState(...) always checks the [2n] cover.  _pair_state is the
+# one trusted build, for the two builders that cover [2n] by construction: enumerate_pair_space
+# (sides relabelled onto a subset and its complement) and toggle_pivot (one label moved across).
 @dataclass(slots=True, unsafe_hash=True)
 class PairState:
     """An ordered pair of involutions whose supports partition [2n]."""
@@ -41,19 +38,22 @@ class PairState:
     p: Involution
     q: Involution
     n: int
-    _: KW_ONLY
-    _trusted: InitVar[bool] = False
 
-    def __post_init__(self, _trusted: bool) -> None:
-        if _trusted:
-            return
+    def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n must be non-negative, got n={self.n}")
         sp, sq = self.p._partner, self.q._partner
         if not sp.keys().isdisjoint(sq):
             raise ValueError(f"supports overlap: {sorted(sp.keys() & sq.keys())}")
         # labels are positive, so disjoint supports of 2n labels, none above 2n, are 1..2n
-        size = 2 * self.n if self.n > 0 else 0  # [2n] is empty for n <= 0
-        if len(sp) + len(sq) != size or max((0, *sp, *sq)) > size:
+        if len(sp) + len(sq) != 2 * self.n or max((0, *sp, *sq)) > 2 * self.n:
             raise ValueError(f"supports must partition 1..{2 * self.n}")
+
+
+def _pair_state(p: Involution, q: Involution, n: int) -> PairState:
+    s = object.__new__(PairState)
+    s.p, s.q, s.n = p, q, n
+    return s
 
 
 def free_points(s: PairState) -> tuple[int, ...]:
@@ -69,20 +69,6 @@ def pivot(s: PairState) -> int | None:
     return fp[-1] if fp else fq[-1] if fq else None
 
 
-def _toggle_fixed_point(v: Involution, m: int) -> Involution:
-    """v with m dropped from its fixed points if it is one there, else added as one.
-
-    m must be the largest free point of a pair that v is a side of: fixed in
-    v and its last fixed point, or outside its support and above every fixed
-    point.  The cycles are shared unchanged, so the trusted build applies.
-    """
-    partner = v._partner.copy()
-    if partner.pop(m, None) is None:
-        partner[m] = m
-        return Involution(v.fixed_points + (m,), v.two_cycles, _partner=partner)
-    return Involution(v.fixed_points[:-1], v.two_cycles, _partner=partner)
-
-
 def toggle_pivot(s: PairState) -> PairState:
     """Move the largest free point to the other involution.
 
@@ -90,21 +76,32 @@ def toggle_pivot(s: PairState) -> PairState:
     same label moves straight back.  The side sizes change by one, flipping
     the parity that weights the pair in the alternating sum.
     """
-    m = pivot(s)
-    if m is None:
+    p, q = s.p, s.q
+    fp, fq = p.fixed_points, q.fixed_points  # sorted, so each side's largest is last
+    # the supports partition [2n], so the pivot is the last fixed point of one side and lands
+    # on the other above all of its fixed points; the cycles are shared unchanged
+    if fp and not (fq and fq[-1] > fp[-1]):
+        fp, fq = fp[:-1], fq + fp[-1:]
+    elif fq:
+        fp, fq = fp + fq[-1:], fq[:-1]
+    else:
         raise PivotAbsentError("toggle undefined: both involutions are fixed-point-free")
-    # the supports partition [2n], so m is fixed on exactly one side and absent from the other
-    return PairState(_toggle_fixed_point(s.p, m), _toggle_fixed_point(s.q, m), s.n, _trusted=True)
+    return _pair_state(Involution._canonical(fp, p.two_cycles), Involution._canonical(fq, q.two_cycles), s.n)
 
 
-def _side_lds(v: Involution) -> int:
-    """lds(v.word()), read off the partner map from the largest label down, with no word built."""
-    return lis(map(v._partner.__getitem__, sorted(v._partner, reverse=True)))
+def _side_lds(v: Involution, top: int) -> int:
+    """lds(v.word()) for a side with no label above top, read off its images laid out by label."""
+    images = [0] * (top + 1)  # labels are positive, so 0 marks a label off the support
+    for x in v.fixed_points:
+        images[x] = x
+    for a, b in v.two_cycles:
+        images[a], images[b] = b, a
+    return lis(filter(None, reversed(images)))
 
 
 def _closure_breach(s: PairState, image: PairState, k: int) -> str | None:
     """Why the toggle image of s leaves the lds <= k space, or None when both sides stay in."""
-    if _side_lds(image.p) > k or _side_lds(image.q) > k:
+    if _side_lds(image.p, 2 * s.n) > k or _side_lds(image.q, 2 * s.n) > k:
         return f"toggle left the lds<={k} space at n={s.n}: p={s.p.cycle_string()} q={s.q.cycle_string()}"
     return None
 
@@ -118,7 +115,7 @@ def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
     """
     if k < 1 or k % 2 == 0:
         raise ValueError(f"bounded toggle requires an odd bound, got k={k}")
-    if _side_lds(s.p) > k or _side_lds(s.q) > k:
+    if _side_lds(s.p, 2 * s.n) > k or _side_lds(s.q, 2 * s.n) > k:
         raise ValueError(f"pair outside the bounded space: a side exceeds lds bound {k}")
     out = toggle_pivot(s)
     if breach := _closure_breach(s, out, k):
@@ -160,10 +157,13 @@ def matching_to_arrangement(s: PairState) -> tuple[int, ...]:
 def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:
     """Carry the word of an involution on 1..m onto m sorted labels by x -> labels[x - 1].
 
-    The labels are sorted, so the relabelled map is filled in label order
-    and the trusted build applies.
+    The labels are sorted, so the relabelled fixed points and cycles come out
+    canonical and the trusted build applies.
     """
-    return Involution._from_partner({x: labels[y - 1] for x, y in zip(labels, word)})
+    return Involution._canonical(
+        tuple(x for x, y in zip(labels, word) if labels[y - 1] == x),
+        tuple((x, labels[y - 1]) for x, y in zip(labels, word) if labels[y - 1] > x),
+    )
 
 
 def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
@@ -212,7 +212,7 @@ def enumerate_pair_space(
             for w in words[r]:
                 p = _relabel(w, chosen)
                 for q in qs:
-                    yield PairState(p, q, n, _trusted=True)
+                    yield _pair_state(p, q, n)
 
 
 def signed_cancellation_audit(

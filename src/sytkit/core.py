@@ -33,56 +33,52 @@ def lds(word: Sequence[int]) -> int:
 
 
 class Involution:
-    """A self-inverse partial permutation, stored as fixed points plus 2-cycles.
+    """A self-inverse partial permutation: its sorted fixed points and 2-cycles are the value.
 
-    The support is the set of labels the involution acts on; labels are
-    positive integers and need not be contiguous.
-
-    Passing ``_partner`` (the label -> image dict) is the trusted build: the
-    caller guarantees that ``fixed_points`` and ``two_cycles`` are already
-    canonical sorted tuples that agree with it, and nothing is re-checked.
+    The support is the set of labels it acts on: positive integers, not
+    necessarily contiguous.  ``Involution(...)`` validates its input, and
+    ``_canonical`` is the one trusted build: its caller guarantees canonical
+    tuples, and a map, if given, that agrees with them in increasing key order.
+    The label -> image map ``_partner`` is derived on first read, keys in
+    increasing order, and kept; any two fills are equal.
     """
 
-    __slots__ = ("fixed_points", "two_cycles", "_partner")
+    __slots__ = ("fixed_points", "two_cycles", "_map")
 
-    def __init__(
-        self,
-        fixed_points: Iterable[int] = (),
-        two_cycles: Iterable[tuple[int, int]] = (),
-        *,
-        _partner: dict[int, int] | None = None,
-    ):
-        if _partner is None:
-            fixed_points = tuple(sorted(int(x) for x in fixed_points))
-            two_cycles = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in two_cycles))
-            _partner = {}
-            for x in fixed_points:
-                if x < 1:
-                    raise ValueError(f"labels must be positive, got {x}")
-                if x in _partner:
+    def __init__(self, fixed_points: Iterable[int] = (), two_cycles: Iterable[tuple[int, int]] = ()):
+        fixed_points = tuple(sorted(int(x) for x in fixed_points))
+        two_cycles = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in two_cycles))
+        seen: set[int] = set()
+        for x in fixed_points:
+            if x < 1:
+                raise ValueError(f"labels must be positive, got {x}")
+            if x in seen:
+                raise ValueError(f"label {x} appears twice")
+            seen.add(x)
+        for a, b in two_cycles:
+            if a < 1:
+                raise ValueError(f"labels must be positive, got {a}")
+            if a == b:
+                raise ValueError(f"degenerate 2-cycle ({a},{b})")
+            for x in (a, b):
+                if x in seen:
                     raise ValueError(f"label {x} appears twice")
-                _partner[x] = x
-            for a, b in two_cycles:
-                if a < 1:
-                    raise ValueError(f"labels must be positive, got {a}")
-                if a == b:
-                    raise ValueError(f"degenerate 2-cycle ({a},{b})")
-                for x in (a, b):
-                    if x in _partner:
-                        raise ValueError(f"label {x} appears twice")
-                _partner[a] = b
-                _partner[b] = a
-        self.fixed_points = fixed_points
-        self.two_cycles = two_cycles
-        self._partner = _partner
+                seen.add(x)
+        self.fixed_points, self.two_cycles, self._map = fixed_points, two_cycles, None
 
     @classmethod
-    def _from_partner(cls, partner: dict[int, int]) -> "Involution":
-        """The trusted build from a self-inverse map on positive labels, keys inserted in
-        increasing order, so that the fixed points and cycles read off it are canonical."""
-        fps = tuple(x for x, y in partner.items() if x == y)
-        cycles = tuple((x, y) for x, y in partner.items() if x < y)
-        return cls(fps, cycles, _partner=partner)
+    def _canonical(cls, fixed_points: tuple[int, ...], two_cycles: tuple[tuple[int, int], ...],
+                   partner: dict[int, int] | None = None) -> "Involution":
+        v = object.__new__(cls)
+        v.fixed_points, v.two_cycles, v._map = fixed_points, two_cycles, partner
+        return v
+
+    @property
+    def _partner(self) -> dict[int, int]:
+        if self._map is None:
+            fps, cycles = self.fixed_points, self.two_cycles
+            self._map = dict(sorted([*zip(fps, fps), *cycles, *((b, a) for a, b in cycles)]))
+        return self._map
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "Involution":
@@ -103,19 +99,21 @@ class Involution:
         bad = next((x for x, y in partner.items() if x == y and x < 1), min(partner, default=1))
         if bad < 1:
             raise ValueError(f"labels must be positive, got {bad}")
-        return cls._from_partner(partner)
+        # the keys are in increasing order, so the fixed points and cycles read off them are canonical
+        fps = tuple(x for x, y in partner.items() if x == y)
+        return cls._canonical(fps, tuple((x, y) for x, y in partner.items() if x < y), partner)
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self._partner))
+        return tuple(self._partner)
 
     @property
     def size(self) -> int:
-        return len(self._partner)
+        return len(self.fixed_points) + 2 * len(self.two_cycles)
 
     def word(self) -> tuple[int, ...]:
         """One-line word: images of the support labels in increasing order."""
-        return tuple(map(self._partner.__getitem__, sorted(self._partner)))
+        return tuple(self._partner.values())
 
     def is_fixed_point_free(self) -> bool:
         return not self.fixed_points

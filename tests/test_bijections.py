@@ -70,7 +70,9 @@ def test_pair_state_cover_check_matches_the_set_rule(n):
     subsets = [c for r in range(len(labels) + 1) for c in combinations(labels, r)]
     for a in subsets:
         for b in subsets:
-            if set(a) & set(b):
+            if n < 0:
+                expected = f"n must be non-negative, got n={n}"
+            elif set(a) & set(b):
                 expected = f"supports overlap: {sorted(set(a) & set(b))}"
             elif set(a) | set(b) != set(range(1, 2 * n + 1)):
                 expected = f"supports must partition 1..{2 * n}"
@@ -168,10 +170,11 @@ def test_side_lds_agrees_with_the_word_routes():
         words = [v.word() for v in generate_involutions(range(1, r + 1))]
         for labels in combinations(range(1, 8), r):
             sides = [*generate_involutions(labels), *(bijections._relabel(w, labels) for w in words)]
-            toggled = [bijections._toggle_fixed_point(v, 8) for v in sides]
-            toggled += [bijections._toggle_fixed_point(v, v.fixed_points[-1]) for v in sides if v.fixed_points]
+            # as the toggle builds them: 8 added as the largest fixed point, or the last one dropped
+            toggled = [Involution._canonical(v.fixed_points + (8,), v.two_cycles) for v in sides]
+            toggled += [Involution._canonical(v.fixed_points[:-1], v.two_cycles) for v in sides if v.fixed_points]
             for v in sides + toggled:
-                assert bijections._side_lds(v) == lds(v.word()) == brute_lds(v.word())
+                assert bijections._side_lds(v, 8) == lds(v.word()) == brute_lds(v.word())
 
 
 def test_increasing_bound_analogue_has_closure_counterexample():
@@ -405,6 +408,18 @@ def test_trusted_sides_equal_validated_sides(n, k):
         for v in (side for state in states for side in (state.p, state.q)):
             assert same(v, Involution(v.fixed_points, v.two_cycles))
             assert same(v, Involution.from_word(v.word()))
+        if pivot(s) is None:
+            continue
+        # the toggle image and the image's image derive their maps on first read; of two
+        # builds of each, only the first has its map read before its word
+        for state in (s, toggle_pivot(s)):
+            read, unread = toggle_pivot(state), toggle_pivot(state)
+            for v, fresh in ((read.p, unread.p), (read.q, unread.q)):
+                validated = Involution(v.fixed_points, v.two_cycles)
+                assert v._partner == validated._partner
+                assert list(v._partner) == sorted(v._partner)
+                assert v.size == len(v.support) == validated.size
+                assert v.word() == fresh.word() == validated.word()
 
 
 @pytest.mark.parametrize("k", (None, 1, 3))
@@ -417,6 +432,7 @@ def test_trusted_pair_states_pass_the_cover_check(n, k):
 
 
 def test_pair_state_trust_flag_is_keyword_only():
+    # PairState takes its three fields and nothing else; the trusted build is a private function
     with pytest.raises(TypeError):
         PairState(Involution((1,)), Involution((2,)), 1, True)
 
@@ -472,17 +488,24 @@ def test_audit_toggles_each_state_before_the_next_is_enumerated(monkeypatch):
 
 @pytest.mark.parametrize("args, built", [((3,), 6054), ((3, 3), 5434)])
 def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args, built):
-    # every pair side, relabelled or toggled, enters Involution.__init__ once; the side
-    # word lists are grown as plain words and build none (sum of i(m) for m <= 6 = 120)
+    # every pair side, relabelled or toggled, is built once, by Involution.__init__ or the
+    # trusted Involution._canonical; the side word lists are grown as plain words and
+    # build none (sum of i(m) for m <= 6 = 120)
     calls = 0
-    init = Involution.__init__
+    init, canonical = Involution.__init__, Involution._canonical
 
-    def counted(self, *a, **kw):
+    def counted_init(self, *a, **kw):
         nonlocal calls
         calls += 1
         init(self, *a, **kw)
 
-    monkeypatch.setattr(Involution, "__init__", counted)
+    def counted_canonical(cls, *a, **kw):
+        nonlocal calls
+        calls += 1
+        return canonical(*a, **kw)
+
+    monkeypatch.setattr(Involution, "__init__", counted_init)
+    monkeypatch.setattr(Involution, "_canonical", classmethod(counted_canonical))
     assert signed_cancellation_audit(*args).holds
     assert calls == built
 
@@ -492,10 +515,10 @@ def test_audit_checks_closure_on_both_sides_of_every_image(monkeypatch, k):
     calls = 0
     side_lds = bijections._side_lds
 
-    def counted(v):
+    def counted(v, top):
         nonlocal calls
         calls += 1
-        return side_lds(v)
+        return side_lds(v, top)
 
     monkeypatch.setattr(bijections, "_side_lds", counted)
     checks = dict(signed_cancellation_audit(3, k).checks)
