@@ -1,18 +1,19 @@
 """Structured output records, text renderers, and the persistent count cache.
 
-All integers are rendered as decimal strings in every format; the same
-record carries the same digit strings as a table, JSON, or CSV, and the json
-and csv modules load only for their own formats.  The cache file is a
-versioned, sorted-key text document, so a load/save round trip is byte-identical.
+Every format writes integers as decimal strings.  JSON is written in one pass,
+in the layout of ``json.dumps(indent=2)``; json loads only for its string
+escaper and csv only for CSV.  The cache file is a versioned, sorted-key text
+document, so a load/save round trip is byte-identical.
 """
 
 from __future__ import annotations
 
 import io
 import os
+import re
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from .errors import CacheMismatchError
 
@@ -23,17 +24,28 @@ FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
 
 
-def _s(value: Any) -> Any:
-    """Integers (not bools) to decimal strings, recursively."""
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_s(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _s(v) for k, v in value.items()}
-    return value
+def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> list[str]:
+    """Append ``value`` to ``out`` (and return it) as ``json.dumps(indent=2)`` would, ints as strings."""
+    inner = pad + "  "
+    if value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, (int, str)):
+        out.append(quote(str(value)))
+    elif isinstance(value, dict):
+        for i, (key, item) in enumerate(value.items()):
+            head = f"{',' if i else '{'}\n{inner}{quote(key)}: "
+            out.append(f'{head}"{item}"' if type(item) is int else head)  # int fields: no call
+            if type(item) is not int:
+                _json(item, out, inner, quote)
+        out.append(f"\n{pad}}}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            out.append(f"{',' if i else '['}\n{inner}")
+            _json(item, out, inner, quote)
+        out.append(f"\n{pad}]" if value else "[]")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    return out
 
 
 def _cell(value: Any) -> str:
@@ -65,9 +77,8 @@ def render(kind: str, payload: dict, fmt: str) -> str:
     if kind not in ("count", "verdict", "trace"):
         raise ValueError(f"unknown record kind {kind!r}")
     if fmt == "json":
-        import json
-
-        return json.dumps({"kind": kind, **_s(payload)}, indent=2)
+        from json.encoder import encode_basestring_ascii
+        return "".join(_json({"kind": kind, **payload}, [], "", encode_basestring_ascii))
     tabulate = _aligned if fmt == "table" else _csv_text
     if kind == "count":
         return tabulate(
@@ -186,7 +197,7 @@ _MAX_INDEX_DIGITS = len(str(sys.maxsize))
 
 
 def _parse_index(name: str, text: str) -> int:
-    if len(text.lstrip("+-")) > _MAX_INDEX_DIGITS:
+    if len(text.lstrip("-")) > _MAX_INDEX_DIGITS:
         raise ValueError(f"{name} has more than {_MAX_INDEX_DIGITS} digits")
     return int(text)
 
@@ -198,6 +209,10 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
     if len(parts) != 4:
         raise ValueError("expected 'family k n value'")
     family, k_text, n_text, value_text = parts
+    # save_cache writes integers in this form only; int() would also take '+9', '09' and '9_0'
+    for name, text in (("k", k_text), ("n", n_text), ("count", value_text)):
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", text) and (name, text) != ("k", "-"):
+            raise ValueError(f"{name} is not a canonical decimal integer")
     k = None if k_text == "-" else _parse_index("k", k_text)
     n = _parse_index("n", n_text)
     validate_family(family, k, n)

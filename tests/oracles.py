@@ -1,14 +1,15 @@
 """Independent brute-force oracles used to compute expected test values.
 
 Deliberately naive and structurally different from the library: subsequence
-search over index combinations, tableau generation by backtracking, and
+search over index combinations, tableau generation by backtracking,
 involution generation by filtering whole permutations or by recursion on the
-smallest label (the reference for the audit's generation order).  The
-exponential routes at the end (every maximum decreasing subsequence, every
-permutation) live here and not in the library, which keeps only what its
-commands run.
+smallest label (the reference for the audit's generation order), and JSON
+records laid out by the stdlib's ``json.dumps(indent=2)``.  The exponential
+routes at the end (every maximum decreasing subsequence, every permutation)
+live here and not in the library, which keeps only what its commands run.
 """
 
+import json
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -162,6 +163,24 @@ def generate_involutions(support):
 
 def word_fixed_points(w):
     return [i + 1 for i in range(len(w)) if w[i] == i + 1]
+
+
+def oracle_s(value):
+    """Integers (not bools) to decimal strings, recursively; tuples become lists."""
+    if isinstance(value, bool):
+        return value
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [oracle_s(v) for v in value]
+    if isinstance(value, dict):
+        return {k: oracle_s(v) for k, v in value.items()}
+    return value
+
+
+def oracle_json(kind, payload):
+    """Oracle for ``render(kind, payload, "json")``: the stdlib encoder's indent=2 layout."""
+    return json.dumps({"kind": kind, **oracle_s(payload)}, indent=2)
 
 
 # ---------------------------------------------------------------- exponential routes

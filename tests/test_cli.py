@@ -11,7 +11,9 @@ from math import comb, prod
 import click
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, strategies as st
 
+from oracles import oracle_json
 from sytkit.cli import main, parse_cycles, parse_range, parse_word
 from sytkit.core import Involution
 from sytkit.counting import catalan
@@ -510,6 +512,27 @@ def test_json_serializes_integers_as_strings():
         assert isinstance(row["n"], str)
 
 
+# text with quotes, backslashes, control characters, a lone surrogate and non-ASCII letters
+JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001F600ab', min_size=1)
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10**300, 10**300) | JSON_TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+    max_leaves=12,
+)
+
+
+@given(st.sampled_from(["count", "verdict", "trace"]), st.dictionaries(JSON_TEXT, JSON_VALUE, max_size=4))
+def test_json_writer_matches_the_stdlib_encoder(kind, payload):
+    assert render(kind, payload, "json") == oracle_json(kind, payload)
+
+
+@pytest.mark.parametrize("bad", [1.5, {1, 2}, [None, {"x": (1, 2.0)}]], ids=["float", "set", "nested"])
+def test_json_writer_refuses_floats_and_sets(bad):
+    with pytest.raises(TypeError, match="is not JSON serializable"):
+        render("trace", {"fields": bad}, "json")
+
+
 @pytest.fixture
 def int_digit_cap():
     """The CLI lifts Python's int/str digit cap for its whole process; restore it after."""
@@ -710,6 +733,25 @@ def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, ver
         load_cache(path)
 
 
+@pytest.mark.parametrize("body, field", [
+    ("y 3 4 9_0", "count"),   # int() reads 90
+    ("y 3 4 +9", "count"),
+    ("y 3 4 0009", "count"),
+    ("y 3 4 -0", "count"),    # int() reads 0, which is not negative
+    ("y 3 +4 9", "n"),
+    ("y 03 4 9", "k"),
+], ids=["underscore", "plus", "leading-zeros", "negative-zero", "plus-n", "leading-zero-k"])
+def test_cache_accepts_only_the_integers_save_cache_writes(tmp_path, body, field):
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\n{body}\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), "count", "y", "--k", "3", "--n", "4")
+    assert result.exit_code == 2
+    assert result.stdout == ""
+    assert f"{field} is not a canonical decimal integer" in result.stderr
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("body", [
     # no count at n = 5 has more than 5 * len("5") digits
     pytest.param(f"catalan - 5 {'7' * 5000}", id="5000"),
@@ -803,6 +845,17 @@ def test_table_format_loads_neither_csv_nor_json():
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_json_and_csv_formats_load_only_their_own_module(fmt):
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    proc = subprocess.run([sys.executable, "-c", TABLE_FORMAT_LOADS, "--format", fmt,
+                           "rsk", "--cycles", "(13)(26)(5)"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"['{fmt}']\n"
 
 
 def test_each_command_loads_only_its_layers():
