@@ -54,7 +54,7 @@ def _parse_cycle_group(group: str) -> list[int]:
         pieces = list(group)
     elif pieces[1:] == [""]:
         pieces.pop()  # '(12,)' is a fixed point with a wide label
-    if not all(p.isdigit() for p in pieces):
+    if not all(p.isdecimal() for p in pieces):
         raise click.UsageError(f"malformed cycle ({group})")
     labels = [int(p) for p in pieces]
     if juxtaposed and 0 in labels:
@@ -189,7 +189,7 @@ def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
         verify_cache_entries(entries)
     missing = [n for n in sizes if (family, k, n) not in entries]  # a cached value is not recomputed
     for n in missing:
-        entries[family, k, n] = count_family(family, k, n)
+        entries[family, k, n] = str(count_family(family, k, n))
     rows = [{"family": family, "k": k, "n": n, "value": entries[family, k, n]} for n in sizes]
     if cache_path is not None and missing:
         save_cache(entries, cache_path)

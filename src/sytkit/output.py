@@ -3,7 +3,8 @@
 Every format writes integers as decimal strings.  JSON is written in one pass,
 in the layout of ``json.dumps(indent=2)``; json loads only for its string
 escaper and csv only for CSV.  The cache file is a versioned, sorted-key text
-document, so a load/save round trip is byte-identical.
+document, so a load/save round trip is byte-identical.  A cached count is kept
+as the decimal text it was read as and is never parsed.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def _key_sort(key: CacheKey) -> tuple:
     return (family, k is not None, k if k is not None else 0, n)
 
 
-def save_cache(entries: dict[CacheKey, int], path: str | Path) -> None:
+def save_cache(entries: dict[CacheKey, str], path: str | Path) -> None:
     """Write the cache through a temporary file in the same directory, then rename
     it over ``path``, so a failed write leaves the old file as it was."""
     lines = [CACHE_HEADER]
@@ -192,46 +193,42 @@ def save_cache(entries: dict[CacheKey, int], path: str | Path) -> None:
         raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
-# no k or n past sys.maxsize can be computed; longer text is refused before the quadratic int()
-_MAX_INDEX_DIGITS = len(str(sys.maxsize))
+# The one form save_cache writes in each field (int() would also take '+9', '09' and '9_0'):
+# no k or n past sys.maxsize can be computed, and a count is unsigned and never parsed.
+_INDEX_FORM = rf"0|-?[1-9][0-9]{{0,{len(str(sys.maxsize)) - 1}}}"
+_FIELD_FORMS = (
+    ("k", f"-|{_INDEX_FORM}", f" of at most {len(str(sys.maxsize))} digits"),
+    ("n", _INDEX_FORM, f" of at most {len(str(sys.maxsize))} digits"),
+    ("count", "0|[1-9][0-9]*", " >= 0"),
+)
 
 
-def _parse_index(name: str, text: str) -> int:
-    if len(text.lstrip("-")) > _MAX_INDEX_DIGITS:
-        raise ValueError(f"{name} has more than {_MAX_INDEX_DIGITS} digits")
-    return int(text)
-
-
-def _parse_cache_line(line: str) -> tuple[CacheKey, int]:
+def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
     from .counting import validate_family
 
     parts = line.split()
     if len(parts) != 4:
         raise ValueError("expected 'family k n value'")
-    family, k_text, n_text, value_text = parts
-    # save_cache writes integers in this form only; int() would also take '+9', '09' and '9_0'
-    for name, text in (("k", k_text), ("n", n_text), ("count", value_text)):
-        if not re.fullmatch(r"0|-?[1-9][0-9]*", text) and (name, text) != ("k", "-"):
-            raise ValueError(f"{name} is not a canonical decimal integer")
-    k = None if k_text == "-" else _parse_index("k", k_text)
-    n = _parse_index("n", n_text)
+    for (name, form, rule), text in zip(_FIELD_FORMS, parts[1:]):
+        if not re.fullmatch(form, text):
+            raise ValueError(f"{name} is not a canonical decimal integer{rule}")
+    family, k_text, n_text, value = parts
+    k = None if k_text == "-" else int(k_text)
+    n = int(n_text)
     validate_family(family, k, n)
-    # every family's count is at most n**n (1 at n = 0); checked before the quadratic int()
-    if len(value_text) > max(1, n * len(str(n))):
-        raise ValueError(f"count has {len(value_text)} digits, more than any count at n={n}")
-    value = int(value_text)
-    if value < 0:
-        raise ValueError(f"count must be non-negative, got {value}")
+    # every family's count is at most n**n (1 at n = 0)
+    if len(value) > max(1, n * len(n_text)):
+        raise ValueError(f"count has {len(value)} digits, more than any count at n={n}")
     return (family, k, n), value
 
 
-def load_cache(path: str | Path) -> dict[CacheKey, int]:
+def load_cache(path: str | Path) -> dict[CacheKey, str]:
     """Read a cache file; any malformed or duplicate entry raises ValueError."""
     text = Path(path).read_text(encoding="ascii")
     lines = text.splitlines()
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"not a cache file (expected header {CACHE_HEADER!r})")
-    entries: dict[CacheKey, int] = {}
+    entries: dict[CacheKey, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -245,12 +242,12 @@ def load_cache(path: str | Path) -> dict[CacheKey, int]:
     return entries
 
 
-def verify_cache_entries(entries: dict[CacheKey, int]) -> None:
+def verify_cache_entries(entries: dict[CacheKey, str]) -> None:
     """Recompute every entry; raise on the first disagreement."""
     from .counting import count_family
 
     for (family, k, n), value in sorted(entries.items(), key=lambda kv: _key_sort(kv[0])):
-        expected = count_family(family, k, n)
+        expected = str(count_family(family, k, n))
         if expected != value:
             raise CacheMismatchError(
                 f"cache entry {family} k={'-' if k is None else k} n={n} "

@@ -17,7 +17,7 @@ from oracles import oracle_json
 from sytkit.cli import main, parse_cycles, parse_range, parse_word
 from sytkit.core import Involution
 from sytkit.counting import catalan
-from sytkit.output import load_cache, render, save_cache
+from sytkit.output import FORMATS, load_cache, render, save_cache
 
 runner = CliRunner()
 
@@ -69,6 +69,7 @@ def test_parse_cycles():
         ("(1)()", "malformed cycle ()"),
         ("(123)", "cycle (123) has 3 labels; involutions allow 1 or 2"),
         ("(1,2,3)", "cycle (1,2,3) has 3 labels; involutions allow 1 or 2"),
+        ("(²)", "malformed cycle (²)"),  # a digit to str.isdigit, but not to int()
     ):
         with pytest.raises(click.UsageError) as caught:
             parse_cycles(bad)
@@ -451,7 +452,7 @@ def test_global_flag_the_command_does_not_read_is_a_usage_error(tmp_path, comman
 def test_global_flags_are_read_by_their_commands(tmp_path):
     cache = tmp_path / "c.cache"
     assert run("--cache", str(cache), "count", "catalan", "--n", "3").exit_code == 0
-    assert load_cache(cache) == {("catalan", None, 3): 5}
+    assert load_cache(cache) == {("catalan", None, 3): "5"}
     assert run("--cache", str(cache), "--verify-cache", "count", "catalan", "--n", "3").exit_code == 0
     f_call, g_call = COMMAND_CALLS["bijection f"][0], COMMAND_CALLS["bijection g"][0]
     assert trace_fields(run("--trace", *f_call).stdout)["pivot"] == "2"
@@ -571,9 +572,9 @@ def test_cache_merges_and_sorts_entries(tmp_path):
     run("--cache", str(path), "count", "catalan", "--n", "3")
     run("--cache", str(path), "count", "u", "--k", "2", "--n", "3")
     entries = load_cache(path)
-    assert entries[("y", 3, 2)] == 2
-    assert entries[("catalan", None, 3)] == 5
-    assert entries[("u", 2, 3)] == 5
+    assert entries[("y", 3, 2)] == "2"
+    assert entries[("catalan", None, 3)] == "5"
+    assert entries[("u", 2, 3)] == "5"
     lines = path.read_text().splitlines()[1:]
     assert lines == sorted(lines) or lines  # canonical order is stable
     before = path.read_bytes()
@@ -610,12 +611,17 @@ def test_cache_intact_verification_passes(tmp_path):
     assert result.exit_code == 0
 
 
-def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch):
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch, fmt):
     import sytkit.counting as counting
 
     path = tmp_path / "counts.cache"
-    args = ("--cache", str(path), "count", "y", "--k", "3", "--n", "4..9")
+    args = ("--format", fmt, "--cache", str(path), "count", "y", "--k", "3", "--n", "4..9")
     first = run(*args)
+    # a count reaches the renderer as its decimal text, which prints as the int does
+    ints = [{"family": "y", "k": 3, "n": n, "value": counting.count_family("y", 3, n)}
+            for n in range(4, 10)]
+    assert first.exit_code == 0 and first.output == render("count", {"rows": ints}, fmt) + "\n"
     walked = []
     hook_length_count = counting.hook_length_count
     monkeypatch.setattr(counting, "hook_length_count",
@@ -631,7 +637,7 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch):
     third = run("--cache", str(path), "count", "y", "--k", "3", "--n", "8..10")
     assert table_column(third.output, "value") == ["323", "835", "2188"]  # Motzkin numbers
     assert walked and all(sum(shape) == 10 for shape in walked)  # only the miss is walked
-    assert load_cache(path)[("y", 3, 10)] == 2188
+    assert load_cache(path)[("y", 3, 10)] == "2188"
 
 
 def test_all_hit_cached_count_leaves_the_file_alone(tmp_path, monkeypatch):
@@ -649,7 +655,7 @@ def test_all_hit_cached_count_leaves_the_file_alone(tmp_path, monkeypatch):
 
     assert run("--cache", str(path), "count", "y", "--k", "3", "--n", "4..10").exit_code == 0
     assert saved == [str(path)]  # one miss, one save
-    assert load_cache(path)[("y", 3, 10)] == 2188
+    assert load_cache(path)[("y", 3, 10)] == "2188"
 
 
 @pytest.mark.parametrize("body, verify_flag, code", [
@@ -681,7 +687,7 @@ def test_cache_round_trips_values_past_the_int_digit_cap(tmp_path, int_digit_cap
     checked = run("--cache", str(path), "--verify-cache", "count", "catalan", "--n", "8000")
     assert checked.exit_code == 0, checked.stderr
     assert checked.stdout == first.stdout
-    assert load_cache(path) == {("catalan", None, 8000): catalan(8000)}
+    assert load_cache(path) == {("catalan", None, 8000): str(catalan(8000))}
 
 
 def test_cache_rejects_malformed_file(tmp_path):
@@ -772,6 +778,21 @@ def test_cache_rejects_oversized_value_and_leaves_file_untouched(tmp_path, body,
     assert result.exit_code == 2
     assert "digits" in result.stderr
     assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize("n, digits", [(200_000, 1_100_000), (10**18, 300_000)],
+                         ids=["n-200000", "n-10**18"])
+def test_cache_keeps_a_long_count_as_text_without_parsing_it(tmp_path, n, digits, int_digit_cap):
+    # both lines pass the digit bound; int() and str() on a count this long take seconds
+    line = f"catalan - {n} {'7' * digits}"
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\n{line}\n".encode())
+    start = time.perf_counter()
+    result = run("--cache", str(path), "count", "catalan", "--n", "1")
+    assert time.perf_counter() - start < 1
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == run("count", "catalan", "--n", "1").stdout
+    assert path.read_bytes() == f"sytkit cache v1\ncatalan - 1 1\n{line}\n".encode()
 
 
 @pytest.mark.parametrize("n", (0, 1))
