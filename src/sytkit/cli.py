@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Subcommands: count, verify, rsk, bijection f|g|g-inverse, audit.  Global flags
---format, --cache, --verify-cache, --oracle-limit, --trace come before the subcommand.
-Every command reads --format; only count reads --cache and --verify-cache, only
-bijection f and g read --trace, and only audit reads --oracle-limit.  A global flag
-given to a command that does not read it is a usage error.
+One argparse parser (``build_parser``) reads the global flags, then a subcommand:
+count, verify, rsk, bijection f|g|g-inverse, audit.  Every command reads --format;
+only count reads --cache and --verify-cache, only bijection f and g read --trace,
+and only audit reads --oracle-limit.  Any other global flag is a usage error.
 
-Exit codes: 0 success / all verdicts hold, 1 verification failure,
-2 usage or parse error, 3 scale-limit error.
+``run`` maps every outcome to one exit code: 0 success / all verdicts hold;
+1 a failing verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``,
+printed as ``Error: <message>`` on stderr; 3 ``ScaleLimitError``.  ``main``, the
+``sytkit`` entry point, exits with that code.
 
 Core and output load with this module; each command imports any other layer
 it runs inside its own body, so a process loads only those: ``count``
@@ -16,32 +17,42 @@ counting, ``verify`` identities, ``bijection`` bijections, ``audit`` all.
 
 from __future__ import annotations
 
+import argparse
 import re
 import sys
 from pathlib import Path
-
-import click
-from click.core import ParameterSource
 
 from .core import Involution, odd_columns, rs_of_involution
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, PivotAbsentError, ScaleLimitError
 from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
+EXIT_USAGE = 2
 EXIT_SCALE_LIMIT = 3
+
+# every integer the CLI reads; ASCII digits only, since \d, str.isdecimal and int()
+# also accept the decimal digits of other scripts
+INTEGER = "-?[0-9]+"
 
 
 # ---------------------------------------------------------------- parsing
 
+def integer(text: str) -> int:
+    """An integer option value; argparse names this function in its error message."""
+    if re.fullmatch(INTEGER, text.strip()) is None:
+        raise ValueError(text)
+    return int(text)
+
+
 def parse_range(text: str) -> range:
     """Inclusive 'a..b' range, or a single integer."""
     text = text.strip()
-    m = re.fullmatch(r"(-?\d+)(?:\.\.(-?\d+))?", text)
+    m = re.fullmatch(rf"({INTEGER})(?:\.\.({INTEGER}))?", text)
     if m is None:
-        raise click.UsageError(f"expected an integer or 'a..b' range, got {text!r}")
+        raise ValueError(f"expected an integer or 'a..b' range, got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2) or m.group(1))
     if lo > hi:
-        raise click.UsageError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text!r}")
     return range(lo, hi + 1)
 
 
@@ -54,11 +65,11 @@ def _parse_cycle_group(group: str) -> list[int]:
         pieces = list(group)
     elif pieces[1:] == [""]:
         pieces.pop()  # '(12,)' is a fixed point with a wide label
-    if not all(p.isdecimal() for p in pieces):
-        raise click.UsageError(f"malformed cycle ({group})")
+    if not all(re.fullmatch("[0-9]+", p) for p in pieces):
+        raise ValueError(f"malformed cycle ({group})")
     labels = [int(p) for p in pieces]
     if juxtaposed and 0 in labels:
-        raise click.UsageError(f"cycle ({group}) needs comma form for labels >= 10")
+        raise ValueError(f"cycle ({group}) needs comma form for labels >= 10")
     return labels
 
 
@@ -68,7 +79,7 @@ def parse_cycles(text: str) -> Involution:
     if compact in ("", "()"):
         return Involution()
     if not re.fullmatch(r"(\([^()]*\))+", compact):
-        raise click.UsageError(f"malformed cycle notation {text!r}")
+        raise ValueError(f"malformed cycle notation {text!r}")
     fixed, cycles = [], []
     for group in re.findall(r"\(([^()]*)\)", compact):
         labels = _parse_cycle_group(group)
@@ -77,18 +88,16 @@ def parse_cycles(text: str) -> Involution:
         elif len(labels) == 2:
             cycles.append((labels[0], labels[1]))
         else:
-            raise click.UsageError(
-                f"cycle ({group}) has {len(labels)} labels; involutions allow 1 or 2"
-            )
+            raise ValueError(f"cycle ({group}) has {len(labels)} labels; involutions allow 1 or 2")
     return Involution(fixed, cycles)
 
 
 def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
     """Whitespace- or comma-separated integers; ``noun`` names them in the error."""
-    try:
-        return tuple(int(p) for p in re.split(r"[,\s]+", text.strip()) if p)
-    except ValueError:
-        raise click.UsageError(f"{noun} must be integers, got {text!r}")
+    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
+    if not all(re.fullmatch(INTEGER, p) for p in parts):
+        raise ValueError(f"{noun} must be integers, got {text!r}")
+    return tuple(map(int, parts))
 
 
 def parse_word(text: str) -> Involution:
@@ -96,138 +105,47 @@ def parse_word(text: str) -> Involution:
     return Involution.from_word(_parse_ints(text, "word entries"))
 
 
-# ---------------------------------------------------------------- group
-
-class ExitCodeCommand(click.Command):
-    """A subcommand whose library errors end in the documented exit codes, and
-    which refuses a global flag given on the command line that it does not read."""
-
-    def invoke(self, ctx: click.Context):
-        root, reads = ctx.find_root(), {"--format", *GLOBAL_FLAGS_READ.get(self.name, ())}
-        unread = [f.opts[0] for f in root.command.params if f.opts[0] not in reads
-                  and root.get_parameter_source(f.name) is ParameterSource.COMMANDLINE]
-        if unread:
-            flags = "flags" if len(unread) > 1 else "flag"
-            raise click.UsageError(f"{ctx.command_path} does not read the global {flags} {', '.join(unread)}", ctx)
-        try:
-            return super().invoke(ctx)
-        except ScaleLimitError as exc:
-            click.echo(str(exc), err=True)
-            ctx.exit(EXIT_SCALE_LIMIT)
-        except CacheMismatchError as exc:
-            click.echo(f"cache verification failed: {exc}", err=True)
-            ctx.exit(EXIT_VERIFICATION_FAILURE)
-        except (ValueError, OSError) as exc:
-            raise click.UsageError(str(exc), ctx) from exc
+def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
+    sys.stdout.write(render(kind, payload, args.format) + "\n")  # one write, so `| head` ends it cleanly
 
 
-class ExitCodeGroup(click.Group):
-    command_class = ExitCodeCommand
+# ---------------------------------------------------------------- commands
 
-
-class IdentityChoice(click.Choice):
-    """The names in ``identities.IDENTITIES``, read when first needed, so that
-    building the command line does not import the identities layer."""
-
-    def __init__(self) -> None:
-        self.case_sensitive = True
-
-    @property
-    def choices(self) -> tuple[str, ...]:
-        from .identities import IDENTITIES
-
-        return tuple(sorted(IDENTITIES))
-
-
-@click.group(cls=ExitCodeGroup)
-@click.option("--format", "fmt", type=click.Choice(FORMATS), default="table",
-              show_default=True, help="Output rendering.")
-@click.option("--cache", "cache_path", type=click.Path(dir_okay=False), default=None,
-              help="Count cache file to read and update.")
-@click.option("--verify-cache", is_flag=True,
-              help="Recompute and check every cache entry on load.")
-@click.option("--oracle-limit", type=click.IntRange(min=1), default=DEFAULT_PAIR_SPACE_LIMIT,
-              help="Override the exhaustive-search size limit.")
-@click.option("--trace", is_flag=True, help="Show intermediate bijection data.")
-@click.pass_context
-def main(ctx: click.Context, cache_path: str | None, verify_cache: bool, **_: object) -> None:
-    """Exact tableau/involution counts, identity checks, and bijection tools."""
-    if verify_cache and cache_path is None:
-        raise click.UsageError("--verify-cache needs --cache")
-    # exact counts can run past Python's int/str digit cap; the setting is process-wide
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    ctx.obj = ctx.params  # the global flags, by parameter name
-
-
-# the global flags each command reads besides --format, which every command reads;
-# bijection f and g are the subcommands named f and g
-GLOBAL_FLAGS_READ = {"count": ("--cache", "--verify-cache"), "f": ("--trace",), "g": ("--trace",),
-                     "audit": ("--oracle-limit",)}
-
-
-def _emit(ctx: click.Context, kind: str, payload: dict) -> None:
-    click.echo(render(kind, payload, ctx.obj["fmt"]))
-
-
-# ---------------------------------------------------------------- count
-
-@main.command()
-@click.argument("family")
-@click.option("--k", type=int, default=None, help="Subsequence/row bound (families u, y, x).")
-@click.option("--n", "n_range", required=True, help="Size, or inclusive range 'a..b'.")
-@click.pass_context
-def count(ctx: click.Context, family: str, k: int | None, n_range: str) -> None:
+def count(args: argparse.Namespace) -> None:
     """Evaluate one counting family at the given sizes."""
     from .counting import count_family, validate_family
 
-    sizes = parse_range(n_range)
+    family, k, sizes = args.family, args.k, parse_range(args.n)
     validate_family(family, k, sizes[0])  # before the cache, so a bad query is reported first
-    cache_path = ctx.obj["cache_path"]
-    entries = load_cache(cache_path) if cache_path is not None and Path(cache_path).exists() else {}
-    if ctx.obj["verify_cache"]:
+    entries = load_cache(args.cache) if args.cache is not None and Path(args.cache).exists() else {}
+    if args.verify_cache:
         verify_cache_entries(entries)
     missing = [n for n in sizes if (family, k, n) not in entries]  # a cached value is not recomputed
     for n in missing:
         entries[family, k, n] = str(count_family(family, k, n))
     rows = [{"family": family, "k": k, "n": n, "value": entries[family, k, n]} for n in sizes]
-    if cache_path is not None and missing:
-        save_cache(entries, cache_path)
+    if args.cache is not None and missing:
+        save_cache(entries, args.cache)
+    _emit(args, "count", {"rows": rows})
 
-    _emit(ctx, "count", {"rows": rows})
 
-
-# ---------------------------------------------------------------- verify
-
-@main.command()
-@click.argument("identity", type=IdentityChoice())
-@click.option("--k", type=int, default=None, help="Bound parameter, where the identity takes one.")
-@click.option("--n", "n_range", required=True, help="Instance size, or inclusive range 'a..b'.")
-@click.pass_context
-def verify(ctx: click.Context, identity: str, k: int | None, n_range: str) -> None:
+def verify(args: argparse.Namespace) -> int | None:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
     from .counting import check_takes_k
     from .identities import IDENTITIES
 
-    verifier, takes_k = IDENTITIES[identity]
-    check_takes_k("identity", identity, takes_k, k)
-    verdicts = [verifier(k, n) if takes_k else verifier(n) for n in parse_range(n_range)]
-    _emit(ctx, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
-    if not all(v.holds for v in verdicts):
-        ctx.exit(EXIT_VERIFICATION_FAILURE)
+    if args.identity not in IDENTITIES:
+        raise ValueError(f"unknown identity {args.identity!r}; expected one of {', '.join(IDENTITIES)}")
+    verifier, takes_k = IDENTITIES[args.identity]
+    check_takes_k("identity", args.identity, takes_k, args.k)
+    verdicts = [verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)]
+    _emit(args, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
+    return None if all(v.holds for v in verdicts) else EXIT_VERIFICATION_FAILURE
 
 
-# ---------------------------------------------------------------- rsk
-
-@main.command()
-@click.option("--cycles", default=None, help="Involution in cycle notation, e.g. '(13)(26)(5)'.")
-@click.option("--word", default=None, help="Involution as a one-line word, e.g. '2 1 4 3'.")
-@click.pass_context
-def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
+def rsk(args: argparse.Namespace) -> None:
     """Map an involution to its standard tableau and report its statistics."""
-    if (cycles is None) == (word is None):
-        raise click.UsageError("provide exactly one of --cycles or --word")
-    v = parse_cycles(cycles) if cycles is not None else parse_word(word)
+    v = parse_cycles(args.cycles) if args.cycles is not None else parse_word(args.word)
     t = rs_of_involution(v)
     odd = odd_columns(t)
     # Schensted: the first row is a longest increasing subsequence, the rows count a decreasing one
@@ -242,38 +160,25 @@ def rsk(ctx: click.Context, cycles: str | None, word: str | None) -> None:
         ("odd_columns", odd),
         ("beissinger_ok", odd == len(v.fixed_points)),
     ]
-    _emit(ctx, "trace", {"fields": fields})
+    _emit(args, "trace", {"fields": fields})
 
 
-# ---------------------------------------------------------------- bijection
-
-@main.group(cls=ExitCodeGroup)
-def bijection() -> None:
-    """Apply one of the constructive maps to explicit inputs."""
-
-
-@bijection.command("f")
-@click.option("--n", type=click.IntRange(min=0), required=True, help="Half the ground-set size.")
-@click.option("--p", "p_text", required=True, help="First involution, cycle notation.")
-@click.option("--q", "q_text", required=True, help="Second involution, cycle notation.")
-@click.pass_context
-def bijection_f(ctx: click.Context, n: int, p_text: str, q_text: str) -> None:
+def bijection_f(args: argparse.Namespace) -> None:
     """Toggle the largest free point of a pair to the other side."""
     from .bijections import PairState, free_points, pivot, toggle_pivot
 
-    state = PairState(parse_cycles(p_text), parse_cycles(q_text), n)
+    state = PairState(parse_cycles(args.p), parse_cycles(args.q), args.n)
     try:
         image = toggle_pivot(state)
     except PivotAbsentError:
-        click.echo("f undefined: both involutions fixed-point-free", err=True)
-        ctx.exit(2)
+        raise ValueError("f undefined: both involutions fixed-point-free") from None
     fields = [
         ("p", state.p.cycle_string()),
         ("q", state.q.cycle_string()),
         ("p_out", image.p.cycle_string()),
         ("q_out", image.q.cycle_string()),
     ]
-    if ctx.obj["trace"]:
+    if args.trace:
         m = pivot(state)
         moved_from = "p" if m in state.p.fixed_points else "q"
         fields += [
@@ -282,20 +187,16 @@ def bijection_f(ctx: click.Context, n: int, p_text: str, q_text: str) -> None:
             ("moved_from", moved_from),
             ("moved_to", "q" if moved_from == "p" else "p"),
         ]
-    _emit(ctx, "trace", {"fields": fields})
+    _emit(args, "trace", {"fields": fields})
 
 
-@bijection.command("g")
-@click.option("--chosen", required=True, help="Arranged labels, e.g. '3 1'.")
-@click.option("--n", type=int, default=None, help="Number of chosen labels, checked if given.")
-@click.pass_context
-def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
+def bijection_g(args: argparse.Namespace) -> None:
     """Match an arrangement with the unchosen labels, red or blue."""
     from .bijections import arrangement_to_matching
 
-    labels = _parse_ints(chosen, "labels")
-    if n is not None and n != len(labels):
-        raise click.UsageError(f"--n {n} does not match the number of chosen labels, {len(labels)}")
+    labels = _parse_ints(args.chosen, "labels")
+    if args.n is not None and args.n != len(labels):
+        raise ValueError(f"--n {args.n} does not match the number of chosen labels, {len(labels)}")
     colored = arrangement_to_matching(labels)
     payload = {"fields": [
         ("n", colored.n),
@@ -303,47 +204,145 @@ def bijection_g(ctx: click.Context, chosen: str, n: int | None) -> None:
         ("red", colored.p.cycle_string()),
         ("blue", colored.q.cycle_string()),
     ]}
-    if ctx.obj["trace"]:
+    if args.trace:
         # red cycles have the unchosen label first, blue ones the chosen label
         payload["table"] = {
             "columns": ["unchosen", "chosen", "color"],
             "rows": sorted([[a, b, "red"] for a, b in colored.p.two_cycles]
                            + [[b, a, "blue"] for a, b in colored.q.two_cycles]),
         }
-    _emit(ctx, "trace", payload)
+    _emit(args, "trace", payload)
 
 
-@bijection.command("g-inverse")
-@click.option("--red", required=True, help="Red 2-cycles, cycle notation.")
-@click.option("--blue", required=True, help="Blue 2-cycles, cycle notation.")
-@click.pass_context
-def bijection_g_inverse(ctx: click.Context, red: str, blue: str) -> None:
+def bijection_g_inverse(args: argparse.Namespace) -> None:
     """Recover the arrangement from a red/blue matching."""
     from .bijections import PairState, matching_to_arrangement
 
-    red_inv, blue_inv = parse_cycles(red), parse_cycles(blue)
+    red_inv, blue_inv = parse_cycles(args.red), parse_cycles(args.blue)
     colored = PairState(red_inv, blue_inv, (red_inv.size + blue_inv.size) // 2)
-    _emit(ctx, "trace", {"fields": [
+    _emit(args, "trace", {"fields": [
         ("red", red_inv.cycle_string()),
         ("blue", blue_inv.cycle_string()),
         ("chosen", " ".join(str(x) for x in matching_to_arrangement(colored)) or "-"),
     ]})
 
 
-# ---------------------------------------------------------------- audit
-
-@main.command()
-@click.option("--n", type=int, required=True, help="Half the ground-set size.")
-@click.option("--k", type=int, default=None, help="Odd decreasing-subsequence bound.")
-@click.pass_context
-def audit(ctx: click.Context, n: int, k: int | None) -> None:
+def audit(args: argparse.Namespace) -> int | None:
     """Exhaustively audit the cancellation argument; exit 0 iff it all checks out."""
     from .bijections import signed_cancellation_audit
 
-    verdict = signed_cancellation_audit(n, k, limit=ctx.obj["oracle_limit"])
-    _emit(ctx, "verdict", {"verdicts": [verdict_payload(verdict)]})
-    if not verdict.holds:
-        ctx.exit(EXIT_VERIFICATION_FAILURE)
+    verdict = signed_cancellation_audit(args.n, args.k, limit=args.oracle_limit or DEFAULT_PAIR_SPACE_LIMIT)
+    _emit(args, "verdict", {"verdicts": [verdict_payload(verdict)]})
+    return None if verdict.holds else EXIT_VERIFICATION_FAILURE
+
+
+# ---------------------------------------------------------------- parser
+
+# the global flags besides --format, which every command reads; each defaults to None, so a given flag shows
+GLOBAL_FLAGS = ("--cache", "--verify-cache", "--oracle-limit", "--trace")
+GLOBAL_FLAGS_READ = {"count": ("--cache", "--verify-cache"), "f": ("--trace",), "g": ("--trace",),
+                     "audit": ("--oracle-limit",)}
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose errors go to ``run``'s exit-code mapping, not to ``sys.exit``."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(allow_abbrev=False, **kwargs)  # so '--verify-c' is refused
+        self._negative_number_matcher = re.compile("-[0-9]")  # '--n -2..1' passes a range
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
+def _command(commands, name: str, func) -> argparse.ArgumentParser:
+    parser = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
+    parser.set_defaults(func=func, command=parser.prog)  # prog is 'sytkit count', 'sytkit bijection f'
+    return parser
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser: global flags, then a subcommand and its options."""
+    parser = _Parser(prog="sytkit",
+                     description="Exact tableau/involution counts, identity checks, and bijection tools.")
+    parser.add_argument("--format", choices=FORMATS, default="table", help="Output rendering (default: table).")
+    parser.add_argument("--cache", help="Count cache file to read and update.")
+    parser.add_argument("--verify-cache", action="store_true", default=None,
+                        help="Recompute and check every cache entry on load.")
+    parser.add_argument("--oracle-limit", type=integer, help="Override the exhaustive-search size limit "
+                        f"(at least 1, default {DEFAULT_PAIR_SPACE_LIMIT}).")
+    parser.add_argument("--trace", action="store_true", default=None, help="Show intermediate bijection data.")
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+
+    sub = _command(commands, "count", count)
+    sub.add_argument("family", metavar="FAMILY", help="u, y, y_unbounded, x, x_unbounded or catalan.")
+    sub.add_argument("--k", type=integer, help="Subsequence/row bound (families u, y, x).")
+    sub.add_argument("--n", required=True, help="Size, or inclusive range 'a..b'.")
+    sub = _command(commands, "verify", verify)
+    sub.add_argument("identity", metavar="IDENTITY", help="An identity name, e.g. wilf, odd or a005568.")
+    sub.add_argument("--k", type=integer, help="Bound parameter, where the identity takes one.")
+    sub.add_argument("--n", required=True, help="Instance size, or inclusive range 'a..b'.")
+    one_of = _command(commands, "rsk", rsk).add_mutually_exclusive_group(required=True)
+    one_of.add_argument("--cycles", help="Involution in cycle notation, e.g. '(13)(26)(5)'.")
+    one_of.add_argument("--word", help="Involution as a one-line word, e.g. '2 1 4 3'.")
+    doc = "Apply one of the constructive maps to explicit inputs."
+    maps = commands.add_parser("bijection", help=doc, description=doc).add_subparsers(
+        metavar="MAP", required=True)
+    sub = _command(maps, "f", bijection_f)
+    sub.add_argument("--n", type=integer, required=True, help="Half the ground-set size.")
+    sub.add_argument("--p", required=True, help="First involution, cycle notation.")
+    sub.add_argument("--q", required=True, help="Second involution, cycle notation.")
+    sub = _command(maps, "g", bijection_g)
+    sub.add_argument("--chosen", required=True, help="Arranged labels, e.g. '3 1'.")
+    sub.add_argument("--n", type=integer, help="Number of chosen labels, checked if given.")
+    sub = _command(maps, "g-inverse", bijection_g_inverse)
+    sub.add_argument("--red", required=True, help="Red 2-cycles, cycle notation.")
+    sub.add_argument("--blue", required=True, help="Blue 2-cycles, cycle notation.")
+    sub = _command(commands, "audit", audit)
+    sub.add_argument("--n", type=integer, required=True, help="Half the ground-set size.")
+    sub.add_argument("--k", type=integer, help="Odd decreasing-subsequence bound.")
+    return parser
+
+
+# ---------------------------------------------------------------- run
+
+def run(argv: list[str]) -> int:
+    """Run one command line and return its exit code; nothing here raises ``SystemExit``."""
+    # exact counts can run past Python's int/str digit cap; the setting is process-wide
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        args = build_parser().parse_args(argv)
+        if args.verify_cache and args.cache is None:
+            raise ValueError("--verify-cache needs --cache")
+        if args.oracle_limit is not None and args.oracle_limit < 1:
+            raise ValueError(f"--oracle-limit must be at least 1, got {args.oracle_limit}")
+        given = [f for f in GLOBAL_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
+        unread = [f for f in given if f not in GLOBAL_FLAGS_READ.get(args.command.rsplit(" ", 1)[1], ())]
+        if unread:
+            raise ValueError(f"{args.command} does not read the global flag{'s' * (len(unread) > 1)} "
+                             f"{', '.join(unread)}")
+        return args.func(args) or 0
+    except SystemExit as exc:  # --help has printed the help text
+        return exc.code
+    except ScaleLimitError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_SCALE_LIMIT
+    except CacheMismatchError as exc:
+        print(f"cache verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFICATION_FAILURE
+    except (ValueError, OSError) as exc:
+        print(f"Error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
+
+def main() -> None:
+    """The ``sytkit`` entry point: run the process's arguments and exit with the code."""
+    sys.exit(run(sys.argv[1:]))
+
+
+# bench/inproc.py's call form, main.main(args=…, prog_name=…, standalone_mode=False); goes when it calls run
+main.main = lambda args, prog_name=None, standalone_mode=False: run(args)
 
 
 if __name__ == "__main__":

@@ -1,10 +1,11 @@
 """Structured output records, text renderers, and the persistent count cache.
 
 Every format writes integers as decimal strings.  JSON is written in one pass,
-in the layout of ``json.dumps(indent=2)``; json loads only for its string
-escaper and csv only for CSV.  The cache file is a versioned, sorted-key text
-document, so a load/save round trip is byte-identical.  A cached count is kept
-as the decimal text it was read as and is never parsed.
+in the layout of ``json.dumps(indent=2)``; it loads only the C string escaper
+from ``_json``, not the json package, and csv loads only for CSV.  The cache
+file is a versioned, sorted-key text document, so a load/save round trip is
+byte-identical.  A cached count is kept as the decimal text it was read as
+and is never parsed.
 """
 
 from __future__ import annotations
@@ -78,7 +79,10 @@ def render(kind: str, payload: dict, fmt: str) -> str:
     if kind not in ("count", "verdict", "trace"):
         raise ValueError(f"unknown record kind {kind!r}")
     if fmt == "json":
-        from json.encoder import encode_basestring_ascii
+        try:
+            from _json import encode_basestring_ascii  # json.encoder's own escaper, without json's import
+        except ImportError:  # an interpreter without the C accelerator
+            from json.encoder import encode_basestring_ascii
         return "".join(_json({"kind": kind, **payload}, [], "", encode_basestring_ascii))
     tabulate = _aligned if fmt == "table" else _csv_text
     if kind == "count":

@@ -8,7 +8,6 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb, factorial
 
-from click.testing import CliRunner
 
 from sytkit import (
     arrangement_to_matching,
@@ -31,9 +30,9 @@ from sytkit import (
     verify_unrestricted,
     verify_wilf_even,
 )
-from sytkit.cli import main
 from sytkit.output import load_cache, save_cache
 
+from cli_runner import invoke
 from oracles import brute_count_lis_bounded, generate_involutions, report_longest_decreasing
 
 
@@ -178,7 +177,6 @@ def test_criterion_10_oracle_equivalence():
 
 
 def test_criterion_11_cli_contract(tmp_path):
-    runner = CliRunner()
     sweeps = [
         ["verify", "wilf", "--k", "2", "--n", "1..5"],
         ["verify", "wilf", "--k", "4", "--n", "1..5"],
@@ -193,13 +191,13 @@ def test_criterion_11_cli_contract(tmp_path):
         ["verify", "a005568", "--n", "0..6"],
     ]
     for args in sweeps:
-        result = runner.invoke(main, args)
+        result = invoke(*args)
         assert result.exit_code == 0, (args, result.output)
 
     cache = tmp_path / "counts.cache"
-    assert runner.invoke(main, ["--cache", str(cache), "count", "y", "--k", "3", "--n", "0..6"]).exit_code == 0
+    assert invoke("--cache", str(cache), "count", "y", "--k", "3", "--n", "0..6").exit_code == 0
     first = cache.read_bytes()
-    assert runner.invoke(main, ["--cache", str(cache), "count", "y", "--k", "3", "--n", "0..6"]).exit_code == 0
+    assert invoke("--cache", str(cache), "count", "y", "--k", "3", "--n", "0..6").exit_code == 0
     assert cache.read_bytes() == first
     save_cache(load_cache(cache), cache)
     assert cache.read_bytes() == first
@@ -207,7 +205,7 @@ def test_criterion_11_cli_contract(tmp_path):
     poisoned = first.decode().replace("y 3 6 51", "y 3 6 50")
     assert poisoned != first.decode()
     cache.write_text(poisoned)
-    result = runner.invoke(main, ["--cache", str(cache), "--verify-cache", "count", "catalan", "--n", "1"])
+    result = invoke("--cache", str(cache), "--verify-cache", "count", "catalan", "--n", "1")
     assert result.exit_code == 1
     ok(11, "verify sweeps for criteria 1-6 exit 0; cache round-trip is "
            "byte-identical; a poisoned cache entry is caught under --verify-cache")

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import json
@@ -8,22 +9,15 @@ import time
 from itertools import permutations
 from math import comb, prod
 
-import click
 import pytest
-from click.testing import CliRunner
 from hypothesis import given, strategies as st
 
+from cli_runner import invoke as run
 from oracles import oracle_json
 from sytkit.cli import main, parse_cycles, parse_range, parse_word
 from sytkit.core import Involution
 from sytkit.counting import catalan
 from sytkit.output import FORMATS, load_cache, render, save_cache
-
-runner = CliRunner()
-
-
-def run(*args):
-    return runner.invoke(main, list(args))
 
 
 def table_column(output, column):
@@ -71,9 +65,9 @@ def test_parse_cycles():
         ("(1,2,3)", "cycle (1,2,3) has 3 labels; involutions allow 1 or 2"),
         ("(²)", "malformed cycle (²)"),  # a digit to str.isdigit, but not to int()
     ):
-        with pytest.raises(click.UsageError) as caught:
+        with pytest.raises(ValueError) as caught:
             parse_cycles(bad)
-        assert caught.value.format_message() == message, bad
+        assert str(caught.value) == message, bad
 
 
 def test_parse_word():
@@ -92,6 +86,70 @@ def test_cycle_string_round_trips_through_parser():
         Involution((10, 11)),
     ):
         assert parse_cycles(v.cycle_string()) == v
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "catalan", "--n", "٣"),
+    ("count", "catalan", "--n", "1..٣"),
+    ("count", "y", "--k", "٣", "--n", "3"),
+    ("rsk", "--cycles", "(١٣)(٢)"),
+    ("rsk", "--word", "٢ 1"),
+    ("audit", "--n", "٢"),
+    ("--oracle-limit", "٥", "audit", "--n", "1"),
+    ("bijection", "f", "--n", "١", "--p", "(1)", "--q", "(2)"),
+    ("bijection", "g", "--chosen", "٢ 1"),
+], ids=["count-n", "range-end", "count-k", "cycle-labels", "word", "audit-n", "oracle-limit", "f-n", "chosen"])
+def test_integers_are_read_in_ascii_digits_only(args):
+    """int(), \\d and str.isdecimal also read other scripts' digits, here Arabic-Indic ones."""
+    result = run(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("Error: ") and "Traceback" not in result.stderr
+
+
+# ---------------------------------------------------------------- grammar
+
+# command -> the options (and, at the top, the commands) its --help names
+HELP_NAMES = {
+    (): ("--format", "--cache", "--verify-cache", "--oracle-limit", "--trace", "--help",
+         "count", "verify", "rsk", "bijection", "audit"),
+    ("count",): ("FAMILY", "--k", "--n"),
+    ("verify",): ("IDENTITY", "--k", "--n"),
+    ("rsk",): ("--cycles", "--word"),
+    ("bijection",): ("f", "g", "g-inverse"),
+    ("bijection", "f"): ("--n", "--p", "--q"),
+    ("bijection", "g"): ("--chosen", "--n"),
+    ("bijection", "g-inverse"): ("--red", "--blue"),
+    ("audit",): ("--n", "--k"),
+}
+
+
+@pytest.mark.parametrize("command", HELP_NAMES, ids=lambda command: "-".join(command) or "top")
+def test_help_exits_0_and_names_each_option(command):
+    result = run(*command, "--help")
+    assert (result.exit_code, result.stderr) == (0, "")
+    assert result.stdout.startswith(f"usage: {' '.join(('sytkit', *command))} ")
+    for name in HELP_NAMES[command]:
+        assert name in result.stdout, name
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "catalan", "--n", "3", "--bogus"),
+    ("--frobnicate", "count", "catalan", "--n", "3"),
+    ("count", "catalan"),
+    ("count", "--format", "json", "catalan", "--n", "3"),
+    ("--cache", "c.cache", "--verify-c", "count", "catalan", "--n", "3"),
+    ("--format", "xml", "count", "catalan", "--n", "3"),
+    ("rsk", "--cycles", "(1)", "--word", "1"),
+    (),
+], ids=["unknown-option", "unknown-global-flag", "missing-option", "global-flag-after-command",
+        "abbreviated-flag", "bad-choice", "cycles-and-word", "no-command"])
+def test_usage_error_exits_2_with_one_message(tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    result = run(*args)
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---------------------------------------------------------------- count
@@ -279,7 +337,7 @@ def test_bijection_f_validates_pair():
     result = run("bijection", "f", "--n", "-1", "--p", "(1)", "--q", "")
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "Error: Invalid value for '--n': -1 is not in the range x>=0." in result.stderr
+    assert "Error: n must be non-negative, got n=-1" in result.stderr
 
 
 def test_bijection_f_rejects_a_huge_n_at_once():
@@ -400,7 +458,7 @@ def test_audit_scale_and_parity_errors():
     result = run("audit", "--n", "10000000000000")
     assert time.perf_counter() - start < 1
     assert result.exit_code == 3
-    assert isinstance(result.exception, SystemExit)
+    assert result.stderr.count("\n") == 1  # one message line from the exit-code mapping
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert "pair space enumeration limited to n=4, got n=10000000000000" in result.stderr
@@ -838,15 +896,19 @@ if len(sys.argv) > 1:
         main.main(args=json.loads(sys.argv[1]), prog_name="sytkit", standalone_mode=False)
 else:
     import sytkit
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit") or m.split(".")[0] == "click")))
 """
 
+# the CLI runs on argparse: click is in none of these module sets
 COMMAND_LAYERS = [
     ((), set()),
+    (("--help",), {"core", "output"}),
     (("rsk", "--cycles", "(13)(26)(5)"), {"core", "output"}),
     (("count", "y", "--k", "3", "--n", "0..6"), {"core", "counting", "output"}),
     (("bijection", "f", "--n", "2", "--p", "(1)", "--q", "(2)(34)"), {"core", "bijections", "output"}),
     (("bijection", "g", "--chosen", "3 1"), {"core", "bijections", "output"}),
+    (("verify", "wilf", "--k", "2", "--n", "3"), {"core", "counting", "identities", "output"}),
+    (("audit", "--n", "1"), {"core", "counting", "identities", "bijections", "output"}),
 ]
 
 
@@ -855,7 +917,7 @@ import contextlib, io, sys
 from sytkit.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     main.main(args=sys.argv[1:], prog_name="sytkit", standalone_mode=False)
-print(sorted({"csv", "json"} & set(sys.modules)))
+print(sorted({"csv", "json", "_json"} & set(sys.modules)))
 """
 
 
@@ -876,7 +938,8 @@ def test_json_and_csv_formats_load_only_their_own_module(fmt):
                           capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == f"['{fmt}']\n"
+    loads = {"json": "_json", "csv": "csv"}[fmt]  # json needs only the C string escaper in _json
+    assert proc.stdout == f"['{loads}']\n"
 
 
 def test_each_command_loads_only_its_layers():
@@ -898,3 +961,27 @@ def test_each_command_loads_only_its_layers():
         assert getattr(sytkit, name) is not None and name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         sytkit.no_such_name
+
+
+# bench/inproc.py runs each command as main.main(args=..., prog_name=..., standalone_mode=False)
+# and reads the code it returns; it does not catch SystemExit
+@pytest.mark.parametrize("argv, code", [
+    (("rsk", "--cycles", "(13)(26)(5)"), 0),
+    (("verify", "naive-failure", "--k", "2", "--n", "1"), 1),  # the broken variant's sides agree at n = 1
+    (("count", "catalan"), 2),
+    (("--help",), 0),
+    (("audit", "--n", "10000000000000"), 3),
+], ids=["good", "failing-verdict", "usage-error", "help", "scale-limit"])
+def test_bench_call_form_returns_the_exit_code(argv, code):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main.main(args=list(argv), prog_name="sytkit", standalone_mode=False) == code
+
+
+@pytest.mark.parametrize("argv, code", [(("count", "catalan"), 2), (("audit", "--n", "10000000000000"), 3)],
+                         ids=["usage-error", "scale-limit"])
+def test_process_exits_with_the_command_exit_code(argv, code):
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    proc = subprocess.run([sys.executable, "-c", "from sytkit.cli import main; main()", *argv],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (code, "")
+    assert "Traceback" not in proc.stderr

@@ -10,12 +10,9 @@ import shlex
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from sytkit.cli import main, verify
+from cli_runner import invoke
 from sytkit.identities import IDENTITIES
-
-runner = CliRunner()
 
 # command -> format -> (exit code, sha256 of stdout)
 GOLDEN = {
@@ -165,7 +162,7 @@ GOLDEN = {
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_stdout_digest_and_exit_code(command, fmt):
-    result = runner.invoke(main, ["--format", fmt, *shlex.split(command)])
+    result = invoke("--format", fmt, *shlex.split(command))
     digest = hashlib.sha256(result.stdout_bytes).hexdigest()
     assert (result.exit_code, digest) == GOLDEN[command][fmt]
 
@@ -182,13 +179,15 @@ def test_stdout_digest_and_exit_code(command, fmt):
 def test_verify_reports_identity_id(name, identity_id):
     takes_k = IDENTITIES[name][1]
     k = ["--k", "3" if name == "odd" else "2"] if takes_k else []
-    result = runner.invoke(main, ["--format", "json", "verify", name, *k, "--n", "3"])
+    result = invoke("--format", "json", "verify", name, *k, "--n", "3")
     assert result.exit_code == 0
     assert [v["identity"] for v in json.loads(result.stdout)["verdicts"]] == [identity_id]
 
 
 def test_verify_choices_are_the_identity_table():
-    choices = next(p for p in verify.params if p.name == "identity").type.choices
+    result = invoke("verify", "no-such-identity", "--n", "3")
+    assert (result.exit_code, result.stdout) == (2, "")
+    choices = result.stderr.rstrip("\n").split("; expected one of ")[1].split(", ")
     assert sorted(choices) == sorted(IDENTITIES)
 
 
