@@ -4,11 +4,12 @@ One argparse parser (``build_parser``) reads the global flags, then a subcommand
 count, verify, rsk, bijection f|g|g-inverse, audit.  Every command reads --format;
 only count reads --cache and --verify-cache, only bijection f and g read --trace,
 and only audit reads --oracle-limit.  Any other global flag is a usage error.
+Involutions are read by ``Involution.from_cycles`` and ``from_word``, names by ``counting.lookup``.
 
 ``run`` maps every outcome to one exit code: 0 success / all verdicts hold;
 1 a failing verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``,
-printed as ``Error: <message>`` on stderr; 3 ``ScaleLimitError``.  ``main``, the
-``sytkit`` entry point, exits with that code.
+printed as ``Error: <message>`` on stderr; 3 ``ScaleLimitError``.  A reader that
+closes stdout early changes no code.  ``main``, the ``sytkit`` entry point, exits with it.
 
 Core and output load with this module; each command imports any other layer
 it runs inside its own body, so a process loads only those: ``count``
@@ -18,6 +19,7 @@ counting, ``verify`` identities, ``bijection`` bijections, ``audit`` all.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -56,42 +58,6 @@ def parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _parse_cycle_group(group: str) -> list[int]:
-    """Labels of one group: comma form ('12,3', or '12,' for a fixed point),
-    a single digit, or juxtaposed single digits ('13')."""
-    pieces = group.split(",")
-    juxtaposed = len(pieces) == 1 and len(group) > 1
-    if juxtaposed:
-        pieces = list(group)
-    elif pieces[1:] == [""]:
-        pieces.pop()  # '(12,)' is a fixed point with a wide label
-    if not all(re.fullmatch("[0-9]+", p) for p in pieces):
-        raise ValueError(f"malformed cycle ({group})")
-    labels = [int(p) for p in pieces]
-    if juxtaposed and 0 in labels:
-        raise ValueError(f"cycle ({group}) needs comma form for labels >= 10")
-    return labels
-
-
-def parse_cycles(text: str) -> Involution:
-    """Cycle notation: '(13)(26)(5)'; comma form for wide labels, e.g. '(12,3)(4)'."""
-    compact = re.sub(r"\s+", "", text)
-    if compact in ("", "()"):
-        return Involution()
-    if not re.fullmatch(r"(\([^()]*\))+", compact):
-        raise ValueError(f"malformed cycle notation {text!r}")
-    fixed, cycles = [], []
-    for group in re.findall(r"\(([^()]*)\)", compact):
-        labels = _parse_cycle_group(group)
-        if len(labels) == 1:
-            fixed.append(labels[0])
-        elif len(labels) == 2:
-            cycles.append((labels[0], labels[1]))
-        else:
-            raise ValueError(f"cycle ({group}) has {len(labels)} labels; involutions allow 1 or 2")
-    return Involution(fixed, cycles)
-
-
 def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
     """Whitespace- or comma-separated integers; ``noun`` names them in the error."""
     parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
@@ -100,13 +66,15 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def parse_word(text: str) -> Involution:
-    """One-line word, whitespace- or comma-separated."""
-    return Involution.from_word(_parse_ints(text, "word entries"))
-
-
 def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
-    sys.stdout.write(render(kind, payload, args.format) + "\n")  # one write, so `| head` ends it cleanly
+    text = render(kind, payload, args.format) + "\n"
+    try:
+        sys.stdout.write(text)  # one write, so `| head` ends it cleanly
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader left early: not an error, and the exit flush must not fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 # ---------------------------------------------------------------- commands
@@ -131,13 +99,10 @@ def count(args: argparse.Namespace) -> None:
 
 def verify(args: argparse.Namespace) -> int | None:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
-    from .counting import check_takes_k
+    from .counting import lookup
     from .identities import IDENTITIES
 
-    if args.identity not in IDENTITIES:
-        raise ValueError(f"unknown identity {args.identity!r}; expected one of {', '.join(IDENTITIES)}")
-    verifier, takes_k = IDENTITIES[args.identity]
-    check_takes_k("identity", args.identity, takes_k, args.k)
+    verifier, takes_k = lookup("identity", IDENTITIES, args.identity, args.k)
     verdicts = [verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)]
     _emit(args, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
     return None if all(v.holds for v in verdicts) else EXIT_VERIFICATION_FAILURE
@@ -145,7 +110,8 @@ def verify(args: argparse.Namespace) -> int | None:
 
 def rsk(args: argparse.Namespace) -> None:
     """Map an involution to its standard tableau and report its statistics."""
-    v = parse_cycles(args.cycles) if args.cycles is not None else parse_word(args.word)
+    v = (Involution.from_cycles(args.cycles) if args.cycles is not None
+         else Involution.from_word(_parse_ints(args.word, "word entries")))
     t = rs_of_involution(v)
     odd = odd_columns(t)
     # Schensted: the first row is a longest increasing subsequence, the rows count a decreasing one
@@ -167,7 +133,7 @@ def bijection_f(args: argparse.Namespace) -> None:
     """Toggle the largest free point of a pair to the other side."""
     from .bijections import PairState, free_points, pivot, toggle_pivot
 
-    state = PairState(parse_cycles(args.p), parse_cycles(args.q), args.n)
+    state = PairState(Involution.from_cycles(args.p), Involution.from_cycles(args.q), args.n)
     try:
         image = toggle_pivot(state)
     except PivotAbsentError:
@@ -218,7 +184,7 @@ def bijection_g_inverse(args: argparse.Namespace) -> None:
     """Recover the arrangement from a red/blue matching."""
     from .bijections import PairState, matching_to_arrangement
 
-    red_inv, blue_inv = parse_cycles(args.red), parse_cycles(args.blue)
+    red_inv, blue_inv = Involution.from_cycles(args.red), Involution.from_cycles(args.blue)
     colored = PairState(red_inv, blue_inv, (red_inv.size + blue_inv.size) // 2)
     _emit(args, "trace", {"fields": [
         ("red", red_inv.cycle_string()),
@@ -272,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--oracle-limit", type=integer, help="Override the exhaustive-search size limit "
                         f"(at least 1, default {DEFAULT_PAIR_SPACE_LIMIT}).")
     parser.add_argument("--trace", action="store_true", default=None, help="Show intermediate bijection data.")
-    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    commands = parser.add_subparsers(metavar="COMMAND", dest="COMMAND")
 
     sub = _command(commands, "count", count)
     sub.add_argument("family", metavar="FAMILY", help="u, y, y_unbounded, x, x_unbounded or catalan.")
@@ -286,8 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     one_of.add_argument("--cycles", help="Involution in cycle notation, e.g. '(13)(26)(5)'.")
     one_of.add_argument("--word", help="Involution as a one-line word, e.g. '2 1 4 3'.")
     doc = "Apply one of the constructive maps to explicit inputs."
-    maps = commands.add_parser("bijection", help=doc, description=doc).add_subparsers(
-        metavar="MAP", required=True)
+    maps = commands.add_parser("bijection", help=doc, description=doc).add_subparsers(metavar="MAP", dest="MAP")
     sub = _command(maps, "f", bijection_f)
     sub.add_argument("--n", type=integer, required=True, help="Half the ground-set size.")
     sub.add_argument("--p", required=True, help="First involution, cycle notation.")
@@ -313,6 +278,8 @@ def run(argv: list[str]) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
+        if "func" not in args:  # neither group is required, so an unknown flag is named before this
+            raise ValueError(f"the following arguments are required: {'MAP' if args.COMMAND else 'COMMAND'}")
         if args.verify_cache and args.cache is None:
             raise ValueError("--verify-cache needs --cache")
         if args.oracle_limit is not None and args.oracle_limit < 1:

@@ -9,6 +9,7 @@ increasing label order.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from operator import ge
 from typing import Iterable, Sequence
@@ -36,11 +37,11 @@ class Involution:
     """A self-inverse partial permutation: its sorted fixed points and 2-cycles are the value.
 
     The support is the set of labels it acts on: positive integers, not
-    necessarily contiguous.  ``Involution(...)`` validates its input, and
-    ``_canonical`` is the one trusted build: its caller guarantees canonical
-    tuples, and a map, if given, that agrees with them in increasing key order.
-    The label -> image map ``_partner`` is derived on first read, keys in
-    increasing order, and kept; any two fills are equal.
+    necessarily contiguous.  ``Involution(...)`` validates its input, and the
+    notation readers ``from_cycles`` and ``from_word`` check their grammar and
+    build through it; ``_canonical`` is the one trusted build.  The label ->
+    image map ``_partner`` is derived on first read, keys in increasing
+    order, and kept; any two fills are equal.
     """
 
     __slots__ = ("fixed_points", "two_cycles", "_map")
@@ -67,10 +68,10 @@ class Involution:
         self.fixed_points, self.two_cycles, self._map = fixed_points, two_cycles, None
 
     @classmethod
-    def _canonical(cls, fixed_points: tuple[int, ...], two_cycles: tuple[tuple[int, int], ...],
-                   partner: dict[int, int] | None = None) -> "Involution":
+    def _canonical(cls, fixed_points: tuple[int, ...], two_cycles: tuple[tuple[int, int], ...]) -> "Involution":
+        """An involution from tuples its caller guarantees canonical (sorted, positive, disjoint)."""
         v = object.__new__(cls)
-        v.fixed_points, v.two_cycles, v._map = fixed_points, two_cycles, partner
+        v.fixed_points, v.two_cycles, v._map = fixed_points, two_cycles, None
         return v
 
     @property
@@ -84,9 +85,9 @@ class Involution:
     def from_word(cls, word: Sequence[int]) -> "Involution":
         """Build an involution from its one-line word.
 
-        Position i of the word holds the image of the i-th smallest support
-        label; the support is the set of word entries.  Raises if the word
-        has repeats, a label below 1, or an induced map that is not its own inverse.
+        Position i holds the image of the i-th smallest support label, the support being the
+        set of entries.  Raises on repeats or a map that is not its own inverse, then, through
+        ``Involution(...)``, on a label below 1.
         """
         entries = tuple(int(x) for x in word)
         if len(set(entries)) != len(entries):
@@ -95,13 +96,7 @@ class Involution:
         for x, y in partner.items():
             if partner[y] != x:
                 raise ValueError(f"not an involution: {x} -> {y} -> {partner[y]}")
-        # as in the validated build, a non-positive fixed point is named before any cycle label
-        bad = next((x for x, y in partner.items() if x == y and x < 1), min(partner, default=1))
-        if bad < 1:
-            raise ValueError(f"labels must be positive, got {bad}")
-        # the keys are in increasing order, so the fixed points and cycles read off them are canonical
-        fps = tuple(x for x, y in partner.items() if x == y)
-        return cls._canonical(fps, tuple((x, y) for x, y in partner.items() if x < y), partner)
+        return cls([x for x, y in partner.items() if x == y], [(x, y) for x, y in partner.items() if x < y])
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -124,15 +119,34 @@ class Involution:
         Labels of two or more digits switch the group to comma form:
         '(3,12)' for a 2-cycle, '(12,)' for a fixed point.
         """
-        groups: list[tuple[int, ...]] = sorted(self.two_cycles + tuple((x,) for x in self.fixed_points))
-        parts = []
-        for g in groups:
-            if any(x >= 10 for x in g):
-                tail = "," if len(g) == 1 else ""
-                parts.append("(" + ",".join(str(x) for x in g) + tail + ")")
-            else:
-                parts.append("(" + "".join(str(x) for x in g) + ")")
-        return "".join(parts) or "()"
+        groups = sorted(self.two_cycles + tuple((x,) for x in self.fixed_points))  # each group is sorted
+        return "".join(f"({','.join(map(str, g))}{',' * (len(g) == 1)})" if g[-1] >= 10
+                       else f"({''.join(map(str, g))})" for g in groups) or "()"
+
+    @classmethod
+    def from_cycles(cls, text: str) -> "Involution":
+        """Read cycle notation as ``cycle_string`` writes it, groups in any order, each a digit,
+        juxtaposed digits or comma form ('(31)(5)(12,3)(14,)'); whitespace is ignored, '' is empty."""
+        compact = re.sub(r"\s+", "", text)
+        if compact in ("", "()"):
+            return cls()
+        if not re.fullmatch(r"(\([^()]*\))+", compact):
+            raise ValueError(f"malformed cycle notation {text!r}")
+        parsed = []
+        for group in re.findall(r"\(([^()]*)\)", compact):
+            juxtaposed = "," not in group and len(group) > 1
+            pieces = list(group) if juxtaposed else group.split(",")
+            if pieces[1:] == [""]:
+                pieces.pop()  # '(12,)' is a fixed point with a wide label
+            if not all(re.fullmatch("[0-9]+", p) for p in pieces):
+                raise ValueError(f"malformed cycle ({group})")
+            labels = [int(p) for p in pieces]
+            if juxtaposed and 0 in labels:
+                raise ValueError(f"cycle ({group}) needs comma form for labels >= 10")
+            if len(labels) > 2:
+                raise ValueError(f"cycle ({group}) has {len(labels)} labels; involutions allow 1 or 2")
+            parsed.append(labels)
+        return cls([g[0] for g in parsed if len(g) == 1], [g for g in parsed if len(g) == 2])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Involution):

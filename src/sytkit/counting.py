@@ -183,20 +183,22 @@ FAMILIES = {
 }
 
 
-def check_takes_k(kind: str, name: str, takes_k: bool, k: int | None) -> None:
-    """Check that the bound k is given exactly when a registry entry takes one."""
+def lookup(kind: str, registry: dict, name: str, k: int | None) -> tuple[Callable, bool]:
+    """A registry entry (function, takes_k), once the name is known and k given exactly when it takes one."""
+    if name not in registry:
+        raise ValueError(f"unknown {kind} {name!r}; expected one of {', '.join(registry)}")
+    fn, takes_k = registry[name]
     if takes_k and k is None:
         raise ValueError(f"{kind} {name!r} requires a bound k")
     if not takes_k and k is not None:
         raise ValueError(f"{kind} {name!r} takes no bound k")
+    return fn, takes_k
 
 
 def validate_family(family: str, k: int | None, n: int) -> None:
     """Check a (family, k, n) count query without counting anything: a known
     family, k given for u, y, x only and then k >= 1, and n >= 0."""
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}; expected one of {', '.join(FAMILIES)}")
-    check_takes_k("family", family, FAMILIES[family][1], k)
+    lookup("family", FAMILIES, family, k)
     if k is not None:
         _require_bound(k)
     if n < 0:

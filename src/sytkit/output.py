@@ -79,10 +79,7 @@ def render(kind: str, payload: dict, fmt: str) -> str:
     if kind not in ("count", "verdict", "trace"):
         raise ValueError(f"unknown record kind {kind!r}")
     if fmt == "json":
-        try:
-            from _json import encode_basestring_ascii  # json.encoder's own escaper, without json's import
-        except ImportError:  # an interpreter without the C accelerator
-            from json.encoder import encode_basestring_ascii
+        from _json import encode_basestring_ascii  # json.encoder's own escaper, without json's import
         return "".join(_json({"kind": kind, **payload}, [], "", encode_basestring_ascii))
     tabulate = _aligned if fmt == "table" else _csv_text
     if kind == "count":

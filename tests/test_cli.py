@@ -14,7 +14,8 @@ from hypothesis import given, strategies as st
 
 from cli_runner import invoke as run
 from oracles import oracle_json
-from sytkit.cli import main, parse_cycles, parse_range, parse_word
+from sytkit import cli
+from sytkit.cli import _parse_ints, main, parse_range
 from sytkit.core import Involution
 from sytkit.counting import catalan
 from sytkit.output import FORMATS, load_cache, render, save_cache
@@ -47,14 +48,14 @@ def test_parse_range():
 
 
 def test_parse_cycles():
-    assert parse_cycles("(31)(62)(5)") == Involution((5,), ((1, 3), (2, 6)))
-    assert parse_cycles("") == Involution()
-    assert parse_cycles("()") == Involution()
-    assert parse_cycles("(12,3)(4)") == Involution((4,), ((3, 12),))
+    assert Involution.from_cycles("(31)(62)(5)") == Involution((5,), ((1, 3), (2, 6)))
+    assert Involution.from_cycles("") == Involution()
+    assert Involution.from_cycles("()") == Involution()
+    assert Involution.from_cycles("(12,3)(4)") == Involution((4,), ((3, 12),))
     for bad in ("(123)", "(1)(1)", "(1", "(1)x", "(1,2,3)", "(a)"):
         with pytest.raises(Exception):
-            parse_cycles(bad)
-    assert parse_cycles("(12,)(3)") == Involution((3, 12))
+            Involution.from_cycles(bad)
+    assert Involution.from_cycles("(12,)(3)") == Involution((3, 12))
     for bad, message in (
         ("(1,2,)", "malformed cycle (1,2,)"),
         ("(,)", "malformed cycle (,)"),
@@ -66,11 +67,14 @@ def test_parse_cycles():
         ("(²)", "malformed cycle (²)"),  # a digit to str.isdigit, but not to int()
     ):
         with pytest.raises(ValueError) as caught:
-            parse_cycles(bad)
+            Involution.from_cycles(bad)
         assert str(caught.value) == message, bad
 
 
 def test_parse_word():
+    def parse_word(text):
+        return Involution.from_word(_parse_ints(text, "word entries"))
+
     assert parse_word("2 1 4 3") == Involution((), ((1, 2), (3, 4)))
     assert parse_word("1, 2, 3") == Involution((1, 2, 3))
     for bad in ("2 1 2", "2 3 1", "1 x"):
@@ -85,7 +89,7 @@ def test_cycle_string_round_trips_through_parser():
         Involution((4,), ((3, 12),)),
         Involution((10, 11)),
     ):
-        assert parse_cycles(v.cycle_string()) == v
+        assert Involution.from_cycles(v.cycle_string()) == v
 
 
 @pytest.mark.parametrize("args", [
@@ -141,8 +145,12 @@ def test_help_exits_0_and_names_each_option(command):
     ("--format", "xml", "count", "catalan", "--n", "3"),
     ("rsk", "--cycles", "(1)", "--word", "1"),
     (),
+    ("--frobnicate",),
+    ("bijection",),
+    ("bijection", "--frobnicate"),
 ], ids=["unknown-option", "unknown-global-flag", "missing-option", "global-flag-after-command",
-        "abbreviated-flag", "bad-choice", "cycles-and-word", "no-command"])
+        "abbreviated-flag", "bad-choice", "cycles-and-word", "no-command", "unknown-flag-no-command",
+        "no-map", "unknown-flag-no-map"])
 def test_usage_error_exits_2_with_one_message(tmp_path, monkeypatch, args):
     monkeypatch.chdir(tmp_path)
     result = run(*args)
@@ -150,6 +158,48 @@ def test_usage_error_exits_2_with_one_message(tmp_path, monkeypatch, args):
     assert result.stderr.startswith("Error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+class ClosedPipe(io.StringIO):
+    """A stdout whose reader has left: each write raises, as a write to a closed pipe does."""
+
+    def __init__(self, fd):
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("args, code", [
+    (("count", "catalan", "--n", "0..3000"), 0),
+    (("verify", "naive-failure", "--k", "2", "--n", "1"), 1),
+])
+def test_a_reader_that_leaves_early_is_not_an_error(tmp_path, args, code):
+    # as `sytkit count catalan --n 0..3000 | head -c 10`: the command keeps its exit code, prints
+    # nothing on stderr, and its stdout descriptor now points at os.devnull, so the exit flush passes
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedPipe(fd)), contextlib.redirect_stderr(err):
+            assert cli.run(list(args)) == code
+        assert err.getvalue() == ""
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--frobnicate",), "unrecognized arguments: --frobnicate"),
+    (("bijection", "--frobnicate"), "unrecognized arguments: --frobnicate"),
+    ((), "the following arguments are required: COMMAND"),
+    (("bijection",), "the following arguments are required: MAP"),
+])
+def test_an_unknown_flag_is_named_before_a_missing_command(args, message):
+    assert run(*args).stderr == f"Error: {message}\n"
 
 
 # ---------------------------------------------------------------- count

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -115,6 +117,37 @@ def test_involution_from_word():
 def test_cycle_string_uses_commas_for_wide_labels():
     v = Involution((3,), ((1, 12),))
     assert v.cycle_string() == "(1,12)(3)"
+
+
+@st.composite
+def labelled_involutions(draw):
+    """Involutions on labels from 1..40, so narrow and wide labels meet in fixed points and 2-cycles."""
+    labels = draw(st.lists(st.integers(min_value=1, max_value=40), unique=True, max_size=14))
+    c = 2 * draw(st.integers(min_value=0, max_value=len(labels) // 2))
+    return Involution(labels[c:], zip(labels[:c:2], labels[1:c:2]))
+
+
+@given(labelled_involutions())
+def test_both_notations_read_back_what_they_write(v):
+    assert Involution.from_cycles(v.cycle_string()) == v
+    assert Involution.from_word(v.word()) == v
+
+
+@given(labelled_involutions(), st.data())
+def test_cycle_notation_reads_any_group_order_flip_and_spacing(v, data):
+    groups = [(x,) for x in v.fixed_points]
+    groups += [data.draw(st.sampled_from([(a, b), (b, a)])) for a, b in v.two_cycles]
+    groups = data.draw(st.permutations(groups))
+
+    def written(group):
+        if any(x >= 10 for x in group) or data.draw(st.booleans()):  # comma form suits narrow labels too
+            return "(" + ",".join(map(str, group)) + "," * (len(group) == 1) + ")"
+        return "(" + "".join(map(str, group)) + ")"
+
+    spacing = st.text(" \t\n", max_size=2)
+    text = re.sub(r"[(),]", lambda m: data.draw(spacing) + m.group() + data.draw(spacing),
+                  "".join(map(written, groups)))
+    assert Involution.from_cycles(text) == v
 
 
 # ---------------------------------------------------------------- tableaux
