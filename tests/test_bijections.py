@@ -437,6 +437,34 @@ def test_pair_state_trust_flag_is_keyword_only():
         PairState(Involution((1,)), Involution((2,)), 1, True)
 
 
+def test_pair_states_compare_and_hash_by_value():
+    twin = PairState(Involution((5,), ((3, 1), (6, 2))), Involution((7,), ((8, 4),)), 4)
+    trusted = bijections._pair_state(WORKED_PAIR.p, WORKED_PAIR.q, WORKED_PAIR.n)
+    for same in (twin, trusted):
+        assert same is not WORKED_PAIR
+        assert same == WORKED_PAIR and not same != WORKED_PAIR
+        assert hash(same) == hash(WORKED_PAIR)
+    assert len({WORKED_PAIR, twin, trusted}) == 1
+    assert toggle_pivot(WORKED_PAIR) != WORKED_PAIR
+
+
+def test_a_pair_state_never_equals_its_fields_as_a_tuple():
+    fields = (WORKED_PAIR.p, WORKED_PAIR.q, WORKED_PAIR.n)
+    assert WORKED_PAIR.__eq__(fields) is NotImplemented
+    assert WORKED_PAIR != fields and fields != WORKED_PAIR
+    assert WORKED_PAIR not in {fields} and fields not in {WORKED_PAIR}
+
+
+def test_pair_state_repr_names_its_fields():
+    assert repr(WORKED_PAIR) == "PairState(p=Involution(13)(26)(5), q=Involution(48)(7), n=4)"
+
+
+def test_pair_state_has_only_its_three_slots():
+    with pytest.raises(AttributeError):
+        WORKED_PAIR.extra = 1
+    assert not hasattr(WORKED_PAIR, "__dict__")
+
+
 def test_pair_space_bound_filters_both_sides():
     for s in enumerate_pair_space(2, 2):
         assert brute_lds(s.p.word()) <= 2 and brute_lds(s.q.word()) <= 2

@@ -946,10 +946,12 @@ if len(sys.argv) > 1:
         main.main(args=json.loads(sys.argv[1]), prog_name="sytkit", standalone_mode=False)
 else:
     import sytkit
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit") or m.split(".")[0] == "click")))
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.startswith("sytkit") or m.split(".")[0] in ("click", "dataclasses", "inspect"))))
 """
 
-# the CLI runs on argparse: click is in none of these module sets
+# the CLI runs on argparse, and its records are named tuples and slotted classes: click,
+# dataclasses and inspect (which dataclasses loads) are in none of these module sets
 COMMAND_LAYERS = [
     ((), set()),
     (("--help",), {"core", "output"}),
@@ -1001,8 +1003,10 @@ def test_each_command_loads_only_its_layers():
     for proc, (argv, layers) in zip(procs, COMMAND_LAYERS):
         out, _ = proc.communicate(timeout=60)
         assert proc.returncode == 0, argv
+        loaded = set(json.loads(out))
+        assert not loaded & {"dataclasses", "inspect"}, argv
         base = {"sytkit"} | ({"sytkit.cli", "sytkit.errors"} if argv else set())
-        assert set(json.loads(out)) == base | {f"sytkit.{layer}" for layer in layers}, argv
+        assert loaded == base | {f"sytkit.{layer}" for layer in layers}, argv
 
     import sytkit
 
@@ -1011,6 +1015,26 @@ def test_each_command_loads_only_its_layers():
         assert getattr(sytkit, name) is not None and name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         sytkit.no_such_name
+
+
+def test_runs_in_one_process_share_one_parser(monkeypatch):
+    argvs = [("count", "catalan", "--n", "3"), ("count", "catalan"), ("--help",),
+             ("--format", "json", "verify", "wilf", "--k", "2", "--n", "1..2"),
+             ("bijection", "g", "--chosen", "3 1"), ("--trace", "audit", "--n", "1"),
+             ("count", "catalan", "--n", "3")]
+    fresh = []
+    for argv in argvs:
+        monkeypatch.setattr(cli, "_parser", None)  # a parser built for this command line alone
+        fresh.append(run(*argv))
+    assert [r.exit_code for r in fresh] == [0, 2, 0, 0, 0, 2, 0]
+    assert fresh[0].stdout == "family   k  n  value\n-------  -  -  -----\ncatalan  -  3  5\n"
+
+    built = []
+    build_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(build_parser()) or built[-1])
+    assert [run(*argv) for argv in argvs] == fresh
+    assert len(built) == 1 and cli._parser is built[0]
 
 
 # bench/inproc.py runs each command as main.main(args=..., prog_name=..., standalone_mode=False)

@@ -15,6 +15,8 @@ from sytkit import (
     verify_unrestricted,
     verify_wilf_even,
 )
+from sytkit.identities import IdentityVerdict, TermBreakdown
+from sytkit.output import _TERM_FIELDS, verdict_payload
 
 
 def assert_terms_consistent(verdict):
@@ -205,3 +207,30 @@ def test_naive_failure_equal_at_small_sizes():
 def test_naive_failure_counterexample_terms():
     v = demonstrate_naive_failure(2, 3)
     assert [t.term_value for t in v.rhs_terms] == [10, 0, 45, 0, 45, 0, 10]
+
+
+# ---------------------------------------------------------------- records
+
+def test_term_fields_are_the_printed_columns():
+    assert TermBreakdown._fields == _TERM_FIELDS
+    v = verify_corollary_k3(2)
+    for side in ("lhs", "rhs"):
+        rows = verdict_payload(v)[f"{side}_terms"]
+        assert [list(row) for row in rows] == [list(_TERM_FIELDS)] * len(rows)
+        assert [tuple(row.values()) for row in rows] == list(getattr(v, f"{side}_terms"))
+
+
+def test_verdicts_and_terms_are_tuples_of_their_values():
+    v = verify_wilf_even(2, 1)
+    assert v.checks == ()  # the default
+    assert v == ("wilf_even", 2, 1, 2, 2, v.lhs_terms, v.rhs_terms, True, ())
+    assert v.rhs_terms[1] == (1, -1, 2, 1, 1, -2) and v.rhs_terms[1][5] == v.rhs_terms[1].term_value
+    assert isinstance(v, IdentityVerdict) and isinstance(v.rhs_terms[1], TermBreakdown)
+
+
+def test_no_field_of_a_verdict_or_a_term_can_be_set():
+    v = verify_corollary_k3(2)
+    for record in (v, v.lhs_terms[0]):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
