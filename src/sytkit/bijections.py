@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import combinations
+from operator import index
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import Involution, lds, lis
@@ -37,7 +38,7 @@ class PairState:
     __slots__ = ("p", "q", "n")
 
     def __init__(self, p: Involution, q: Involution, n: int) -> None:
-        if n < 0:
+        if (n := index(n)) < 0:
             raise ValueError(f"n must be non-negative, got n={n}")
         sp, sq = p._partner, q._partner
         if not sp.keys().isdisjoint(sq):
@@ -139,7 +140,7 @@ def arrangement_to_matching(chosen: Sequence[int]) -> PairState:
     cycle is red when the unchosen label is the smaller of the two, blue
     otherwise.  The coloring is exactly what makes the map invertible.
     """
-    a = tuple(int(x) for x in chosen)
+    a = tuple(map(index, chosen))
     n = len(a)
     ground = set(range(1, 2 * n + 1))
     if len(set(a)) != n:
@@ -153,14 +154,17 @@ def arrangement_to_matching(chosen: Sequence[int]) -> PairState:
     return PairState(Involution((), red), Involution((), blue), n)
 
 
+def _colored_pairs(s: PairState) -> list[list]:
+    """[unchosen, chosen, color] for each cycle of a red/blue matching, sorted: the small entry of a
+    red cycle and the large entry of a blue one are the unchosen labels."""
+    return sorted([[a, b, "red"] for a, b in s.p.two_cycles] + [[b, a, "blue"] for a, b in s.q.two_cycles])
+
+
 def matching_to_arrangement(s: PairState) -> tuple[int, ...]:
-    """Invert the pairing: small entries of red cycles and large entries of blue
-    cycles are the unchosen labels; their partners, in that order, are the
-    arrangement."""
+    """Invert the pairing: the partners of the unchosen labels, in their order, are the arrangement."""
     if pivot(s) is not None:
         raise ValueError("colored cycles must all be 2-cycles")
-    pairs = sorted([(a, b) for a, b in s.p.two_cycles] + [(b, a) for a, b in s.q.two_cycles])
-    return tuple(chosen for _, chosen in pairs)
+    return tuple(chosen for _, chosen, _ in _colored_pairs(s))
 
 
 def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:

@@ -1,15 +1,15 @@
 """Command-line front end.
 
 One argparse parser (``build_parser``) reads the global flags, then a subcommand:
-count, verify, rsk, bijection f|g|g-inverse, audit.  Every command reads --format;
-only count reads --cache and --verify-cache, only bijection f and g read --trace,
-and only audit reads --oracle-limit.  Any other global flag is a usage error.
-Involutions are read by ``Involution.from_cycles`` and ``from_word``, names by ``counting.lookup``.
+count, verify, rsk, bijection f|g|g-inverse, audit.  Every command reads --format, and
+declares the other global flags it reads: count --cache and --verify-cache, bijection f
+and g --trace, audit --oracle-limit; any other is a usage error.  Sizes and bounds are read
+by ``integer``, involutions by ``Involution.from_cycles`` and ``from_word``, names by ``counting.lookup``.
 
-``run`` maps every outcome to one exit code: 0 success / all verdicts hold;
-1 a failing verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``,
-printed as ``Error: <message>`` on stderr; 3 ``ScaleLimitError``.  A reader that
-closes stdout early changes no code.  ``main``, the ``sytkit`` entry point, exits with it.
+``run`` maps every outcome to one exit code: 0 success / all verdicts hold; 1 a failing
+verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``, printed as
+``Error: <message>`` on stderr; 3 ``ScaleLimitError``, such as a size above sys.maxsize.
+A reader that closes stdout early changes no code.  ``main``, the ``sytkit`` entry point, exits with it.
 
 Core and output load with this module; each command imports any other layer
 it runs inside its own body, so a process loads only those: ``count``
@@ -40,21 +40,24 @@ INTEGER = "-?[0-9]+"
 # ---------------------------------------------------------------- parsing
 
 def integer(text: str) -> int:
-    """An integer option value; argparse names this function in its error message."""
+    """A size or bound; argparse names this function in its error message.  Past sys.maxsize, the
+    cache's 19-digit k and n fields, math.factorial and math.comb all overflow: a scale limit."""
     if re.fullmatch(INTEGER, text.strip()) is None:
         raise ValueError(text)
-    return int(text)
+    if (value := int(text)) > sys.maxsize:
+        raise ScaleLimitError(f"{value} is above {sys.maxsize}, the largest size or bound (sys.maxsize)")
+    return value
 
 
 def parse_range(text: str) -> range:
-    """Inclusive 'a..b' range, or a single integer."""
-    text = text.strip()
-    m = re.fullmatch(rf"({INTEGER})(?:\.\.({INTEGER}))?", text)
-    if m is None:
-        raise ValueError(f"expected an integer or 'a..b' range, got {text!r}")
-    lo, hi = int(m.group(1)), int(m.group(2) or m.group(1))
+    """Inclusive 'a..b' range, or a single integer; each end is read by ``integer``."""
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = integer(lo_text), integer(hi_text if dots else lo_text)
+    except ValueError:
+        raise ValueError(f"expected an integer or 'a..b' range, got {text.strip()!r}") from None
     if lo > hi:
-        raise ValueError(f"empty range {text!r}")
+        raise ValueError(f"empty range {text.strip()!r}")
     return range(lo, hi + 1)
 
 
@@ -77,6 +80,12 @@ def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
         os.close(devnull)
 
 
+def _verdicts(args: argparse.Namespace, verdicts: list) -> int:
+    """Emit one verdict record; the exit code is 1 if any verdict fails."""
+    _emit(args, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
+    return 0 if all(v.holds for v in verdicts) else EXIT_VERIFICATION_FAILURE
+
+
 # ---------------------------------------------------------------- commands
 
 def count(args: argparse.Namespace) -> None:
@@ -97,15 +106,13 @@ def count(args: argparse.Namespace) -> None:
     _emit(args, "count", {"rows": rows})
 
 
-def verify(args: argparse.Namespace) -> int | None:
+def verify(args: argparse.Namespace) -> int:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
     from .counting import lookup
     from .identities import IDENTITIES
 
     verifier, takes_k = lookup("identity", IDENTITIES, args.identity, args.k)
-    verdicts = [verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)]
-    _emit(args, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
-    return None if all(v.holds for v in verdicts) else EXIT_VERIFICATION_FAILURE
+    return _verdicts(args, [verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)])
 
 
 def rsk(args: argparse.Namespace) -> None:
@@ -145,20 +152,19 @@ def bijection_f(args: argparse.Namespace) -> None:
         ("q_out", image.q.cycle_string()),
     ]
     if args.trace:
-        m = pivot(state)
-        moved_from = "p" if m in state.p.fixed_points else "q"
+        moved_from, moved_to = ("p", "q") if image.p.size < state.p.size else ("q", "p")
         fields += [
             ("free_points", " ".join(str(x) for x in free_points(state)) or "-"),
-            ("pivot", m),
+            ("pivot", pivot(state)),
             ("moved_from", moved_from),
-            ("moved_to", "q" if moved_from == "p" else "p"),
+            ("moved_to", moved_to),
         ]
     _emit(args, "trace", {"fields": fields})
 
 
 def bijection_g(args: argparse.Namespace) -> None:
     """Match an arrangement with the unchosen labels, red or blue."""
-    from .bijections import arrangement_to_matching
+    from .bijections import _colored_pairs, arrangement_to_matching
 
     labels = _parse_ints(args.chosen, "labels")
     if args.n is not None and args.n != len(labels):
@@ -171,12 +177,7 @@ def bijection_g(args: argparse.Namespace) -> None:
         ("blue", colored.q.cycle_string()),
     ]}
     if args.trace:
-        # red cycles have the unchosen label first, blue ones the chosen label
-        payload["table"] = {
-            "columns": ["unchosen", "chosen", "color"],
-            "rows": sorted([[a, b, "red"] for a, b in colored.p.two_cycles]
-                           + [[b, a, "blue"] for a, b in colored.q.two_cycles]),
-        }
+        payload["table"] = {"columns": ["unchosen", "chosen", "color"], "rows": _colored_pairs(colored)}
     _emit(args, "trace", payload)
 
 
@@ -193,21 +194,19 @@ def bijection_g_inverse(args: argparse.Namespace) -> None:
     ]})
 
 
-def audit(args: argparse.Namespace) -> int | None:
+def audit(args: argparse.Namespace) -> int:
     """Exhaustively audit the cancellation argument; exit 0 iff it all checks out."""
     from .bijections import signed_cancellation_audit
 
-    verdict = signed_cancellation_audit(args.n, args.k, limit=args.oracle_limit or DEFAULT_PAIR_SPACE_LIMIT)
-    _emit(args, "verdict", {"verdicts": [verdict_payload(verdict)]})
-    return None if verdict.holds else EXIT_VERIFICATION_FAILURE
+    limit = args.oracle_limit or DEFAULT_PAIR_SPACE_LIMIT
+    return _verdicts(args, [signed_cancellation_audit(args.n, args.k, limit=limit)])
 
 
 # ---------------------------------------------------------------- parser
 
-# the global flags besides --format, which every command reads; each defaults to None, so a given flag shows
+# the global flags besides --format, which every command reads; each defaults to None, so a given flag
+# shows.  Each command names the ones it reads in its _command call, and is refused any other.
 GLOBAL_FLAGS = ("--cache", "--verify-cache", "--oracle-limit", "--trace")
-GLOBAL_FLAGS_READ = {"count": ("--cache", "--verify-cache"), "f": ("--trace",), "g": ("--trace",),
-                     "audit": ("--oracle-limit",)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -221,9 +220,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _command(commands, name: str, func) -> argparse.ArgumentParser:
+def _command(commands, name: str, func, *reads: str) -> argparse.ArgumentParser:
     parser = commands.add_parser(name, help=func.__doc__, description=func.__doc__)
-    parser.set_defaults(func=func, command=parser.prog)  # prog is 'sytkit count', 'sytkit bijection f'
+    parser.set_defaults(func=func, command=parser.prog, reads=reads)  # prog: 'sytkit bijection f'
     return parser
 
 
@@ -240,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", action="store_true", default=None, help="Show intermediate bijection data.")
     commands = parser.add_subparsers(metavar="COMMAND", dest="COMMAND")
 
-    sub = _command(commands, "count", count)
+    sub = _command(commands, "count", count, "--cache", "--verify-cache")
     sub.add_argument("family", metavar="FAMILY", help="u, y, y_unbounded, x, x_unbounded or catalan.")
     sub.add_argument("--k", type=integer, help="Subsequence/row bound (families u, y, x).")
     sub.add_argument("--n", required=True, help="Size, or inclusive range 'a..b'.")
@@ -253,17 +252,17 @@ def build_parser() -> argparse.ArgumentParser:
     one_of.add_argument("--word", help="Involution as a one-line word, e.g. '2 1 4 3'.")
     doc = "Apply one of the constructive maps to explicit inputs."
     maps = commands.add_parser("bijection", help=doc, description=doc).add_subparsers(metavar="MAP", dest="MAP")
-    sub = _command(maps, "f", bijection_f)
+    sub = _command(maps, "f", bijection_f, "--trace")
     sub.add_argument("--n", type=integer, required=True, help="Half the ground-set size.")
     sub.add_argument("--p", required=True, help="First involution, cycle notation.")
     sub.add_argument("--q", required=True, help="Second involution, cycle notation.")
-    sub = _command(maps, "g", bijection_g)
+    sub = _command(maps, "g", bijection_g, "--trace")
     sub.add_argument("--chosen", required=True, help="Arranged labels, e.g. '3 1'.")
     sub.add_argument("--n", type=integer, help="Number of chosen labels, checked if given.")
     sub = _command(maps, "g-inverse", bijection_g_inverse)
     sub.add_argument("--red", required=True, help="Red 2-cycles, cycle notation.")
     sub.add_argument("--blue", required=True, help="Blue 2-cycles, cycle notation.")
-    sub = _command(commands, "audit", audit)
+    sub = _command(commands, "audit", audit, "--oracle-limit")
     sub.add_argument("--n", type=integer, required=True, help="Half the ground-set size.")
     sub.add_argument("--k", type=integer, help="Odd decreasing-subsequence bound.")
     return parser
@@ -294,7 +293,7 @@ def run(argv: list[str]) -> int:
         if args.oracle_limit is not None and args.oracle_limit < 1:
             raise ValueError(f"--oracle-limit must be at least 1, got {args.oracle_limit}")
         given = [f for f in GLOBAL_FLAGS if getattr(args, f[2:].replace("-", "_")) is not None]
-        unread = [f for f in given if f not in GLOBAL_FLAGS_READ.get(args.command.rsplit(" ", 1)[1], ())]
+        unread = [f for f in given if f not in args.reads]
         if unread:
             raise ValueError(f"{args.command} does not read the global flag{'s' * (len(unread) > 1)} "
                              f"{', '.join(unread)}")
@@ -319,7 +318,3 @@ def main() -> None:
 
 # bench/inproc.py's call form, main.main(args=…, prog_name=…, standalone_mode=False); goes when it calls run
 main.main = lambda args, prog_name=None, standalone_mode=False: run(args)
-
-
-if __name__ == "__main__":
-    main()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import ge
+from operator import ge, index
 from typing import Iterable, Sequence
 
 
@@ -39,16 +39,16 @@ class Involution:
     The support is the set of labels it acts on: positive integers, not
     necessarily contiguous.  ``Involution(...)`` validates its input, and the
     notation readers ``from_cycles`` and ``from_word`` check their grammar and
-    build through it; ``_canonical`` is the one trusted build.  The label ->
-    image map ``_partner`` is derived on first read, keys in increasing
-    order, and kept; any two fills are equal.
+    build through it; ``_canonical`` is the one trusted build.  Labels are read
+    with ``operator.index``.  The label -> image map ``_partner`` is derived on
+    each read, keys in increasing order; only the two tuples are kept.
     """
 
-    __slots__ = ("fixed_points", "two_cycles", "_map")
+    __slots__ = ("fixed_points", "two_cycles")
 
     def __init__(self, fixed_points: Iterable[int] = (), two_cycles: Iterable[tuple[int, int]] = ()):
-        fixed_points = tuple(sorted(int(x) for x in fixed_points))
-        two_cycles = tuple(sorted(tuple(sorted((int(a), int(b)))) for a, b in two_cycles))
+        fixed_points = tuple(sorted(map(index, fixed_points)))
+        two_cycles = tuple(sorted(tuple(sorted((index(a), index(b)))) for a, b in two_cycles))
         seen: set[int] = set()
         for x in fixed_points:
             if x < 1:
@@ -65,21 +65,19 @@ class Involution:
                 if x in seen:
                     raise ValueError(f"label {x} appears twice")
                 seen.add(x)
-        self.fixed_points, self.two_cycles, self._map = fixed_points, two_cycles, None
+        self.fixed_points, self.two_cycles = fixed_points, two_cycles
 
     @classmethod
     def _canonical(cls, fixed_points: tuple[int, ...], two_cycles: tuple[tuple[int, int], ...]) -> "Involution":
         """An involution from tuples its caller guarantees canonical (sorted, positive, disjoint)."""
         v = object.__new__(cls)
-        v.fixed_points, v.two_cycles, v._map = fixed_points, two_cycles, None
+        v.fixed_points, v.two_cycles = fixed_points, two_cycles
         return v
 
     @property
     def _partner(self) -> dict[int, int]:
-        if self._map is None:
-            fps, cycles = self.fixed_points, self.two_cycles
-            self._map = dict(sorted([*zip(fps, fps), *cycles, *((b, a) for a, b in cycles)]))
-        return self._map
+        fps, cycles = self.fixed_points, self.two_cycles
+        return dict(sorted([*zip(fps, fps), *cycles, *((b, a) for a, b in cycles)]))
 
     @classmethod
     def from_word(cls, word: Sequence[int]) -> "Involution":
@@ -89,7 +87,7 @@ class Involution:
         set of entries.  Raises on repeats or a map that is not its own inverse, then, through
         ``Involution(...)``, on a label below 1.
         """
-        entries = tuple(int(x) for x in word)
+        entries = tuple(map(index, word))
         if len(set(entries)) != len(entries):
             raise ValueError("word has repeated labels")
         partner = dict(zip(sorted(entries), entries))
@@ -162,7 +160,7 @@ class Involution:
 
 def as_shape(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a partition (weakly decreasing positive parts)."""
-    shape = tuple(map(int, parts))
+    shape = tuple(map(index, parts))
     if shape and not (shape[-1] >= 1 and all(map(ge, shape, shape[1:]))):
         for i, p in enumerate(shape):  # the slow scan names the first bad part
             if p < 1:
@@ -191,17 +189,14 @@ class StandardTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]] = ()):
-        normalized = tuple(tuple(int(x) for x in row) for row in rows)
+        normalized = tuple(tuple(map(index, row)) for row in rows)
         self._validate(normalized)
         self.rows = normalized
 
     @staticmethod
     def _validate(rows: tuple[tuple[int, ...], ...]) -> None:
+        as_shape([len(row) for row in rows])
         for i, row in enumerate(rows):
-            if not row:
-                raise ValueError("empty row in tableau")
-            if i and len(rows[i - 1]) < len(row):
-                raise ValueError("row lengths must be weakly decreasing")
             if any(a >= b for a, b in zip(row, row[1:])):
                 raise ValueError(f"row {i} is not strictly increasing: {row}")
             if i:
@@ -234,7 +229,7 @@ class StandardTableau:
 
 def odd_columns(t: StandardTableau) -> int:
     """Number of columns of odd length."""
-    return sum(1 for c in conjugate(t.shape) if c % 2 == 1)
+    return sum(1 for c in _conjugate(t.shape) if c % 2 == 1)
 
 
 def _row_insert(rows: list[list[int]], x: int) -> None:

@@ -8,6 +8,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import chain, combinations
 from math import comb, factorial, prod
+from operator import index
 from typing import Callable, Iterator, Sequence
 
 from .core import _conjugate, as_shape
@@ -63,7 +64,7 @@ def hook_length_count(shape: Sequence[int]) -> int:
 
 
 def _require_bound(k: int) -> None:
-    if k < 1:
+    if index(k) < 1:
         raise ValueError(f"bound k must be a positive integer, got {k}")
 
 

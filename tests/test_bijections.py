@@ -12,6 +12,7 @@ from sytkit import (
     PairState,
     PivotAbsentError,
     ScaleLimitError,
+    StandardTableau,
     arrangement_to_matching,
     check_beissinger,
     count_fpf,
@@ -30,6 +31,7 @@ from sytkit import (
 )
 
 from sytkit import bijections
+from sytkit.core import as_shape
 
 from cli_runner import invoke
 from oracles import brute_lds, generate_involutions, max_decreasing_subsequences, report_longest_decreasing
@@ -463,6 +465,28 @@ def test_pair_state_has_only_its_three_slots():
     with pytest.raises(AttributeError):
         WORKED_PAIR.extra = 1
     assert not hasattr(WORKED_PAIR, "__dict__")
+
+
+def test_involution_has_only_its_two_slots():
+    assert Involution.__slots__ == ("fixed_points", "two_cycles")
+    assert not hasattr(WORKED_PAIR.p, "__dict__")
+
+
+@pytest.mark.parametrize("value", [1.5, "3"])
+@pytest.mark.parametrize("build", [
+    lambda x: Involution([x]),
+    lambda x: Involution([], [(x, 4)]),
+    lambda x: Involution.from_word([x]),
+    lambda x: as_shape([x]),
+    lambda x: StandardTableau([[x]]),
+    lambda x: arrangement_to_matching([x]),
+    lambda x: PairState(Involution(), Involution(), x),
+    lambda x: count_syt_row_bounded(x, 4),
+], ids=["fixed-point", "two-cycle", "word", "shape", "tableau", "arrangement", "pair-n", "bound-k"])
+def test_library_builders_take_only_integers(build, value):
+    # int() would truncate 1.5 and parse "3"; operator.index refuses both
+    with pytest.raises(TypeError):
+        build(value)
 
 
 def test_pair_space_bound_filters_both_sides():

@@ -369,6 +369,12 @@ def test_bijection_f_worked_example():
     assert fields["moved_to"] == "p"
 
 
+def test_bijection_f_trace_moves_a_pivot_from_p_to_q():
+    fields = trace_fields(run("--trace", "bijection", "f", "--n", "1", "--p", "(2)", "--q", "(1)").output)
+    assert (fields["p_out"], fields["q_out"]) == ("()", "(1)(2)")
+    assert (fields["pivot"], fields["moved_from"], fields["moved_to"]) == ("2", "p", "q")
+
+
 def test_bijection_f_moves_smaller_fixed_point_case():
     fields = trace_fields(run("bijection", "f", "--n", "1", "--p", "(1)", "--q", "(2)").output)
     assert fields["p_out"] == "(1)(2)"
@@ -512,6 +518,39 @@ def test_audit_scale_and_parity_errors():
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     assert "pair space enumeration limited to n=4, got n=10000000000000" in result.stderr
+
+
+# above sys.maxsize: math.factorial and math.comb overflow past it
+HUGE = "99999999999999999999"
+
+
+@pytest.mark.parametrize("args", [
+    ("count", "y", "--k", "3", "--n", HUGE + "999"),
+    ("count", "catalan", "--n", f"0..{HUGE}"),
+    ("verify", "wilf", "--k", "2", "--n", HUGE),
+    ("count", "y", "--k", HUGE, "--n", "3"),
+    ("audit", "--n", HUGE),
+    ("--oracle-limit", HUGE, "audit", "--n", "1"),
+], ids=["count-n", "range-end", "verify-n", "count-k", "audit-n", "oracle-limit"])
+def test_a_size_or_bound_above_maxsize_is_a_scale_limit(args):
+    result = run(*args)
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
+    value = next(a for a in args if HUGE in a).rpartition("..")[2]
+    assert result.stderr.startswith(f"{value} is above {sys.maxsize}")
+
+
+def test_a_saved_cache_always_reloads(tmp_path):
+    path = tmp_path / "c.cache"
+    args = ("--cache", str(path), "count", "y", "--k", str(sys.maxsize), "--n", "3")
+    first = run(*args)
+    assert first.exit_code == 0 and table_column(first.output, "value") == ["4"]
+    assert load_cache(path) == {("y", sys.maxsize, 3): "4"}
+    assert run(*args) == first
+    past = tmp_path / "past.cache"
+    result = run("--cache", str(past), "count", "y", "--k", str(sys.maxsize + 1), "--n", "3")
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert not past.exists()
 
 
 def test_oracle_limit_must_be_positive():

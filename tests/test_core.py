@@ -189,6 +189,11 @@ def test_tableau_validation():
         StandardTableau([[1, 3], [4, 5]])  # entries not 1..n
     with pytest.raises(ValueError):
         StandardTableau([[2, 3], [1, 4]])  # column decreases
+    # the row lengths are checked as a shape
+    with pytest.raises(ValueError, match=re.escape("shape parts must be weakly decreasing, got (1, 2)")):
+        StandardTableau([[1], [2, 3]])
+    with pytest.raises(ValueError, match="shape parts must be positive, got 0"):
+        StandardTableau([[1], []])
 
 
 @pytest.mark.parametrize("n", range(0, 9))
