@@ -613,6 +613,110 @@ def test_audit_records_a_closure_breach_as_a_failure(monkeypatch):
     assert "[FAILS]" in result.output and f"assertion_failures = {len(breaching)}\n" in result.output
 
 
+# ---------------------------------------------------------------- audit faults
+# Each test below injects one fault through the toggle, the pair space or the count function,
+# and asserts the checks it breaks, exactly: the verdict fails, `assertion_failures` counts the
+# broken per-state checks, every other check keeps its unfaulted value, and `audit` exits 1.
+
+def toggled(s):
+    """Whether the audit toggles s: every state with a free point."""
+    return pivot(s) is not None
+
+
+def audit_under_fault(monkeypatch, target, name, fault, n, k=None, **changed):
+    expected = dict(signed_cancellation_audit(n, k).checks)
+    monkeypatch.setattr(target, name, fault)
+    v = signed_cancellation_audit(n, k)
+    assert not v.holds
+    assert dict(v.checks) == {**expected, **changed}
+    bound = () if k is None else ("--k", str(k))
+    assert invoke("audit", "--n", str(n), *bound).exit_code == 1
+    return v
+
+
+# a 3-cycle on the p side's 2-cycles (1 2)(3 4) -> (1 3)(2 4) -> (1 4)(2 3) -> (1 2)(3 4): the
+# image keeps its fixed points, so it flips parity and keeps the free points, but toggling it
+# again turns the cycles once more; unbounded, so no image is checked for closure
+ROTATED_CYCLES = {((1, 2), (3, 4)): ((1, 3), (2, 4)), ((1, 3), (2, 4)): ((1, 4), (2, 3)),
+                  ((1, 4), (2, 3)): ((1, 2), (3, 4))}
+
+
+def test_audit_fails_a_toggle_that_is_not_an_involution(monkeypatch):
+    def rotating_toggle(s):
+        image = toggle_pivot(s)
+        cycles = ROTATED_CYCLES.get(image.p.two_cycles, image.p.two_cycles)
+        return PairState(Involution(image.p.fixed_points, cycles), image.q, image.n)
+
+    rotated = [s for s in enumerate_pair_space(3) if toggled(s) and s.p.two_cycles in ROTATED_CYCLES]
+    assert rotated
+    audit_under_fault(monkeypatch, bijections, "toggle_pivot", rotating_toggle, 3,
+                      assertion_failures=len(rotated))
+
+
+def test_audit_fails_a_toggle_that_leaves_the_split_size(monkeypatch):
+    # the identity: an involution that keeps the free points and the space, but moves no label
+    v = audit_under_fault(monkeypatch, bijections, "toggle_pivot", lambda s: s, 2,
+                          assertion_failures=sum(map(toggled, enumerate_pair_space(2))))
+    assert v.lhs == v.rhs
+
+
+def swap_1_2(v):
+    swap = {1: 2, 2: 1}
+    return Involution([swap.get(x, x) for x in v.fixed_points],
+                      [(swap.get(a, a), swap.get(b, b)) for a, b in v.two_cycles])
+
+
+def swaps_1_2(s):
+    """p holds 1 and 2, one fixed and one in a 2-cycle, and the pivot is above both."""
+    fixed = {1, 2} & set(s.p.fixed_points)
+    return len(fixed) == 1 and {1, 2} - fixed <= set(s.p.support) and pivot(s) > 2
+
+
+def test_audit_fails_a_toggle_that_trades_one_free_point_for_another(monkeypatch):
+    # the image's p side is relabelled by the transposition (1 2): the fault commutes with the
+    # toggle, so it stays an involution that flips parity, and the number of free points stays,
+    # but their set trades 1 for 2 or back
+    def trading_toggle(s):
+        image = toggle_pivot(s)
+        return PairState(swap_1_2(image.p), image.q, image.n) if swaps_1_2(image) else image
+
+    traded = [s for s in enumerate_pair_space(3) if toggled(s) and swaps_1_2(s)]
+    assert traded
+    audit_under_fault(monkeypatch, bijections, "toggle_pivot", trading_toggle, 3,
+                      assertion_failures=len(traded))
+
+
+def test_audit_fails_survivors_that_miss_the_closed_form_term_by_term(monkeypatch):
+    # the matching counts 1, 0, 6 at sizes 0, 2, 4 give the pair-sum terms 6, 0, 6: the total
+    # still equals the 3 + 6 + 3 survivors, but no term does
+    from sytkit import counting
+    wrong = {2: 0, 4: 6}
+    v = audit_under_fault(monkeypatch, counting, "count_fpf", lambda m: wrong.get(m, count_fpf(m)), 2)
+    assert v.lhs == v.rhs == 12
+    assert [t.term_value for t in v.lhs_terms] == [3, 0, 6, 0, 3]
+    assert [t.term_value for t in v.rhs_terms] == [6, 0, 0, 0, 6]
+
+
+def audit_without_one_state(monkeypatch, on_side, **changed):
+    """Drop the first toggled state whose pivot is a fixed point of on_side(s) from the pair space."""
+    missing = next(s for s in enumerate_pair_space(2) if toggled(s) and pivot(s) in on_side(s).fixed_points)
+    checks = dict(signed_cancellation_audit(2).checks)
+    states = lambda *args: (s for s in enumerate_pair_space(*args) if s != missing)
+    v = audit_under_fault(monkeypatch, bijections, "enumerate_pair_space", states, 2,
+                          states=checks["states"] - 1,
+                          signed_total=checks["signed_total"] - (-1) ** missing.p.size, **changed)
+    assert v.lhs == v.rhs
+
+
+def test_audit_fails_a_signed_total_off_the_survivors(monkeypatch):
+    # its partner still toggles onto the missing state and back
+    audit_without_one_state(monkeypatch, lambda s: s.p, orbits=31)
+
+
+def test_audit_fails_an_unbalanced_pair_space(monkeypatch):
+    audit_without_one_state(monkeypatch, lambda s: s.q, orbits=31)
+
+
 def test_audit_rejects_even_bound_and_scale():
     with pytest.raises(ValueError):
         signed_cancellation_audit(2, 2)
