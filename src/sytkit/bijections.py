@@ -233,54 +233,65 @@ def signed_cancellation_audit(
 ) -> IdentityVerdict:
     """Replay the cancellation argument over the whole (possibly bounded) pair space.
 
-    Checks, exhaustively: the toggle is defined exactly off the
-    fixed-point-free pairs, is an involution, flips the side-size parity,
-    preserves the free-point set, and (bounded case) never leaves the space.
-    The surviving pairs are then counted per split size and compared against
-    the closed form, which is the positive side of the matching identity.
+    Each state is classified by its sides' last fixed points, without a
+    toggle: a survivor has none; P_r holds the states of split size r whose
+    pivot is on p, and Q_r those whose pivot is on q.  Each state s in P_r is
+    toggled once, and its image f(s) is checked to be closed under the bound,
+    to lie in Q_{r-1}, to keep the free points, and to give back s when
+    toggled again.  After the walk, |P_r| = |Q_{r-1}| is checked for every
+    r, P_0 and Q_{2n} empty included.
+
+    That covers Q without toggling it.  f(f(s)) = s makes f one to one on P,
+    and f maps P_r into Q_{r-1}, a set of the same size, so onto it.  Every t
+    in Q is then f(s) for one s in P, and f(t) = s: on t the toggle is
+    defined, flips the parity, keeps the free points and stays in the space,
+    because it does so on s.  The orbits are the pairs {s, f(s)}, Sigma |P_r|
+    of them, and they cancel out of the alternating sum, which leaves the
+    survivors.  Those are compared per split size against the closed form,
+    the positive side of the matching identity.
     """
     from .counting import count_fpf, count_fpf_lds_bounded
     from .identities import IdentityVerdict, _pair_sum, _term
 
     if k is not None and (k < 1 or k % 2 == 0):
         raise ValueError(f"audit bound must be odd, got k={k}")
-    survivors_by_r: Counter[int] = Counter()
-    states = 0
-    signed_total = 0
+    # states counted by split size r: pivot on p (P_r), pivot on q (Q_r), fixed-point-free
+    on_p: Counter[int] = Counter()
+    on_q: Counter[int] = Counter()
+    survivors: Counter[int] = Counter()
     failures: list[str] = []
     for s in enumerate_pair_space(n, k, limit):
-        states += 1
+        fp, fq = s.p.fixed_points, s.q.fixed_points  # sorted, so each side's largest is last
         r = s.p.size
-        signed_total += -1 if r % 2 else 1
-        if pivot(s) is None:
-            if not (s.p.is_fixed_point_free() and s.q.is_fixed_point_free()):
-                failures.append(f"survivor with a fixed point: {s}")
-            survivors_by_r[r] += 1
+        if not fp or fq and fq[-1] > fp[-1]:
+            (on_q if fq else survivors)[r] += 1
             continue
+        on_p[r] += 1
         # the enumeration kept only sides with lds <= k, so only the image is checked
         image = toggle_pivot(s)
         if k is not None and (breach := _closure_breach(s, image, k)):
             failures.append(breach)
-        back = toggle_pivot(image)
-        if back != s:
+        ifp, ifq = image.p.fixed_points, image.q.fixed_points
+        if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:
+            failures.append(f"toggle image not in Q_{r - 1} at {s}")
+        if toggle_pivot(image) != s:
             failures.append(f"toggle not an involution at {s}")
-        if (image.p.size - r) % 2 == 0:
-            failures.append(f"toggle did not flip parity at {s}")
         if free_points(image) != free_points(s):
             failures.append(f"free points not preserved at {s}")
+    for r in range(2 * n + 2):  # P_0 faces the empty Q_{-1}, and Q_{2n} the empty P_{2n+1}
+        if on_p[r] != on_q[r - 1]:
+            failures.append(f"toggle not balanced: |P_{r}| = {on_p[r]} but |Q_{r - 1}| = {on_q[r - 1]}")
 
     count = count_fpf if k is None else (lambda r: count_fpf_lds_bounded(k, r))
-    lhs_terms = tuple(
-        _term(r, 1, 1, survivors_by_r[r], 1) for r in range(2 * n + 1)
-    )
+    lhs_terms = tuple(_term(r, 1, 1, survivors[r], 1) for r in range(2 * n + 1))
     rhs, rhs_terms = _pair_sum(count, n, signed=False)
-    lhs = sum(t.term_value for t in lhs_terms)
+    lhs = survivors.total()
+    signed_total = sum((-1) ** r * c for r, c in (on_p + on_q + survivors).items())
     per_r_match = all(lhs_terms[r].term_value == rhs_terms[r].term_value for r in range(2 * n + 1))
     holds = not failures and per_r_match and lhs == rhs and signed_total == lhs
     checks = (
-        ("states", states),
-        # every state but a survivor is toggled, and each 2-element orbit is met from both ends
-        ("orbits", (states - lhs) // 2),
+        ("states", on_p.total() + on_q.total() + lhs),
+        ("orbits", on_p.total()),
         ("survivors", lhs),
         ("signed_total", signed_total),
         ("assertion_failures", len(failures)),

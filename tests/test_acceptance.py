@@ -153,6 +153,7 @@ def test_criterion_09_cancellation_audits():
             assert checks["states"] == sum(
                 comb(2 * n, r) * side(r) * side(2 * n - r) for r in range(2 * n + 1)
             )
+            # orbits are counted as the states with the pivot on p: a second route to this
             assert 2 * checks["orbits"] == checks["states"] - checks["survivors"]
     ok(9, "orbit cancellation, parity reversal, bounded closure, and survivor "
           "counts all verified for n in 1..4, bounds {none,1,3,5}")

@@ -496,6 +496,11 @@ def test_pair_space_bound_filters_both_sides():
 
 # ---------------------------------------------------------------- audits
 
+def toggled(s):
+    """Whether the audit toggles s: its pivot is on p."""
+    return pivot(s) in s.p.fixed_points
+
+
 def test_audit_unbounded_examples():
     v1 = signed_cancellation_audit(1)
     assert v1.lhs == 2 and v1.holds
@@ -535,14 +540,15 @@ def test_audit_toggles_each_state_before_the_next_is_enumerated(monkeypatch):
     monkeypatch.setattr(bijections, "enumerate_pair_space", logged_states)
     monkeypatch.setattr(bijections, "toggle_pivot", logged_toggle)
     assert signed_cancellation_audit(2).holds
-    assert events.index("toggle") < events.index("state", 1)
+    # a state whose pivot is on p is toggled, and its image toggled back, before the next state
+    assert events == [e for s in enumerate_pair_space(2) for e in ("state", *("toggle",) * 2 * toggled(s))]
 
 
-@pytest.mark.parametrize("args, built", [((3,), 6054), ((3, 3), 5434)])
+@pytest.mark.parametrize("args, built", [((3,), 3526), ((3, 3), 3146)])
 def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args, built):
     # every pair side, relabelled or toggled, is built once, by Involution.__init__ or the
-    # trusted Involution._canonical; the side word lists are grown as plain words and
-    # build none (sum of i(m) for m <= 6 = 120)
+    # trusted Involution._canonical, and only the states with the pivot on p are toggled;
+    # the side word lists are grown as plain words and build none (sum of i(m) for m <= 6 = 120)
     calls = 0
     init, canonical = Involution.__init__, Involution._canonical
 
@@ -573,10 +579,10 @@ def test_audit_checks_closure_on_both_sides_of_every_image(monkeypatch, k):
         return side_lds(v, top)
 
     monkeypatch.setattr(bijections, "_side_lds", counted)
-    checks = dict(signed_cancellation_audit(3, k).checks)
-    toggled = checks["states"] - checks["survivors"]
-    assert toggled > 0
-    assert calls == (0 if k is None else 2 * toggled)
+    orbits = dict(signed_cancellation_audit(3, k).checks)["orbits"]
+    assert orbits > 0
+    # one toggle image per orbit
+    assert calls == (0 if k is None else 2 * orbits)
 
 
 # a toggle that swaps the p side's 2-cycles (1 2)(3 4) <-> (1 4)(2 3): still an involution
@@ -594,8 +600,8 @@ def breaching_toggle(s):
 
 
 def test_audit_records_a_closure_breach_as_a_failure(monkeypatch):
-    breaching = [s for s in enumerate_pair_space(3, 3)
-                 if pivot(s) is not None and s.p.two_cycles in BREACH_CYCLES]
+    # only the states with the pivot on p are toggled
+    breaching = [s for s in enumerate_pair_space(3, 3) if toggled(s) and s.p.two_cycles in BREACH_CYCLES]
     assert breaching
     expected = dict(signed_cancellation_audit(3, 3).checks)
     monkeypatch.setattr(bijections, "toggle_pivot", breaching_toggle)
@@ -617,11 +623,6 @@ def test_audit_records_a_closure_breach_as_a_failure(monkeypatch):
 # Each test below injects one fault through the toggle, the pair space or the count function,
 # and asserts the checks it breaks, exactly: the verdict fails, `assertion_failures` counts the
 # broken per-state checks, every other check keeps its unfaulted value, and `audit` exits 1.
-
-def toggled(s):
-    """Whether the audit toggles s: every state with a free point."""
-    return pivot(s) is not None
-
 
 def audit_under_fault(monkeypatch, target, name, fault, n, k=None, **changed):
     expected = dict(signed_cancellation_audit(n, k).checks)
@@ -660,13 +661,30 @@ def test_audit_fails_a_toggle_that_leaves_the_split_size(monkeypatch):
     assert v.lhs == v.rhs
 
 
+def test_audit_fails_a_toggle_that_flips_parity_onto_the_wrong_side(monkeypatch):
+    # moving the second largest free point, where there are two, is an involution that flips
+    # parity and keeps the free points, but leaves the pivot on p, or grows p
+    def second_free_point_toggle(s):
+        z = free_points(s)[-2:][0]
+        on_p = z in s.p.fixed_points
+        src, dst = (s.p, s.q) if on_p else (s.q, s.p)
+        src = Involution([x for x in src.fixed_points if x != z], src.two_cycles)
+        dst = Involution((*dst.fixed_points, z), dst.two_cycles)
+        return PairState(*((src, dst) if on_p else (dst, src)), s.n)
+
+    moved = [s for s in enumerate_pair_space(3) if toggled(s) and len(free_points(s)) > 1]
+    assert moved
+    audit_under_fault(monkeypatch, bijections, "toggle_pivot", second_free_point_toggle, 3,
+                      assertion_failures=len(moved))
+
+
 def swap_1_2(v):
     swap = {1: 2, 2: 1}
     return Involution([swap.get(x, x) for x in v.fixed_points],
                       [(swap.get(a, a), swap.get(b, b)) for a, b in v.two_cycles])
 
 
-def swaps_1_2(s):
+def p_fixes_one_of_1_2(s):
     """p holds 1 and 2, one fixed and one in a 2-cycle, and the pivot is above both."""
     fixed = {1, 2} & set(s.p.fixed_points)
     return len(fixed) == 1 and {1, 2} - fixed <= set(s.p.support) and pivot(s) > 2
@@ -678,9 +696,9 @@ def test_audit_fails_a_toggle_that_trades_one_free_point_for_another(monkeypatch
     # but their set trades 1 for 2 or back
     def trading_toggle(s):
         image = toggle_pivot(s)
-        return PairState(swap_1_2(image.p), image.q, image.n) if swaps_1_2(image) else image
+        return PairState(swap_1_2(image.p), image.q, image.n) if p_fixes_one_of_1_2(image) else image
 
-    traded = [s for s in enumerate_pair_space(3) if toggled(s) and swaps_1_2(s)]
+    traded = [s for s in enumerate_pair_space(3) if toggled(s) and p_fixes_one_of_1_2(s)]
     assert traded
     audit_under_fault(monkeypatch, bijections, "toggle_pivot", trading_toggle, 3,
                       assertion_failures=len(traded))
@@ -697,24 +715,29 @@ def test_audit_fails_survivors_that_miss_the_closed_form_term_by_term(monkeypatc
     assert [t.term_value for t in v.rhs_terms] == [6, 0, 0, 0, 6]
 
 
-def audit_without_one_state(monkeypatch, on_side, **changed):
-    """Drop the first toggled state whose pivot is a fixed point of on_side(s) from the pair space."""
-    missing = next(s for s in enumerate_pair_space(2) if toggled(s) and pivot(s) in on_side(s).fixed_points)
+# Once |P_r| = |Q_{r-1}| for every r, the orbits cancel out of the signed total and leave the
+# survivors, all of even split size.  So no fault breaks `signed_total == lhs` alone: a pair space
+# missing one state fails it and one balance check.
+
+def audit_without_one_state(monkeypatch, on_p):
+    """Drop from the pair space its first state with the pivot on p, or on q."""
+    missing = next(s for s in enumerate_pair_space(2) if pivot(s) is not None and toggled(s) == on_p)
     checks = dict(signed_cancellation_audit(2).checks)
     states = lambda *args: (s for s in enumerate_pair_space(*args) if s != missing)
     v = audit_under_fault(monkeypatch, bijections, "enumerate_pair_space", states, 2,
-                          states=checks["states"] - 1,
-                          signed_total=checks["signed_total"] - (-1) ** missing.p.size, **changed)
+                          states=checks["states"] - 1, orbits=checks["orbits"] - on_p,
+                          signed_total=checks["signed_total"] - (-1) ** missing.p.size,
+                          assertion_failures=1)
     assert v.lhs == v.rhs
 
 
 def test_audit_fails_a_signed_total_off_the_survivors(monkeypatch):
-    # its partner still toggles onto the missing state and back
-    audit_without_one_state(monkeypatch, lambda s: s.p, orbits=31)
+    audit_without_one_state(monkeypatch, on_p=True)
 
 
 def test_audit_fails_an_unbalanced_pair_space(monkeypatch):
-    audit_without_one_state(monkeypatch, lambda s: s.q, orbits=31)
+    # the missing state's partner is still toggled onto it and back
+    audit_without_one_state(monkeypatch, on_p=False)
 
 
 def test_audit_rejects_even_bound_and_scale():
