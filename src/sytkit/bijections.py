@@ -284,7 +284,8 @@ def signed_cancellation_audit(
 
     count = count_fpf if k is None else (lambda r: count_fpf_lds_bounded(k, r))
     lhs_terms = tuple(_term(r, 1, 1, survivors[r], 1) for r in range(2 * n + 1))
-    rhs, rhs_terms = _pair_sum(count, n, signed=False)
+    rhs_terms = _pair_sum(count, n, signed=False)
+    rhs = sum(t.term_value for t in rhs_terms)
     lhs = survivors.total()
     signed_total = sum((-1) ** r * c for r, c in (on_p + on_q + survivors).items())
     per_r_match = all(lhs_terms[r].term_value == rhs_terms[r].term_value for r in range(2 * n + 1))

@@ -108,9 +108,6 @@ class Involution:
         """One-line word: images of the support labels in increasing order."""
         return tuple(self._partner.values())
 
-    def is_fixed_point_free(self) -> bool:
-        return not self.fixed_points
-
     def cycle_string(self) -> str:
         """Cycle notation, e.g. '(13)(26)(5)'.
 

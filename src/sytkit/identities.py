@@ -12,6 +12,7 @@ from math import comb, factorial
 from typing import Callable, NamedTuple
 
 from .counting import (
+    _require_bound,
     catalan,
     count_fpf,
     count_fpf_lds_bounded,
@@ -40,9 +41,10 @@ def _term(r: int, sign: int, binomial: int, left: int, right: int) -> TermBreakd
 class IdentityVerdict(NamedTuple):
     """Exact two-side evaluation of one identity instance.
 
-    ``holds`` means lhs == rhs, except for ``naive_failure`` where it means
-    lhs != rhs (that verdict passes when the broken identity really breaks).
-    ``checks`` carries named side values for the multi-way equalities.
+    ``holds`` means that lhs, rhs and every ``checks`` value are equal, except
+    for ``naive_failure``, where it means lhs != rhs (that verdict passes when
+    the broken identity really breaks).  ``checks`` carries named side values
+    for the multi-way equalities.
     Like each ``TermBreakdown``, it is a named tuple: it iterates and indexes
     like one, and equals the plain tuple of its values.
     """
@@ -58,19 +60,19 @@ class IdentityVerdict(NamedTuple):
     checks: tuple[tuple[str, int], ...] = ()
 
 
-def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[int, tuple[TermBreakdown, ...]]:
-    """sum over r of [(-1)^r] * C(2n, r) * count(r) * count(2n - r)."""
-    terms = []
-    for r in range(2 * n + 1):
-        sign = -1 if signed and r % 2 else 1
-        terms.append(_term(r, sign, comb(2 * n, r), count(r), count(2 * n - r)))
-    return sum(t.term_value for t in terms), tuple(terms)
+def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[TermBreakdown, ...]:
+    """The terms [(-1)^r] * C(2n, r) * count(r) * count(2n - r), for r = 0 .. 2n."""
+    return tuple(_term(r, -1 if signed and r % 2 else 1, comb(2 * n, r), count(r), count(2 * n - r))
+                 for r in range(2 * n + 1))
 
 
-def _one_term_side(n: int, binomial: int, left: int, right: int) -> tuple[int, tuple[TermBreakdown, ...]]:
-    """binomial * left * right as a single-term side (indexed at r = n)."""
-    term = _term(n, 1, binomial, left, right)
-    return term.term_value, (term,)
+def _verdict(identity_id: str, k: int | None, n: int, lhs_terms: tuple[TermBreakdown, ...],
+             rhs_terms: tuple[TermBreakdown, ...], *checks: tuple[str, int]) -> IdentityVerdict:
+    """Sum each side; the verdict holds when both sides and every check value agree."""
+    lhs = sum(t.term_value for t in lhs_terms)
+    rhs = sum(t.term_value for t in rhs_terms)
+    holds = lhs == rhs and all(value == lhs for _, value in checks)
+    return IdentityVerdict(identity_id, k, n, lhs, rhs, lhs_terms, rhs_terms, holds, checks)
 
 
 def _require_positive(n: int) -> None:
@@ -88,25 +90,22 @@ def verify_wilf_even(k: int, n: int) -> IdentityVerdict:
     if k < 1 or k % 2 == 1:
         raise ValueError(f"this identity needs an even bound; got k={k} (see verify_odd_k)")
     _require_positive(n)
-    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), count_perms_lis_bounded(k, n), 1)
-    rhs, rhs_terms = _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True)
-    return IdentityVerdict("wilf_even", k, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
+    return _verdict("wilf_even", k, n, (_term(n, 1, comb(2 * n, n), count_perms_lis_bounded(k, n), 1),),
+                    _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True))
 
 
 def verify_unrestricted(n: int) -> IdentityVerdict:
     """C(2n,n) n! against the alternating involution-count sum (no bound)."""
     _require_positive(n)
-    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), factorial(n), 1)
-    rhs, rhs_terms = _pair_sum(count_involutions, n, signed=True)
-    return IdentityVerdict("unrestricted", None, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
+    return _verdict("unrestricted", None, n, (_term(n, 1, comb(2 * n, n), factorial(n), 1),),
+                    _pair_sum(count_involutions, n, signed=True))
 
 
 def verify_fpf_pairs(n: int) -> IdentityVerdict:
     """C(2n,n) n! against the positive fixed-point-free pair sum."""
     _require_positive(n)
-    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), factorial(n), 1)
-    rhs, rhs_terms = _pair_sum(count_fpf, n, signed=False)
-    return IdentityVerdict("fpf_pairs", None, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
+    return _verdict("fpf_pairs", None, n, (_term(n, 1, comb(2 * n, n), factorial(n), 1),),
+                    _pair_sum(count_fpf, n, signed=False))
 
 
 def verify_odd_k(k: int, n: int) -> IdentityVerdict:
@@ -118,22 +117,18 @@ def verify_odd_k(k: int, n: int) -> IdentityVerdict:
     if k < 1 or k % 2 == 0:
         raise ValueError(f"this identity needs an odd bound; got k={k} (see verify_wilf_even)")
     _require_positive(n)
-    lhs, lhs_terms = _pair_sum(lambda r: count_fpf_lds_bounded(k, r), n, signed=False)
-    rhs, rhs_terms = _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True)
-    return IdentityVerdict("odd_k", k, n, lhs, rhs, lhs_terms, rhs_terms, lhs == rhs)
+    return _verdict("odd_k", k, n, _pair_sum(lambda r: count_fpf_lds_bounded(k, r), n, signed=False),
+                    _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True))
 
 
 def verify_corollary_k3(n: int) -> IdentityVerdict:
     """Four-way equality at bound 3: alternating sum = rows-bounded-by-4 count
     = C_n C_{n+1} = the closed binomial form."""
     _require_positive(n)
-    lhs, lhs_terms = _pair_sum(lambda r: count_syt_row_bounded(3, r), n, signed=True)
-    rhs, rhs_terms = _one_term_side(n, 1, catalan(n), catalan(n + 1))
-    row_bound_4 = count_syt_row_bounded(4, 2 * n)
-    closed_form = comb(2 * n, n) * comb(2 * n + 2, n + 1) // ((n + 1) * (n + 2))
-    holds = lhs == rhs == row_bound_4 == closed_form
-    checks = (("row_bound_4_count", row_bound_4), ("closed_binomial_form", closed_form))
-    return IdentityVerdict("corollary_k3", None, n, lhs, rhs, lhs_terms, rhs_terms, holds, checks)
+    return _verdict("corollary_k3", None, n, _pair_sum(lambda r: count_syt_row_bounded(3, r), n, signed=True),
+                    (_term(n, 1, 1, catalan(n), catalan(n + 1)),),
+                    ("row_bound_4_count", count_syt_row_bounded(4, 2 * n)),
+                    ("closed_binomial_form", comb(2 * n, n) * comb(2 * n + 2, n + 1) // ((n + 1) * (n + 2))))
 
 
 def verify_a005568(n: int) -> IdentityVerdict:
@@ -145,15 +140,10 @@ def verify_a005568(n: int) -> IdentityVerdict:
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
-    lhs_terms = tuple(
-        _term(i, 1, comb(2 * n, 2 * i), catalan(i), catalan(n - i)) for i in range(n + 1)
-    )
-    lhs = sum(t.term_value for t in lhs_terms)
-    rhs, rhs_terms = _one_term_side(n, 1, catalan(n), catalan(n + 1))
-    pair_sum, _ = _pair_sum(lambda r: count_fpf_lds_bounded(2, r), n, signed=False)
-    holds = lhs == rhs == pair_sum
-    checks = (("fpf_lds2_pair_sum", pair_sum),)
-    return IdentityVerdict("a005568", None, n, lhs, rhs, lhs_terms, rhs_terms, holds, checks)
+    lhs_terms = tuple(_term(i, 1, comb(2 * n, 2 * i), catalan(i), catalan(n - i)) for i in range(n + 1))
+    rhs_terms = (_term(n, 1, 1, catalan(n), catalan(n + 1)),)
+    pair_sum = sum(t.term_value for t in _pair_sum(lambda r: count_fpf_lds_bounded(2, r), n, signed=False))
+    return _verdict("a005568", None, n, lhs_terms, rhs_terms, ("fpf_lds2_pair_sum", pair_sum))
 
 
 def demonstrate_naive_failure(k: int, n: int) -> IdentityVerdict:
@@ -163,12 +153,11 @@ def demonstrate_naive_failure(k: int, n: int) -> IdentityVerdict:
     increasing-subsequence-bounded variant does NOT give an identity; this
     verdict ``holds`` when the two sides differ, i.e. when the failure shows.
     """
-    if k < 1:
-        raise ValueError(f"bound k must be a positive integer, got {k}")
+    _require_bound(k)
     _require_positive(n)
-    lhs, lhs_terms = _one_term_side(n, comb(2 * n, n), count_perms_lis_bounded(k, n), 1)
-    rhs, rhs_terms = _pair_sum(lambda r: count_fpf_lis_bounded(k, r), n, signed=False)
-    return IdentityVerdict("naive_failure", k, n, lhs, rhs, lhs_terms, rhs_terms, lhs != rhs)
+    v = _verdict("naive_failure", k, n, (_term(n, 1, comb(2 * n, n), count_perms_lis_bounded(k, n), 1),),
+                 _pair_sum(lambda r: count_fpf_lis_bounded(k, r), n, signed=False))
+    return v._replace(holds=v.lhs != v.rhs)
 
 
 #: CLI name -> (verifier, whether it takes the bound k); parity is checked by the verifier

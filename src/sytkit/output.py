@@ -195,7 +195,8 @@ def save_cache(entries: dict[CacheKey, str], path: str | Path) -> None:
 
 
 # The one form save_cache writes in each field (int() would also take '+9', '09' and '9_0'):
-# no k or n past sys.maxsize can be computed, and a count is unsigned and never parsed.
+# a k or n has at most as many digits as sys.maxsize, so int() stays cheap on a hostile line,
+# and a count is unsigned and never parsed.
 _INDEX_FORM = rf"0|-?[1-9][0-9]{{0,{len(str(sys.maxsize)) - 1}}}"
 _FIELD_FORMS = (
     ("k", f"-|{_INDEX_FORM}", f" of at most {len(str(sys.maxsize))} digits"),
@@ -216,6 +217,9 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
     family, k_text, n_text, value = parts
     k = None if k_text == "-" else int(k_text)
     n = int(n_text)
+    for name, index in (("k", k), ("n", n)):
+        if index is not None and index > sys.maxsize:
+            raise ValueError(f"{name} is above {sys.maxsize}, the largest size or bound (sys.maxsize)")
     validate_family(family, k, n)
     # every family's count is at most n**n (1 at n = 0)
     if len(value) > max(1, n * len(n_text)):

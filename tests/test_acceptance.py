@@ -44,7 +44,7 @@ def ok(criterion, message):
 def involution_stats(m):
     """(lis, lds, is_fpf) for every involution on {1..m}."""
     return tuple(
-        (lis(v.word()), lds(v.word()), v.is_fixed_point_free())
+        (lis(v.word()), lds(v.word()), not v.fixed_points)
         for v in generate_involutions(range(1, m + 1))
     )
 

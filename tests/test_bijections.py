@@ -129,7 +129,7 @@ def test_toggle_undefined_on_fixed_point_free_pairs():
 def test_toggle_is_a_parity_reversing_involution(n):
     for s in enumerate_pair_space(n):
         if pivot(s) is None:
-            assert s.p.is_fixed_point_free() and s.q.is_fixed_point_free()
+            assert not s.p.fixed_points and not s.q.fixed_points
             continue
         image = toggle_pivot(s)
         assert toggle_pivot(image) == s
@@ -244,7 +244,7 @@ def test_coloring_bijection_round_trips(n):
         images.add(c)
     # forward map is a bijection onto all colorings of all matchings
     all_colorings = set()
-    for v in filter(Involution.is_fixed_point_free, generate_involutions(ground)):
+    for v in filter(lambda v: not v.fixed_points, generate_involutions(ground)):
         cycles = v.two_cycles
         for mask in range(2 ** n):
             red = tuple(c for i, c in enumerate(cycles) if mask >> i & 1)

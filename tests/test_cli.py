@@ -873,7 +873,9 @@ def test_cache_in_missing_directory_is_a_usage_error(tmp_path):
     "y 2 3 -5",         # negative value
     "y 2 3 x",          # not an integer
     "y 2 3 5\ny 2 3 3", # duplicate key
-], ids=["family", "missing-k", "extra-k", "k", "n", "value", "integer", "duplicate"])
+    "catalan - 9223372036854775808 1",  # n above sys.maxsize
+    "y 9223372036854775808 3 4",        # k above sys.maxsize
+], ids=["family", "missing-k", "extra-k", "k", "n", "value", "integer", "duplicate", "huge-n", "huge-k"])
 def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, verify_flag):
     path = tmp_path / "counts.cache"
     path.write_bytes(f"sytkit cache v1\n{body}\n".encode())

@@ -263,7 +263,7 @@ def test_fpf_count_examples():
 
 @pytest.mark.parametrize("r", range(0, 11))
 def test_fpf_count_matches_generation(r):
-    generated = sum(1 for v in generate_involutions(range(1, r + 1)) if v.is_fixed_point_free())
+    generated = sum(1 for v in generate_involutions(range(1, r + 1)) if not v.fixed_points)
     assert count_fpf(r) == generated
 
 
@@ -356,7 +356,7 @@ def test_lis_bound_saturates_at_factorial():
 
 def test_generate_involutions_small_cases():
     assert len(list(generate_involutions((1, 2)))) == 2
-    assert sum(v.is_fixed_point_free() for v in generate_involutions((1, 2, 3, 4))) == 3
+    assert sum(not v.fixed_points for v in generate_involutions((1, 2, 3, 4))) == 3
     assert list(generate_involutions(())) == [Involution()]
 
 

@@ -15,8 +15,11 @@ from sytkit import (
     verify_unrestricted,
     verify_wilf_even,
 )
+from sytkit import identities
 from sytkit.identities import IdentityVerdict, TermBreakdown
 from sytkit.output import _TERM_FIELDS, verdict_payload
+
+from cli_runner import invoke
 
 
 def assert_terms_consistent(verdict):
@@ -184,6 +187,36 @@ def test_odd_k3_side_equals_catalan_pair_sum(n):
     assert odd.rhs == pair_sum
     for r in range(2 * n + 1):
         assert count_fpf_lds_bounded(3, r) == count_fpf_lds_bounded(2, r)
+
+
+# ---------------------------------------------------------------- verdict faults
+# Each test below puts one fault into a count function that a check reads, and asserts that
+# this check alone moves: the verdict fails, lhs, rhs, every term and every other check keep
+# their unfaulted values, and `verify` exits 1.
+
+def verdict_under_fault(monkeypatch, name, fault, verify, n, **changed):
+    expected = verify(n)
+    assert expected.holds
+    monkeypatch.setattr(identities, name, fault)
+    v = verify(n)
+    assert not v.holds
+    assert v._replace(holds=True, checks=()) == expected._replace(checks=())
+    assert dict(v.checks) == {**dict(expected.checks), **changed}
+
+
+def test_corollary_k3_fails_when_its_row_bound_4_count_is_off(monkeypatch):
+    count = identities.count_syt_row_bounded
+    verdict_under_fault(monkeypatch, "count_syt_row_bounded", lambda k, n: count(k, n) + (k == 4),
+                        verify_corollary_k3, 3, row_bound_4_count=71)
+    assert invoke("verify", "corollary-k3", "--n", "3").exit_code == 1
+
+
+def test_a005568_fails_when_its_fpf_pair_sum_is_off(monkeypatch):
+    # the count at (2, 2) is a factor of the terms at r = 2 and r = 4, each C(6, 2) * 1 * 2 = 30 larger
+    count = identities.count_fpf_lds_bounded
+    verdict_under_fault(monkeypatch, "count_fpf_lds_bounded", lambda k, r: count(k, r) + ((k, r) == (2, 2)),
+                        verify_a005568, 3, fpf_lds2_pair_sum=130)
+    assert invoke("verify", "a005568", "--n", "3").exit_code == 1
 
 
 # ---------------------------------------------------------------- the broken variant
