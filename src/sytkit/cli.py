@@ -25,7 +25,7 @@ import sys
 from pathlib import Path
 
 from .core import Involution, odd_columns, rs_of_involution
-from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, PivotAbsentError, ScaleLimitError
+from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, ScaleLimitError
 from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
@@ -141,10 +141,7 @@ def bijection_f(args: argparse.Namespace) -> None:
     from .bijections import PairState, free_points, pivot, toggle_pivot
 
     state = PairState(Involution.from_cycles(args.p), Involution.from_cycles(args.q), args.n)
-    try:
-        image = toggle_pivot(state)
-    except PivotAbsentError:
-        raise ValueError("f undefined: both involutions fixed-point-free") from None
+    image = toggle_pivot(state)
     fields = [
         ("p", state.p.cycle_string()),
         ("q", state.q.cycle_string()),

@@ -41,10 +41,11 @@ def _term(r: int, sign: int, binomial: int, left: int, right: int) -> TermBreakd
 class IdentityVerdict(NamedTuple):
     """Exact two-side evaluation of one identity instance.
 
-    ``holds`` means that lhs, rhs and every ``checks`` value are equal, except
-    for ``naive_failure``, where it means lhs != rhs (that verdict passes when
-    the broken identity really breaks).  ``checks`` carries named side values
-    for the multi-way equalities.
+    An identity's ``holds`` means that lhs, rhs and every ``checks`` value are
+    equal, except for ``naive_failure``, where it means lhs != rhs (that verdict
+    passes when the broken identity really breaks).  The audit's holds exactly
+    when its ``assertion_failures`` check, which counts every failed check, is
+    0.  ``checks`` carries named side values for the multi-way equalities.
     Like each ``TermBreakdown``, it is a named tuple: it iterates and indexes
     like one, and equals the plain tuple of its values.
     """

@@ -221,8 +221,8 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
         if index is not None and index > sys.maxsize:
             raise ValueError(f"{name} is above {sys.maxsize}, the largest size or bound (sys.maxsize)")
     validate_family(family, k, n)
-    # every family's count is at most n**n (1 at n = 0)
-    if len(value) > max(1, n * len(n_text)):
+    # every family's count is at most n**n (1 at n = 0), and a Catalan number below 4**n: 0.60206 > log10(4)
+    if len(value) > (n * 60206 // 100000 + 1 if family == "catalan" else max(1, n * len(n_text))):
         raise ValueError(f"count has {len(value)} digits, more than any count at n={n}")
     return (family, k, n), value
 

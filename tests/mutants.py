@@ -1,0 +1,130 @@
+"""Mutation check: every listed mutant of src/sytkit must fail the tests named for it.
+
+Run from anywhere, with the test dependencies installed:
+
+    python tests/mutants.py
+
+The script copies src/, tests/ and pyproject.toml into a temporary directory, so the
+pytest ini's ``pythonpath = ["src"]`` points at the mutated copy.  For each mutant it
+checks that the old text occurs exactly once in its file, writes the new text in its
+place, runs ``python -m pytest -q -x -p no:cacheprovider`` on the named test files, and
+puts the file back.  No bytecode is written, so a mutant never runs a stale module.
+
+It exits 1 when a mutant listed under KILLED passes its tests, or one listed under
+EQUIVALENT fails them.  pytest does not collect this file: its name does not start
+with ``test_``.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+BIJECTIONS = ("tests/test_bijections.py",)
+IDENTITIES = ("tests/test_identities.py",)
+COUNTING = ("tests/test_counting.py",)
+CLI = ("tests/test_cli.py",)
+
+# (file under src/sytkit, old text, new text, test files): the tests must fail
+KILLED = [
+    # the audit's seven counted checks, each dropped
+    ("bijections.py", "if k is not None and not _in_bounded_space(image, k):", "if False:", BIJECTIONS),
+    ("bijections.py", "if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:", "if False:",
+     BIJECTIONS),
+    ("bijections.py", "if toggle_pivot(image) != s:", "if False:", BIJECTIONS),
+    ("bijections.py", "if free_points(image) != free_points(s):", "if False:", BIJECTIONS),
+    ("bijections.py", "failures += sum(on_p[r] != on_q[r - 1] for r in range(2 * n + 2))", "failures += 0",
+     BIJECTIONS),
+    ("bijections.py",
+     "failures += sum(left.term_value != right.term_value for left, right in zip(lhs_terms, rhs_terms))",
+     "failures += 0", BIJECTIONS),
+    ("bijections.py", "failures += signed_total != lhs", "failures += 0", BIJECTIONS),
+    # the bounded toggle's input and image checks
+    ("bijections.py", "    if not _in_bounded_space(s, k):", "    if False:", BIJECTIONS),
+    ("bijections.py", "if not _in_bounded_space(out, k):", "if False:", BIJECTIONS),
+    # the toggle moves the smaller of the two last fixed points
+    ("bijections.py", "if fp and not (fq and fq[-1] > fp[-1]):", "if fp and not (fq and fq[-1] < fp[-1]):",
+     BIJECTIONS),
+    # identity verdicts: the checks ignored, and each extra leg dropped
+    ("identities.py", "holds = lhs == rhs and all(value == lhs for _, value in checks)", "holds = lhs == rhs",
+     IDENTITIES),
+    ("identities.py", '("row_bound_4_count", count_syt_row_bounded(4, 2 * n)),', "", IDENTITIES),
+    ("identities.py", ', ("fpf_lds2_pair_sum", pair_sum))', ")", IDENTITIES),
+    # the pair sums lose their sign
+    ("identities.py", "-1 if signed and r % 2 else 1", "1", IDENTITIES),
+    # the closed form taken where the cap cuts one partition, 1^m
+    ("counting.py", "if 0 <= m <= cap:", "if 0 <= m <= cap + 1:", COUNTING),
+    # odd sizes no longer have no fixed-point-free involution
+    ("counting.py", "if r > 0 and r % 2:", "if False:", COUNTING),
+    # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize; a long Catalan count
+    ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}", CLI),
+    ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]', CLI),
+    ("output.py", "if index is not None and index > sys.maxsize:", "if False:", CLI),
+    ("output.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1", CLI),
+    # cli.integer lets every size and bound through
+    ("cli.py", "if (value := int(text)) > sys.maxsize:", "if (value := int(text)) > sys.maxsize ** 2:", CLI),
+]
+
+# (file, old text, new text, test files, why no test can tell it from the original): the tests must pass
+EQUIVALENT = [
+    ("counting.py", "if s and len(s) > s[0]:", "if s and len(s) >= s[0]:", COUNTING,
+     "f_lambda = f_lambda', so a shape with as many parts as its first part counts the same either way"),
+    ("bijections.py", "if fp and not (fq and fq[-1] > fp[-1]):", "if fp and not (fq and fq[-1] >= fp[-1]):",
+     BIJECTIONS, "the supports are disjoint, so the sides' last fixed points never tie"),
+    ("bijections.py", "(red if i_j < a_j else blue)", "(red if i_j <= a_j else blue)", BIJECTIONS,
+     "a chosen and an unchosen label are never equal"),
+    ("core.py", "        j = bisect_left(row, x)\n        if j == len(row):",
+     "        j = bisect_left(row, x + 1)\n        if j == len(row):", ("tests/test_core.py",),
+     "the labels are distinct, so no row holds x and the insertion point is the same"),
+]
+
+
+def run_tests(copy: Path, tests: tuple[str, ...]) -> bool:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+
+
+def check(copy: Path, file: str, old: str, new: str, tests: tuple[str, ...], should_pass: bool) -> bool:
+    path = copy / "src" / "sytkit" / file
+    original = path.read_text()
+    if original.count(old) != 1:
+        raise SystemExit(f"{file}: expected the mutant's old text once, found it {original.count(old)} times: {old!r}")
+    path.write_text(original.replace(old, new))
+    start = time.perf_counter()
+    try:
+        passed = run_tests(copy, tests)
+    finally:
+        path.write_text(original)
+    verdict = "survived" if passed else "killed"
+    ok = passed == should_pass
+    print(f"{'ok ' if ok else 'BAD'} {verdict:8} {time.perf_counter() - start:5.1f}s  {file}: {old.strip()!r}"
+          f" -> {new.strip()!r}", flush=True)
+    return ok
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="sytkit-mutants-") as tmp:
+        copy = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=ignore)
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        results = [check(copy, *m, should_pass=False) for m in KILLED]
+        for file, old, new, tests, reason in EQUIVALENT:
+            print(f"    equivalent: {reason}")
+            results.append(check(copy, file, old, new, tests, should_pass=True))
+    bad = results.count(False)
+    print(f"{len(results)} mutants, {bad} unexpected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

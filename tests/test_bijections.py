@@ -412,8 +412,8 @@ def test_trusted_sides_equal_validated_sides(n, k):
             assert same(v, Involution.from_word(v.word()))
         if pivot(s) is None:
             continue
-        # the toggle image and the image's image derive their maps on first read; of two
-        # builds of each, only the first has its map read before its word
+        # an Involution keeps only its two tuples and derives its map on every read; of two
+        # builds of each image, only the first has its map read before its word
         for state in (s, toggle_pivot(s)):
             read, unread = toggle_pivot(state), toggle_pivot(state)
             for v, fresh in ((read.p, unread.p), (read.q, unread.q)):
@@ -433,7 +433,7 @@ def test_trusted_pair_states_pass_the_cover_check(n, k):
             assert PairState(state.p, state.q, state.n) == state
 
 
-def test_pair_state_trust_flag_is_keyword_only():
+def test_pair_state_takes_exactly_its_three_fields():
     # PairState takes its three fields and nothing else; the trusted build is a private function
     with pytest.raises(TypeError):
         PairState(Involution((1,)), Involution((2,)), 1, True)
@@ -621,8 +621,9 @@ def test_audit_records_a_closure_breach_as_a_failure(monkeypatch):
 
 # ---------------------------------------------------------------- audit faults
 # Each test below injects one fault through the toggle, the pair space or the count function,
-# and asserts the checks it breaks, exactly: the verdict fails, `assertion_failures` counts the
-# broken per-state checks, every other check keeps its unfaulted value, and `audit` exits 1.
+# and asserts the checks it breaks, exactly: the verdict fails, `assertion_failures` counts every
+# failed check (per toggled state, per balance r, per survivor term, and the signed total) and is
+# at least 1, every other check keeps its unfaulted value, and `audit` exits 1.
 
 def audit_under_fault(monkeypatch, target, name, fault, n, k=None, **changed):
     expected = dict(signed_cancellation_audit(n, k).checks)
@@ -630,6 +631,7 @@ def audit_under_fault(monkeypatch, target, name, fault, n, k=None, **changed):
     v = signed_cancellation_audit(n, k)
     assert not v.holds
     assert dict(v.checks) == {**expected, **changed}
+    assert dict(v.checks)["assertion_failures"] >= 1
     bound = () if k is None else ("--k", str(k))
     assert invoke("audit", "--n", str(n), *bound).exit_code == 1
     return v
@@ -706,10 +708,11 @@ def test_audit_fails_a_toggle_that_trades_one_free_point_for_another(monkeypatch
 
 def test_audit_fails_survivors_that_miss_the_closed_form_term_by_term(monkeypatch):
     # the matching counts 1, 0, 6 at sizes 0, 2, 4 give the pair-sum terms 6, 0, 6: the total
-    # still equals the 3 + 6 + 3 survivors, but no term does
+    # still equals the 3 + 6 + 3 survivors, but no term does, so each of the three fails
     from sytkit import counting
     wrong = {2: 0, 4: 6}
-    v = audit_under_fault(monkeypatch, counting, "count_fpf", lambda m: wrong.get(m, count_fpf(m)), 2)
+    v = audit_under_fault(monkeypatch, counting, "count_fpf", lambda m: wrong.get(m, count_fpf(m)), 2,
+                          assertion_failures=3)
     assert v.lhs == v.rhs == 12
     assert [t.term_value for t in v.lhs_terms] == [3, 0, 6, 0, 3]
     assert [t.term_value for t in v.rhs_terms] == [6, 0, 0, 0, 6]
@@ -717,7 +720,7 @@ def test_audit_fails_survivors_that_miss_the_closed_form_term_by_term(monkeypatc
 
 # Once |P_r| = |Q_{r-1}| for every r, the orbits cancel out of the signed total and leave the
 # survivors, all of even split size.  So no fault breaks `signed_total == lhs` alone: a pair space
-# missing one state fails it and one balance check.
+# missing one state fails it and one balance check, two failed checks.
 
 def audit_without_one_state(monkeypatch, on_p):
     """Drop from the pair space its first state with the pivot on p, or on q."""
@@ -727,7 +730,7 @@ def audit_without_one_state(monkeypatch, on_p):
     v = audit_under_fault(monkeypatch, bijections, "enumerate_pair_space", states, 2,
                           states=checks["states"] - 1, orbits=checks["orbits"] - on_p,
                           signed_total=checks["signed_total"] - (-1) ** missing.p.size,
-                          assertion_failures=1)
+                          assertion_failures=2)
     assert v.lhs == v.rhs
 
 

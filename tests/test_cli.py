@@ -384,7 +384,8 @@ def test_bijection_f_moves_smaller_fixed_point_case():
 def test_bijection_f_undefined_on_fpf_pair():
     result = run("bijection", "f", "--n", "1", "--p", "(21)", "--q", "")
     assert result.exit_code == 2
-    assert "f undefined: both involutions fixed-point-free" in result.stderr
+    assert result.stderr == "Error: toggle undefined: both involutions are fixed-point-free\n"
+    assert result.stdout == ""
 
 
 def test_bijection_f_validates_pair():
@@ -875,7 +876,9 @@ def test_cache_in_missing_directory_is_a_usage_error(tmp_path):
     "y 2 3 5\ny 2 3 3", # duplicate key
     "catalan - 9223372036854775808 1",  # n above sys.maxsize
     "y 9223372036854775808 3 4",        # k above sys.maxsize
-], ids=["family", "missing-k", "extra-k", "k", "n", "value", "integer", "duplicate", "huge-n", "huge-k"])
+    "catalan - 10 11111111",            # 8 digits, but C_10 < 4**10 has at most 7
+], ids=["family", "missing-k", "extra-k", "k", "n", "value", "integer", "duplicate", "huge-n", "huge-k",
+        "catalan-digits"])
 def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, verify_flag):
     path = tmp_path / "counts.cache"
     path.write_bytes(f"sytkit cache v1\n{body}\n".encode())
@@ -932,8 +935,9 @@ def test_cache_rejects_oversized_value_and_leaves_file_untouched(tmp_path, body,
 @pytest.mark.parametrize("n, digits", [(200_000, 1_100_000), (10**18, 300_000)],
                          ids=["n-200000", "n-10**18"])
 def test_cache_keeps_a_long_count_as_text_without_parsing_it(tmp_path, n, digits, int_digit_cap):
-    # both lines pass the digit bound; int() and str() on a count this long take seconds
-    line = f"catalan - {n} {'7' * digits}"
+    # both lines pass the digit bound, n * len(str(n)) outside the Catalan family; int() and str()
+    # on a count this long take seconds
+    line = f"y_unbounded - {n} {'7' * digits}"
     path = tmp_path / "counts.cache"
     path.write_bytes(f"sytkit cache v1\n{line}\n".encode())
     start = time.perf_counter()
@@ -942,6 +946,19 @@ def test_cache_keeps_a_long_count_as_text_without_parsing_it(tmp_path, n, digits
     assert result.exit_code == 0, result.stderr
     assert result.stdout == run("count", "catalan", "--n", "1").stdout
     assert path.read_bytes() == f"sytkit cache v1\ncatalan - 1 1\n{line}\n".encode()
+
+
+@pytest.mark.parametrize("verify_flag", [(), ("--verify-cache",)], ids=["plain", "verify"])
+def test_cache_loads_a_true_catalan_count_within_its_digit_bound(tmp_path, verify_flag):
+    # C_40 has 22 digits; a Catalan count may have at most 40 * 60206 // 100000 + 1 = 25
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\ncatalan - 40 {catalan(40)}\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), *verify_flag, "count", "catalan", "--n", "40")
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == run("count", "catalan", "--n", "40").stdout
+    assert path.read_bytes() == before
+    assert load_cache(path) == {("catalan", None, 40): str(catalan(40))}
 
 
 @pytest.mark.parametrize("n", (0, 1))
