@@ -5,13 +5,17 @@ Every count is an arbitrary-precision integer; nothing here touches floats.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import lru_cache
 from itertools import chain, combinations
 from math import comb, factorial, prod
 from operator import index
 from typing import Callable, Iterator, Sequence
 
 from .core import _conjugate, as_shape
+
+
+# typed, so a float size never takes the memo entry of the equal int and is read by _require_size
+_memo = lru_cache(maxsize=None, typed=True)
 
 
 def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, ...]]:
@@ -22,8 +26,7 @@ def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, .
     p - 1 with the freed boxes refilled, as parts p - 1 and a remainder, within
     the part cap.
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _require_size(n)
     if n == 0:
         yield ()
         return
@@ -63,6 +66,11 @@ def hook_length_count(shape: Sequence[int]) -> int:
             // prod(map(factorial, first_hooks)))
 
 
+def _require_size(n: int) -> None:
+    if index(n) < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+
+
 def _require_bound(k: int) -> None:
     if index(k) < 1:
         raise ValueError(f"bound k must be a positive integer, got {k}")
@@ -80,7 +88,7 @@ def _capped_sum(m: int, cap: int, full: Callable[[int], int],
     return sum(map(term, partitions(m, max_parts=cap)))
 
 
-@cache
+@_memo
 def count_syt_row_bounded(k: int, n: int) -> int:
     """Standard tableaux on n boxes with no row longer than k.
 
@@ -93,7 +101,7 @@ def count_syt_row_bounded(k: int, n: int) -> int:
     return _capped_sum(n, k, count_involutions, hook_length_count)
 
 
-@cache
+@_memo
 def count_perms_lis_bounded(k: int, n: int) -> int:
     """Permutations of length n with no increasing subsequence longer than k.
 
@@ -106,22 +114,20 @@ def count_perms_lis_bounded(k: int, n: int) -> int:
     return _capped_sum(n, k, factorial, lambda s: hook_length_count(s) ** 2)
 
 
-@cache
+@_memo
 def count_involutions(m: int) -> int:
     """Involutions of an m-element set: i(m) = i(m-1) + (m-1) i(m-2)."""
-    if m < 0:
-        raise ValueError("m must be non-negative")
+    _require_size(m)
     prev, cur = 1, 1
     for i in range(2, m + 1):
         prev, cur = cur, cur + (i - 1) * prev
     return cur
 
 
-@cache
+@_memo
 def count_fpf(r: int) -> int:
     """Fixed-point-free involutions of length r: (r-1)!! for even r, else 0."""
-    if r < 0:
-        raise ValueError("r must be non-negative")
+    _require_size(r)
     return 0 if r % 2 else prod(range(1, r, 2))
 
 
@@ -134,13 +140,14 @@ def _halved_hook_sum(
     have all columns even: nu with each row repeated, or its conjugate 2nu.
     When the cap cuts nothing the sum is (r-1)!!.
     """
-    if r > 0 and r % 2:  # a negative r goes on to partitions, which rejects it
+    _require_size(r)
+    if r % 2:
         return 0
     return _capped_sum(r // 2, max_half_parts, lambda half: count_fpf(2 * half),
                        lambda nu: hook_length_count(shape_of(nu)))
 
 
-@cache
+@_memo
 def count_fpf_lds_bounded(k: int, r: int) -> int:
     """Fixed-point-free involutions of length r with no decreasing subsequence > k.
 
@@ -152,7 +159,7 @@ def count_fpf_lds_bounded(k: int, r: int) -> int:
     return _halved_hook_sum(r, k // 2, lambda nu: tuple(chain.from_iterable(zip(nu, nu))))
 
 
-@cache
+@_memo
 def count_fpf_lis_bounded(k: int, r: int) -> int:
     """Fixed-point-free involutions of length r with no increasing subsequence > k.
 
@@ -168,8 +175,7 @@ def count_fpf_lis_bounded(k: int, r: int) -> int:
 
 def catalan(n: int) -> int:
     """The n-th Catalan number, binomial(2n, n) / (n + 1), exactly."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    _require_size(n)
     return comb(2 * n, n) // (n + 1)
 
 
@@ -202,8 +208,7 @@ def validate_family(family: str, k: int | None, n: int) -> None:
     lookup("family", FAMILIES, family, k)
     if k is not None:
         _require_bound(k)
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _require_size(n)
 
 
 def count_family(family: str, k: int | None, n: int) -> int:

@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 from .counting import (
     _require_bound,
+    _require_size,
     catalan,
     count_fpf,
     count_fpf_lds_bounded,
@@ -139,8 +140,7 @@ def verify_a005568(n: int) -> IdentityVerdict:
     against the equivalent pair sum of fixed-point-free involutions with
     decreasing subsequences bounded by 2.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _require_size(n)
     lhs_terms = tuple(_term(i, 1, comb(2 * n, 2 * i), catalan(i), catalan(n - i)) for i in range(n + 1))
     rhs_terms = (_term(n, 1, 1, catalan(n), catalan(n + 1)),)
     pair_sum = sum(t.term_value for t in _pair_sum(lambda r: count_fpf_lds_bounded(2, r), n, signed=False))

@@ -62,12 +62,20 @@ KILLED = [
     # the closed form taken where the cap cuts one partition, 1^m
     ("counting.py", "if 0 <= m <= cap:", "if 0 <= m <= cap + 1:", COUNTING),
     # odd sizes no longer have no fixed-point-free involution
-    ("counting.py", "if r > 0 and r % 2:", "if False:", COUNTING),
+    ("counting.py", "if r % 2:", "if False:", COUNTING),
+    # a count size read without index(), so 3.0 counts, or not read at all, so -1 counts
+    ("counting.py", "if index(n) < 0:", "if n < 0:", COUNTING),
+    ("counting.py", "if index(n) < 0:", "if False:", COUNTING),
+    # the memo answers a float size from the entry of the equal int
+    ("counting.py", "typed=True", "typed=False", COUNTING),
     # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize; a long Catalan count
     ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}", CLI),
     ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]', CLI),
     ("output.py", "if index is not None and index > sys.maxsize:", "if False:", CLI),
     ("output.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1", CLI),
+    # the cache: a line of other than four fields, and a blank line
+    ("output.py", "if len(parts) != 4:", "if False:", CLI),
+    ("output.py", "if not line.strip():", "if False:", CLI),
     # cli.integer lets every size and bound through
     ("cli.py", "if (value := int(text)) > sys.maxsize:", "if (value := int(text)) > sys.maxsize ** 2:", CLI),
 ]

@@ -505,6 +505,12 @@ def test_audit_bounded():
     assert run("audit", "--n", "2", "--k", "3").exit_code == 0
 
 
+def test_audit_of_an_empty_pair_space_is_a_usage_error():
+    result = run("audit", "--n", "0")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == "Error: n must be a positive integer\n"
+
+
 def test_audit_scale_and_parity_errors():
     result = run("audit", "--n", "9")
     assert result.exit_code == 3
@@ -539,6 +545,14 @@ def test_a_size_or_bound_above_maxsize_is_a_scale_limit(args):
     assert result.stderr.count("\n") == 1 and "Traceback" not in result.stderr
     value = next(a for a in args if HUGE in a).rpartition("..")[2]
     assert result.stderr.startswith(f"{value} is above {sys.maxsize}")
+
+
+def test_a_refused_bound_writes_no_cache(tmp_path):
+    path = tmp_path / "big.cache"
+    result = run("--cache", str(path), "count", "y", "--k", HUGE, "--n", "3")
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr == f"{HUGE} is above {sys.maxsize}, the largest size or bound (sys.maxsize)\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_a_saved_cache_always_reloads(tmp_path):
@@ -889,6 +903,29 @@ def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, ver
     assert path.read_bytes() == before
     with pytest.raises(ValueError):
         load_cache(path)
+
+
+@pytest.mark.parametrize("verify_flag", [(), ("--verify-cache",)], ids=["plain", "verify"])
+@pytest.mark.parametrize("body", ["catalan - 1", "catalan - 1 1 1"], ids=["3-fields", "5-fields"])
+def test_cache_line_needs_exactly_four_fields(tmp_path, body, verify_flag):
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\n{body}\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), *verify_flag, "count", "catalan", "--n", "1")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"Error: malformed cache line 2: {body!r}: expected 'family k n value'\n"
+    assert path.read_bytes() == before
+
+
+def test_cache_skips_blank_lines(tmp_path):
+    path = tmp_path / "counts.cache"
+    path.write_bytes(b"sytkit cache v1\ncatalan - 1 1\n\ncatalan - 2 2\n")
+    before = path.read_bytes()
+    result = run("--cache", str(path), "count", "catalan", "--n", "1..2")
+    assert result.exit_code == 0, result.stderr
+    assert result.stdout == run("count", "catalan", "--n", "1..2").stdout
+    assert table_column(result.stdout, "value") == ["1", "2"]
+    assert path.read_bytes() == before  # every row was a hit, so nothing is saved
 
 
 @pytest.mark.parametrize("body, field", [

@@ -178,6 +178,20 @@ def test_rs_empty_objects():
     assert odd_columns(t) == 0
 
 
+def test_tableaux_and_involutions_are_values():
+    t = StandardTableau([[1, 3], [2, 4]])
+    same = StandardTableau(((1, 3), (2, 4)))
+    assert t == same and hash(t) == hash(same)
+    assert t != StandardTableau([[1, 2], [3, 4]])
+    assert repr(t) == "StandardTableau([[1, 3], [2, 4]])" and eval(repr(t)) == t
+    v = Involution((5,), ((1, 3), (2, 6)))
+    assert v == Involution([5], [[3, 1], [6, 2]]) and hash(v) == hash(Involution([5], [[3, 1], [6, 2]]))
+    assert v != Involution((5, 6), ((1, 3),))
+    # a plain tuple of the fields is not the value: __eq__ gives way, and identity decides
+    assert t != t.rows and t.rows != t
+    assert v != (v.fixed_points, v.two_cycles) and (v.fixed_points, v.two_cycles) != v
+
+
 def test_tableau_validation():
     with pytest.raises(ValueError):
         StandardTableau([[2, 1]])

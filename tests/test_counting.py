@@ -20,6 +20,7 @@ from sytkit import (
     partitions,
 )
 from sytkit.counting import validate_family
+from sytkit.identities import verify_a005568
 
 import sytkit.core
 import sytkit.counting
@@ -324,6 +325,45 @@ def test_fpf_counts_reject_negative_length(r):
     for count in (count_fpf, lambda r: count_fpf_lds_bounded(2, r), lambda r: count_fpf_lis_bounded(2, r)):
         with pytest.raises(ValueError):
             count(r)
+
+
+FLOAT_SIZE_CALLS = {
+    "count_fpf": lambda size: count_fpf(size),
+    "count_fpf_lds_bounded": lambda size: count_fpf_lds_bounded(2, size),
+    "count_fpf_lis_bounded": lambda size: count_fpf_lis_bounded(2, size + 2),
+    "count_family-x": lambda size: count_family("x", 2, size),
+    "count_family-x_unbounded": lambda size: count_family("x_unbounded", None, size),
+}
+
+
+@pytest.mark.parametrize("call", FLOAT_SIZE_CALLS.values(), ids=FLOAT_SIZE_CALLS)
+def test_an_odd_float_size_is_refused_not_counted_as_zero(call):
+    assert call(3) == 0  # the equal int is memoized first, and must not answer for the float
+    with pytest.raises(TypeError):
+        call(3.0)
+
+
+# every count, and every verifier that takes a size n >= 0
+SIZE_CALLS = {
+    "partitions": lambda n: list(partitions(n)),
+    "count_involutions": count_involutions,
+    "count_fpf": count_fpf,
+    "count_syt_row_bounded": lambda n: count_syt_row_bounded(2, n),
+    "count_perms_lis_bounded": lambda n: count_perms_lis_bounded(2, n),
+    "count_fpf_lds_bounded": lambda n: count_fpf_lds_bounded(2, n),
+    "count_fpf_lis_bounded": lambda n: count_fpf_lis_bounded(2, n),
+    "catalan": catalan,
+    "verify_a005568": verify_a005568,
+    **{f"count_family-{family}": lambda n, family=family, k=2 if takes_k else None: count_family(family, k, n)
+       for family, (_, takes_k) in sytkit.counting.FAMILIES.items()},
+}
+
+
+@pytest.mark.parametrize("n", [-1, -2])
+@pytest.mark.parametrize("call", SIZE_CALLS.values(), ids=SIZE_CALLS)
+def test_every_count_refuses_a_negative_size_in_one_wording(call, n):
+    with pytest.raises(ValueError, match=rf"^n must be non-negative, got {n}$"):
+        call(n)
 
 
 def test_fpf_lis_bounded_differs_from_lds_bounded():
