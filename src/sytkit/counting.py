@@ -27,10 +27,12 @@ def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, .
     the part cap.
     """
     _require_size(n)
+    cap = n if max_parts is None else index(max_parts)
+    if cap < 0:
+        raise ValueError(f"max_parts must be non-negative, got {max_parts}")
     if n == 0:
         yield ()
         return
-    cap = n if max_parts is None else max_parts
     if cap < 1:
         return
     parts: list[int] = []
@@ -53,17 +55,25 @@ def partitions(n: int, *, max_parts: int | None = None) -> Iterator[tuple[int, .
 def hook_length_count(shape: Sequence[int]) -> int:
     """Number of standard tableaux of a shape, by the hook length formula.
 
+    The shape is checked with ``as_shape``; the count functions' walks call
+    ``_hook_count`` on the shapes they generate, with one factorial table per walk.
+    """
+    return _hook_count(as_shape(shape), factorial)
+
+
+def _hook_count(s: tuple[int, ...], fact: Callable[[int], int]) -> int:
+    """f_s for a valid shape s, with factorials read from fact.
+
     The hook product is taken in Frobenius's form over the d parts of the
     shape or of its conjugate, whichever has fewer (f_lambda = f_lambda'):
     with l_i = s_i + d - i, f = n! prod_{i<j} (l_i - l_j) / prod l_i!.
     """
-    s = as_shape(shape)
     if s and len(s) > s[0]:
         s = _conjugate(s)
     d = len(s)
     first_hooks = [part + d - i for i, part in enumerate(s, 1)]  # hooks of the first column
-    return (factorial(sum(s)) * prod(a - b for a, b in combinations(first_hooks, 2))
-            // prod(map(factorial, first_hooks)))
+    return (fact(sum(s)) * prod(a - b for a, b in combinations(first_hooks, 2))
+            // prod(map(fact, first_hooks)))
 
 
 def _require_size(n: int) -> None:
@@ -76,16 +86,27 @@ def _require_bound(k: int) -> None:
         raise ValueError(f"bound k must be a positive integer, got {k}")
 
 
+class _Factorials(dict):
+    """One walk's table n -> n!, filled as it is read: filled up front to the
+    shapes' size n, it would hold n^2 log n bits even for a walk of one shape."""
+
+    def __missing__(self, n: int) -> int:
+        self[n] = value = factorial(n)
+        return value
+
+
 def _capped_sum(m: int, cap: int, full: Callable[[int], int],
-                term: Callable[[tuple[int, ...]], int]) -> int:
-    """Sum term over the partitions of m with at most cap parts.
+                term: Callable[[tuple[int, ...], Callable[[int], int]], int]) -> int:
+    """Sum term(shape, fact) over the partitions of m with at most cap parts,
+    with fact reading one factorial table for the whole walk.
 
     When cap >= m no partition is cut, so the sum is the closed form full(m);
     a negative m falls through to ``partitions``, which rejects it.
     """
     if 0 <= m <= cap:
         return full(m)
-    return sum(map(term, partitions(m, max_parts=cap)))
+    fact = _Factorials().__getitem__
+    return sum(term(shape, fact) for shape in partitions(m, max_parts=cap))
 
 
 @_memo
@@ -98,7 +119,7 @@ def count_syt_row_bounded(k: int, n: int) -> int:
     f_lambda').  When k >= n no shape is cut, so the count is i(n).
     """
     _require_bound(k)
-    return _capped_sum(n, k, count_involutions, hook_length_count)
+    return _capped_sum(n, k, count_involutions, _hook_count)
 
 
 @_memo
@@ -111,7 +132,7 @@ def count_perms_lis_bounded(k: int, n: int) -> int:
     cut, so the count is n!.
     """
     _require_bound(k)
-    return _capped_sum(n, k, factorial, lambda s: hook_length_count(s) ** 2)
+    return _capped_sum(n, k, factorial, lambda s, fact: _hook_count(s, fact) ** 2)
 
 
 @_memo
@@ -144,7 +165,7 @@ def _halved_hook_sum(
     if r % 2:
         return 0
     return _capped_sum(r // 2, max_half_parts, lambda half: count_fpf(2 * half),
-                       lambda nu: hook_length_count(shape_of(nu)))
+                       lambda nu, fact: _hook_count(shape_of(nu), fact))
 
 
 @_memo

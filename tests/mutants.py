@@ -68,6 +68,16 @@ KILLED = [
     ("counting.py", "if index(n) < 0:", "if False:", COUNTING),
     # the memo answers a float size from the entry of the equal int
     ("counting.py", "typed=True", "typed=False", COUNTING),
+    # the partition cap read without index(), so 1.5 caps at 1, or not checked, so -2 walks nothing
+    ("counting.py", "else index(max_parts)", "else max_parts", COUNTING),
+    ("counting.py", "if cap < 0:", "if False:", COUNTING),
+    # the hook kernel: n! read as the factorial of the part count; the public entry trusts its input
+    ("counting.py", "fact(sum(s))", "fact(len(s))", COUNTING),
+    ("counting.py", "_hook_count(as_shape(shape), factorial)", "_hook_count(tuple(shape), factorial)",
+     ("tests/test_core.py",)),
+    # the walk's factorial table: an entry stored one place off; a new table for every shape
+    ("counting.py", "self[n] = value = factorial(n)", "self[n + 1] = value = factorial(n)", COUNTING),
+    ("counting.py", "sum(term(shape, fact) for", "sum(term(shape, _Factorials().__getitem__) for", COUNTING),
     # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize; a long Catalan count
     ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}", CLI),
     ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]', CLI),

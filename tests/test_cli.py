@@ -785,9 +785,9 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch, fmt):
             for n in range(4, 10)]
     assert first.exit_code == 0 and first.output == render("count", {"rows": ints}, fmt) + "\n"
     walked = []
-    hook_length_count = counting.hook_length_count
-    monkeypatch.setattr(counting, "hook_length_count",
-                        lambda shape: walked.append(shape) or hook_length_count(shape))
+    hook_count = counting._hook_count  # the kernel every shape walk calls
+    monkeypatch.setattr(counting, "_hook_count",
+                        lambda shape, fact: walked.append(shape) or hook_count(shape, fact))
     counting.count_syt_row_bounded.cache_clear()  # as cold as a new process
     saved = path.read_bytes()
     second = run(*args)
@@ -829,9 +829,9 @@ def test_bad_cache_is_reported_without_counting(tmp_path, monkeypatch, body, ver
     import sytkit.counting as counting
 
     walked = []
-    hook_length_count = counting.hook_length_count
-    monkeypatch.setattr(counting, "hook_length_count",
-                        lambda shape: walked.append(shape) or hook_length_count(shape))
+    hook_count = counting._hook_count  # the kernel every shape walk calls
+    monkeypatch.setattr(counting, "_hook_count",
+                        lambda shape, fact: walked.append(shape) or hook_count(shape, fact))
     counting.count_syt_row_bounded.cache_clear()  # as cold as a new process
     path = tmp_path / "counts.cache"
     path.write_bytes(body.encode())
@@ -840,6 +840,10 @@ def test_bad_cache_is_reported_without_counting(tmp_path, monkeypatch, body, ver
     assert "cache" in result.stderr and result.stdout == ""
     assert walked == []
     assert path.read_bytes() == body.encode()
+    # the control: the same probe sees the walk of a cold run without the bad cache
+    counting.count_syt_row_bounded.cache_clear()
+    assert run("count", "y", "--k", "3", "--n", "9").exit_code == 0
+    assert walked and all(sum(shape) == 9 for shape in walked)
 
 
 def test_cache_round_trips_values_past_the_int_digit_cap(tmp_path, int_digit_cap):

@@ -1,4 +1,4 @@
-from math import factorial
+from math import comb, factorial
 
 import pytest
 
@@ -60,6 +60,16 @@ def test_partitions_trivial_and_even_column_cases():
 def test_partitions_part_cap_is_keyword_only():
     with pytest.raises(TypeError):
         partitions(4, 2)
+
+
+def test_partitions_part_cap_is_read_as_an_index():
+    with pytest.raises(TypeError):
+        list(partitions(4, max_parts=1.5))  # not taken as its floor, 1
+    for n in (0, 4):
+        with pytest.raises(ValueError, match="^max_parts must be non-negative, got -2$"):
+            list(partitions(n, max_parts=-2))
+    assert list(partitions(4, max_parts=0)) == []
+    assert list(partitions(0, max_parts=0)) == [()]
 
 
 @pytest.mark.parametrize("n", range(0, 13))
@@ -134,7 +144,8 @@ def test_hook_length_is_conjugation_invariant(n):
 ])
 @pytest.mark.parametrize("k, n", [(4, 10), (5, 12), (7, 16)])
 def test_shape_walk_checks_and_counts_each_shape_once(monkeypatch, count, walk, k, n):
-    calls = {"as_shape": 0, "hook_length_count": 0}
+    """The walk's kernel counts each shape once, and nothing re-checks the shapes partitions yields."""
+    calls = {"as_shape": 0, "hook_length_count": 0, "_hook_count": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -147,10 +158,43 @@ def test_shape_walk_checks_and_counts_each_shape_once(monkeypatch, count, walk, 
     monkeypatch.setattr(sytkit.counting, "as_shape", as_shape)
     monkeypatch.setattr(sytkit.counting, "hook_length_count",
                         counted("hook_length_count", hook_length_count))
+    monkeypatch.setattr(sytkit.counting, "_hook_count",
+                        counted("_hook_count", sytkit.counting._hook_count))
     count.__wrapped__(k, n)  # past the memo, so the walk runs
     walked = len(list(walk(k, n)))
     assert walked > 1
-    assert calls == {"as_shape": walked, "hook_length_count": walked}
+    assert calls == {"as_shape": 0, "hook_length_count": 0, "_hook_count": walked}
+
+
+def test_walk_computes_only_the_factorials_it_reads_each_once(monkeypatch):
+    computed = []
+    monkeypatch.setattr(sytkit.counting, "factorial", lambda m: computed.append(m) or factorial(m))
+    expected = sum(hook_product_count(s) for s in all_partitions(16) if len(s) <= 5)
+    assert count_syt_row_bounded.__wrapped__(5, 16) == expected
+    assert len(computed) == len(set(computed)) and max(computed) == 16
+    # one-shape walks at a large size: a table filled to n up front would hold n^2 log n bits
+    computed.clear()
+    assert count_syt_row_bounded.__wrapped__(1, 5000) == 1  # the shape (5000)
+    assert computed == [5000]
+    computed.clear()
+    assert count_fpf_lds_bounded.__wrapped__(2, 4000) == catalan(2000)  # the shape (2000, 2000)
+    assert sorted(computed) == [2000, 2001, 4000]
+
+
+@pytest.mark.parametrize("n", range(0, 21))
+def test_walk_kernel_matches_the_public_count_on_every_shape(n):
+    shapes = list(partitions(n))
+    assert any(s and len(s) > s[0] for s in shapes) == (n >= 2)  # the kernel's conjugate switch fires
+    fact = sytkit.counting._Factorials().__getitem__  # one table for the whole walk, as in _capped_sum
+    for s in shapes:
+        assert sytkit.counting._hook_count(s, fact) == hook_length_count(s)
+
+
+def test_public_hook_count_on_long_rows_columns_and_two_rows():
+    assert hook_length_count((3000,)) == hook_length_count((1,) * 3000) == 1
+    for a in range(0, 40):
+        for b in range(0, a + 1):  # the ballot numbers C(a + b, b) (a - b + 1) / (a + 1)
+            assert hook_length_count(tuple(p for p in (a, b) if p)) == comb(a + b, b) * (a - b + 1) // (a + 1)
 
 
 # ---------------------------------------------------------------- count families
@@ -302,13 +346,13 @@ def test_fpf_closed_forms_match_even_column_hook_sums(r):
 
 
 def test_capped_sum_uses_the_closed_form_exactly_when_the_cap_cuts_nothing():
-    def no_walk(shape):
+    def no_walk(shape, fact):
         raise AssertionError(f"walked {shape}")
 
     assert sytkit.counting._capped_sum(3, 3, lambda m: ("full", m), no_walk) == ("full", 3)
     assert sytkit.counting._capped_sum(0, 0, lambda m: ("full", m), no_walk) == ("full", 0)
     # partitions of 5 with at most 2 parts: (5), (4, 1), (3, 2)
-    assert sytkit.counting._capped_sum(5, 2, None, lambda s: s[0]) == 5 + 4 + 3
+    assert sytkit.counting._capped_sum(5, 2, None, lambda s, fact: s[0]) == 5 + 4 + 3
     with pytest.raises(ValueError):
         sytkit.counting._capped_sum(-1, 4, lambda m: m, no_walk)
 
