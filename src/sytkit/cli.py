@@ -8,7 +8,7 @@ by ``integer``, involutions by ``Involution.from_cycles`` and ``from_word``, nam
 
 ``run`` maps every outcome to one exit code: 0 success / all verdicts hold; 1 a failing
 verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``, printed as
-``Error: <message>`` on stderr; 3 ``ScaleLimitError``, such as a size above sys.maxsize.
+``Error: <message>`` on stderr; 3 ``ScaleLimitError``, such as a size above sys.maxsize, or ``MemoryError``.
 A reader that closes stdout early changes no code.  ``main``, the ``sytkit`` entry point, exits with it.
 
 Core and output load with this module; each command imports any other layer
@@ -22,6 +22,7 @@ import argparse
 import os
 import re
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from .core import Involution, odd_columns, rs_of_involution
@@ -80,10 +81,17 @@ def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
         os.close(devnull)
 
 
-def _verdicts(args: argparse.Namespace, verdicts: list) -> int:
-    """Emit one verdict record; the exit code is 1 if any verdict fails."""
-    _emit(args, "verdict", {"verdicts": [verdict_payload(v) for v in verdicts]})
-    return 0 if all(v.holds for v in verdicts) else EXIT_VERIFICATION_FAILURE
+def _verdicts(args: argparse.Namespace, verdicts: Iterable) -> int:
+    """Emit one verdict record, each verdict rendered as it is made and then dropped; the exit
+    code is 1 if any verdict fails."""
+    holds = []
+
+    def payload(v) -> dict:
+        holds.append(v.holds)
+        return verdict_payload(v)
+
+    _emit(args, "verdict", {"verdicts": map(payload, verdicts)})
+    return 0 if all(holds) else EXIT_VERIFICATION_FAILURE
 
 
 # ---------------------------------------------------------------- commands
@@ -112,7 +120,7 @@ def verify(args: argparse.Namespace) -> int:
     from .identities import IDENTITIES
 
     verifier, takes_k = lookup("identity", IDENTITIES, args.identity, args.k)
-    return _verdicts(args, [verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)])
+    return _verdicts(args, (verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)))
 
 
 def rsk(args: argparse.Namespace) -> None:
@@ -299,6 +307,9 @@ def run(argv: list[str]) -> int:
         return exc.code
     except ScaleLimitError as exc:
         print(exc, file=sys.stderr)
+        return EXIT_SCALE_LIMIT
+    except MemoryError:  # the frames that held the memory are gone by now, so the message can be printed
+        print("out of memory: the command needs more than this process can allocate", file=sys.stderr)
         return EXIT_SCALE_LIMIT
     except CacheMismatchError as exc:
         print(f"cache verification failed: {exc}", file=sys.stderr)

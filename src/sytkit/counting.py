@@ -86,12 +86,26 @@ def _require_bound(k: int) -> None:
         raise ValueError(f"bound k must be a positive integer, got {k}")
 
 
+#: the bits one walk's factorial table stores before it stops storing, 1 MiB: every m! for m < 1420.
+#: It bounds bits, not entries, so a walk's few hundred small factorials (u(50, 200): 0! .. 200!) all
+#: fit.  A walk reads m! only for m <= n.  One of three-part shapes reads each m! about n/3 times:
+#: y(3, 1200) (0.7 MiB of factorials) took 10.5 s with a 2^20-bit bound against 6.6 s with this one.
+#: One of two-part shapes reads each m! about once, and at n = 6000 (22 MiB of them) it stores 1 MiB.
+_FACTORIAL_BITS = 1 << 23
+
+
 class _Factorials(dict):
-    """One walk's table n -> n!, filled as it is read: filled up front to the
-    shapes' size n, it would hold n^2 log n bits even for a walk of one shape."""
+    """One walk's table m -> m!, filled as it is read until it holds _FACTORIAL_BITS; past that a
+    factorial is computed on every read.  The walk's first read, n!, is always stored.  Filled up
+    front to the shapes' size n, it would hold n^2 log n bits even for a walk of one shape."""
+
+    bits = 0
 
     def __missing__(self, n: int) -> int:
-        self[n] = value = factorial(n)
+        value = factorial(n)
+        if self.bits < _FACTORIAL_BITS:
+            self[n] = value
+            self.bits += value.bit_length()
         return value
 
 

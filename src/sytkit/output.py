@@ -1,8 +1,10 @@
 """Structured output records, text renderers, and the persistent count cache.
 
-Every format writes integers as decimal strings.  JSON is written in one pass,
-in the layout of ``json.dumps(indent=2)``; it loads only the C string escaper
-from ``_json``, not the json package, and csv loads only for CSV.  The cache
+Every format writes integers as decimal strings.  A verdict record's verdicts
+may come from an iterator: each is rendered as it comes, its terms read from
+their ``TermBreakdown`` named tuples, and dropped.  JSON is written in the
+layout of ``json.dumps(indent=2)``; it loads only the C string escaper from
+``_json``, not the json package, and csv loads only for CSV.  The cache
 file is a versioned, sorted-key text document, so a load/save round trip is
 byte-identical.  A cached count is kept as the decimal text it was read as
 and is never parsed.
@@ -14,6 +16,7 @@ import io
 import os
 import re
 import sys
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -27,24 +30,26 @@ CACHE_HEADER = "sytkit cache v1"
 
 
 def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> list[str]:
-    """Append ``value`` to ``out`` (and return it) as ``json.dumps(indent=2)`` would, ints as strings."""
+    """Append ``value`` to ``out`` (and return it) as ``json.dumps(indent=2)`` would, ints as strings,
+    a named tuple as the object of its fields, and an iterator as a list, each item joined as it comes."""
     inner = pad + "  "
     if value is None or isinstance(value, bool):
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, (int, str)):
         out.append(quote(str(value)))
-    elif isinstance(value, dict):
-        for i, (key, item) in enumerate(value.items()):
+    elif isinstance(value, dict) or hasattr(value, "_fields"):
+        items = value.items() if isinstance(value, dict) else zip(value._fields, value)  # a named tuple
+        for i, (key, item) in enumerate(items):
             head = f"{',' if i else '{'}\n{inner}{quote(key)}: "
             out.append(f'{head}"{item}"' if type(item) is int else head)  # int fields: no call
             if type(item) is not int:
                 _json(item, out, inner, quote)
         out.append(f"\n{pad}}}" if value else "{}")
-    elif isinstance(value, (list, tuple)):
-        for i, item in enumerate(value):
-            out.append(f"{',' if i else '['}\n{inner}")
-            _json(item, out, inner, quote)
-        out.append(f"\n{pad}]" if value else "[]")
+    elif isinstance(value, (list, tuple, Iterator)):
+        i = -1
+        for i, item in enumerate(value):  # one string per item, so a long list keeps few fragments
+            out.append(f"{',' if i else '['}\n{inner}{''.join(_json(item, [], inner, quote))}")
+        out.append(f"\n{pad}]" if i >= 0 else "[]")
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
     return out
@@ -67,8 +72,8 @@ def verdict_payload(v: IdentityVerdict) -> dict:
         "rhs": v.rhs,
         "holds": v.holds,
         "checks": [{"name": name, "value": value} for name, value in v.checks],
-        "lhs_terms": [t._asdict() for t in v.lhs_terms],
-        "rhs_terms": [t._asdict() for t in v.rhs_terms],
+        "lhs_terms": v.lhs_terms,
+        "rhs_terms": v.rhs_terms,
     }
 
 
@@ -101,7 +106,7 @@ def render(kind: str, payload: dict, fmt: str) -> str:
 
 # ---------------------------------------------------------------- csv
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
     import csv
 
     buf = io.StringIO()
@@ -119,22 +124,21 @@ _VERDICT_CSV_HEADER = ["row_type", "identity", "k", "n", "lhs", "rhs", "holds",
 
 
 def _term_rows(v: dict) -> list[list[Any]]:
-    """One row per term of a verdict payload: its side, then its ``_TERM_FIELDS``."""
-    return [[side, *(t[f] for f in _TERM_FIELDS)]
-            for side in ("lhs", "rhs") for t in v[f"{side}_terms"]]
+    """One row per term of a verdict payload: its side, then the ``TermBreakdown``'s fields."""
+    return [[side, *t] for side in ("lhs", "rhs") for t in v[f"{side}_terms"]]
 
 
-def _verdicts_csv(verdicts: list[dict]) -> str:
-    no_term = [""] * (1 + len(_TERM_FIELDS))
-    rows = []
-    for v in verdicts:
-        base = [v["identity"], v["k"], v["n"]]
-        rows.append(["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""])
-        for term in _term_rows(v):
-            rows.append(["term", *base, "", "", "", *term, "", ""])
-        for c in v["checks"]:
-            rows.append(["check", *base, "", "", "", *no_term, c["name"], c["value"]])
-    return _csv_text(_VERDICT_CSV_HEADER, rows)
+def _verdicts_csv(verdicts: Iterable[dict]) -> str:
+    def rows():  # verdict by verdict, so a verdict is dropped once its rows are written
+        no_term = [""] * (1 + len(_TERM_FIELDS))
+        for v in verdicts:
+            base = [v["identity"], v["k"], v["n"]]
+            yield ["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""]
+            for term in _term_rows(v):
+                yield ["term", *base, "", "", "", *term, "", ""]
+            for c in v["checks"]:
+                yield ["check", *base, "", "", "", *no_term, c["name"], c["value"]]
+    return _csv_text(_VERDICT_CSV_HEADER, rows())
 
 
 # ---------------------------------------------------------------- table
@@ -147,7 +151,7 @@ def _aligned(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines)
 
 
-def _verdicts_table(verdicts: list[dict]) -> str:
+def _verdicts_table(verdicts: Iterable[dict]) -> str:
     blocks = []
     for v in verdicts:
         status = "holds" if v["holds"] else "FAILS"

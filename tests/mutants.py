@@ -7,7 +7,7 @@ Run from anywhere, with the test dependencies installed:
 The script copies src/, tests/ and pyproject.toml into a temporary directory, so the
 pytest ini's ``pythonpath = ["src"]`` points at the mutated copy.  For each mutant it
 checks that the old text occurs exactly once in its file, writes the new text in its
-place, runs ``python -m pytest -q -x -p no:cacheprovider`` on the named test files, and
+place, runs ``python -m pytest -q -x -p no:cacheprovider`` on the named test files or ids, and
 puts the file back.  No bytecode is written, so a mutant never runs a stale module.
 
 It exits 1 when a mutant listed under KILLED passes its tests, or one listed under
@@ -32,20 +32,31 @@ IDENTITIES = ("tests/test_identities.py",)
 COUNTING = ("tests/test_counting.py",)
 CLI = ("tests/test_cli.py",)
 
-# (file under src/sytkit, old text, new text, test files): the tests must fail
+
+def ids(file: str, *tests: str) -> tuple[str, ...]:
+    """Test ids in one file, for a mutant that a few named tests kill where the whole file is slow."""
+    return tuple(f"tests/{file}::{test}" for test in tests)
+
+
+# (file under src/sytkit, old text, new text, test files or ids): the tests must fail
 KILLED = [
-    # the audit's seven counted checks, each dropped
-    ("bijections.py", "if k is not None and not _in_bounded_space(image, k):", "if False:", BIJECTIONS),
+    # the audit's seven counted checks, each dropped, each against the fault test that breaks it
+    ("bijections.py", "if k is not None and not _in_bounded_space(image, k):", "if False:",
+     ids("test_bijections.py", "test_audit_records_a_closure_breach_as_a_failure")),
     ("bijections.py", "if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:", "if False:",
-     BIJECTIONS),
-    ("bijections.py", "if toggle_pivot(image) != s:", "if False:", BIJECTIONS),
-    ("bijections.py", "if free_points(image) != free_points(s):", "if False:", BIJECTIONS),
+     ids("test_bijections.py", "test_audit_fails_a_toggle_that_leaves_the_split_size")),
+    ("bijections.py", "if toggle_pivot(image) != s:", "if False:",
+     ids("test_bijections.py", "test_audit_fails_a_toggle_that_is_not_an_involution")),
+    ("bijections.py", "if free_points(image) != free_points(s):", "if False:",
+     ids("test_bijections.py", "test_audit_fails_a_toggle_that_trades_one_free_point_for_another")),
     ("bijections.py", "failures += sum(on_p[r] != on_q[r - 1] for r in range(2 * n + 2))", "failures += 0",
-     BIJECTIONS),
+     ids("test_bijections.py", "test_audit_fails_an_unbalanced_pair_space")),
     ("bijections.py",
      "failures += sum(left.term_value != right.term_value for left, right in zip(lhs_terms, rhs_terms))",
-     "failures += 0", BIJECTIONS),
-    ("bijections.py", "failures += signed_total != lhs", "failures += 0", BIJECTIONS),
+     "failures += 0",
+     ids("test_bijections.py", "test_audit_fails_survivors_that_miss_the_closed_form_term_by_term")),
+    ("bijections.py", "failures += signed_total != lhs", "failures += 0",
+     ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),
     # the bounded toggle's input and image checks
     ("bijections.py", "    if not _in_bounded_space(s, k):", "    if False:", BIJECTIONS),
     ("bijections.py", "if not _in_bounded_space(out, k):", "if False:", BIJECTIONS),
@@ -75,9 +86,13 @@ KILLED = [
     ("counting.py", "fact(sum(s))", "fact(len(s))", COUNTING),
     ("counting.py", "_hook_count(as_shape(shape), factorial)", "_hook_count(tuple(shape), factorial)",
      ("tests/test_core.py",)),
-    # the walk's factorial table: an entry stored one place off; a new table for every shape
-    ("counting.py", "self[n] = value = factorial(n)", "self[n + 1] = value = factorial(n)", COUNTING),
-    ("counting.py", "sum(term(shape, fact) for", "sum(term(shape, _Factorials().__getitem__) for", COUNTING),
+    # the walk's factorial table: an entry stored one place off; a new table for every shape; no bound
+    ("counting.py", "self[n] = value", "self[n + 1] = value",
+     ids("test_counting.py", "test_walk_kernel_matches_the_public_count_on_every_shape")),
+    ("counting.py", "sum(term(shape, fact) for", "sum(term(shape, _Factorials().__getitem__) for",
+     ids("test_counting.py", "test_walk_computes_only_the_factorials_it_reads_each_once")),
+    ("counting.py", "if self.bits < _FACTORIAL_BITS:", "if True:",
+     ids("test_counting.py", "test_walk_table_stops_storing_at_its_bit_bound")),
     # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize; a long Catalan count
     ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}", CLI),
     ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]', CLI),
@@ -86,6 +101,8 @@ KILLED = [
     # the cache: a line of other than four fields, and a blank line
     ("output.py", "if len(parts) != 4:", "if False:", CLI),
     ("output.py", "if not line.strip():", "if False:", CLI),
+    # the exit code of a verify range reads no verdict
+    ("cli.py", "holds.append(v.holds)", "pass", ids("test_cli.py", "test_a_verdict_failing_mid_range_exits_1")),
     # cli.integer lets every size and bound through
     ("cli.py", "if (value := int(text)) > sys.maxsize:", "if (value := int(text)) > sys.maxsize ** 2:", CLI),
 ]

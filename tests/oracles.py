@@ -166,11 +166,14 @@ def word_fixed_points(w):
 
 
 def oracle_s(value):
-    """Integers (not bools) to decimal strings, recursively; tuples become lists."""
+    """Integers (not bools) to decimal strings, recursively; named tuples become the dicts of their
+    fields, and other tuples lists."""
     if isinstance(value, bool):
         return value
     if isinstance(value, int):
         return str(value)
+    if hasattr(value, "_asdict"):
+        return oracle_s(value._asdict())
     if isinstance(value, (list, tuple)):
         return [oracle_s(v) for v in value]
     if isinstance(value, dict):

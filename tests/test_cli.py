@@ -8,9 +8,15 @@ import sys
 import time
 from itertools import permutations
 from math import comb, prod
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, strategies as st
+
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
 
 from cli_runner import invoke as run
 from oracles import oracle_json
@@ -18,7 +24,8 @@ from sytkit import cli
 from sytkit.cli import _parse_ints, main, parse_range
 from sytkit.core import Involution
 from sytkit.counting import catalan
-from sytkit.output import FORMATS, load_cache, render, save_cache
+from sytkit.identities import TermBreakdown, verify_a005568
+from sytkit.output import FORMATS, load_cache, render, save_cache, verdict_payload
 
 
 def table_column(output, column):
@@ -290,6 +297,41 @@ def test_verify_failure_exit_code():
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_verdict_failing_mid_range_exits_1(fmt, monkeypatch):
+    from sytkit import identities
+    failing = lambda n: identities.verify_unrestricted(n)._replace(holds=n != 3)
+    monkeypatch.setitem(identities.IDENTITIES, "unrestricted", (failing, False))
+    result = run("--format", fmt, "verify", "unrestricted", "--n", "1..5")
+    assert (result.exit_code, result.stderr) == (1, "")
+    if fmt == "json":
+        holds = [v["holds"] for v in json.loads(result.output)["verdicts"]]
+    elif fmt == "csv":
+        rows = csv.DictReader(io.StringIO(result.output))
+        holds = [r["holds"] == "true" for r in rows if r["row_type"] == "verdict"]
+    else:
+        heads = [line for line in result.output.splitlines() if line.startswith("unrestricted")]
+        holds = [line.endswith("[holds]") for line in heads]
+    assert holds == [True, True, False, True, True]
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_verifier_raising_mid_range_leaves_stdout_empty(fmt, monkeypatch):
+    from sytkit import identities
+    made = []
+
+    def verifier(n):
+        made.append(n)
+        if n == 3:
+            raise ValueError("refused n = 3")
+        return identities.verify_unrestricted(n)
+
+    monkeypatch.setitem(identities.IDENTITIES, "unrestricted", (verifier, False))
+    result = run("--format", fmt, "verify", "unrestricted", "--n", "1..5")
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", "Error: refused n = 3\n")
+    assert made == [1, 2, 3]  # the verdicts are made as the record is rendered
+
+
 def test_verify_all_identities_smoke():
     for args in (
         ("verify", "unrestricted", "--n", "1..4"),
@@ -547,6 +589,29 @@ def test_a_size_or_bound_above_maxsize_is_a_scale_limit(args):
     assert result.stderr.startswith(f"{value} is above {sys.maxsize}")
 
 
+def test_running_out_of_memory_is_a_scale_limit(monkeypatch):
+    from sytkit import counting
+
+    def exhausted(n):
+        raise MemoryError
+    monkeypatch.setitem(counting.FAMILIES, "catalan", (exhausted, False))
+    result = run("count", "catalan", "--n", "0..3")
+    assert (result.exit_code, result.stdout) == (3, "")
+    assert result.stderr.count("\n") == 1 and result.stderr.startswith("out of memory")
+
+
+@pytest.mark.skipif(resource is None, reason="needs resource.setrlimit")
+def test_a_process_that_runs_out_of_memory_exits_3():
+    # the address space is capped in the child alone, so the range's list of sizes cannot be built
+    limit = 256 * 2**20
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    proc = subprocess.run([sys.executable, "-m", "sytkit", "count", "catalan", "--n", "0..100000000"],
+                          capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("out of memory")
+
+
 def test_a_refused_bound_writes_no_cache(tmp_path):
     path = tmp_path / "big.cache"
     result = run("--cache", str(path), "count", "y", "--k", HUGE, "--n", "3")
@@ -675,12 +740,18 @@ def test_json_serializes_integers_as_strings():
         assert isinstance(row["n"], str)
 
 
+class Pair(NamedTuple):
+    left: object
+    right: object
+
+
 # text with quotes, backslashes, control characters, a lone surrogate and non-ASCII letters
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001F600ab', min_size=1)
 JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**300, 10**300) | JSON_TEXT,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
-                   | st.dictionaries(JSON_TEXT, inner, max_size=4)),
+                   | st.dictionaries(JSON_TEXT, inner, max_size=4) | st.builds(Pair, inner, inner)
+                   | st.builds(TermBreakdown, *[st.integers()] * 6)),
     max_leaves=12,
 )
 
@@ -688,6 +759,14 @@ JSON_VALUE = st.recursive(
 @given(st.sampled_from(["count", "verdict", "trace"]), st.dictionaries(JSON_TEXT, JSON_VALUE, max_size=4))
 def test_json_writer_matches_the_stdlib_encoder(kind, payload):
     assert render(kind, payload, "json") == oracle_json(kind, payload)
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_verdict_record_renders_the_same_from_an_iterator(fmt):
+    payloads = [verdict_payload(verify_a005568(n)) for n in range(4)]
+    listed = render("verdict", {"verdicts": payloads}, fmt)
+    assert render("verdict", {"verdicts": iter(payloads)}, fmt) == listed
+    assert render("verdict", {"verdicts": iter(())}, fmt) == render("verdict", {"verdicts": []}, fmt)
 
 
 @pytest.mark.parametrize("bad", [1.5, {1, 2}, [None, {"x": (1, 2.0)}]], ids=["float", "set", "nested"])

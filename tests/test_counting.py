@@ -179,15 +179,39 @@ def test_walk_computes_only_the_factorials_it_reads_each_once(monkeypatch):
     computed.clear()
     assert count_fpf_lds_bounded.__wrapped__(2, 4000) == catalan(2000)  # the shape (2000, 2000)
     assert sorted(computed) == [2000, 2001, 4000]
+    # 7,651 shapes read the 300 factorials 1! .. 300!, 276 kbit in all: within the table's bound
+    computed.clear()
+    assert count_syt_row_bounded.__wrapped__(3, 300) == motzkin(300)
+    assert len(computed) == len(set(computed)) == 300
+
+
+def test_walk_table_stops_storing_at_its_bit_bound(monkeypatch):
+    tables = []
+
+    class Recorded(sytkit.counting._Factorials):
+        def __init__(self):
+            tables.append(self)
+
+    monkeypatch.setattr(sytkit.counting, "_Factorials", Recorded)
+    # two-part shapes read each m! for m <= 2001 about once, 2.1 MiB in all
+    assert count_syt_row_bounded.__wrapped__(2, 2000) == central_binomial(2000)
+    [table] = tables
+    bound = sytkit.counting._FACTORIAL_BITS
+    assert table.bits == sum(value.bit_length() for value in table.values())
+    assert bound <= table.bits < bound + factorial(2001).bit_length()
+    assert 2000 in table and len(table) < 2000 // 2  # the first read, n!, is stored
 
 
 @pytest.mark.parametrize("n", range(0, 21))
-def test_walk_kernel_matches_the_public_count_on_every_shape(n):
+def test_walk_kernel_matches_the_public_count_on_every_shape(n, monkeypatch):
     shapes = list(partitions(n))
     assert any(s and len(s) > s[0] for s in shapes) == (n >= 2)  # the kernel's conjugate switch fires
-    fact = sytkit.counting._Factorials().__getitem__  # one table for the whole walk, as in _capped_sum
-    for s in shapes:
-        assert sytkit.counting._hook_count(s, fact) == hook_length_count(s)
+    for bound in (sytkit.counting._FACTORIAL_BITS, 0):  # a table within its bound, and one that stores nothing
+        monkeypatch.setattr(sytkit.counting, "_FACTORIAL_BITS", bound)
+        table = sytkit.counting._Factorials()  # one table for the whole walk, as in _capped_sum
+        for s in shapes:
+            assert sytkit.counting._hook_count(s, table.__getitem__) == hook_length_count(s)
+        assert (len(table) == 0) == (bound == 0)
 
 
 def test_public_hook_count_on_long_rows_columns_and_two_rows():

@@ -1,3 +1,6 @@
+import csv
+import io
+import json
 from math import comb, factorial
 
 import pytest
@@ -17,7 +20,7 @@ from sytkit import (
 )
 from sytkit import identities
 from sytkit.identities import IdentityVerdict, TermBreakdown
-from sytkit.output import _TERM_FIELDS, verdict_payload
+from sytkit.output import _TERM_FIELDS, render, verdict_payload
 
 from cli_runner import invoke
 
@@ -247,10 +250,18 @@ def test_naive_failure_counterexample_terms():
 def test_term_fields_are_the_printed_columns():
     assert TermBreakdown._fields == _TERM_FIELDS
     v = verify_corollary_k3(2)
-    for side in ("lhs", "rhs"):
-        rows = verdict_payload(v)[f"{side}_terms"]
-        assert [list(row) for row in rows] == [list(_TERM_FIELDS)] * len(rows)
-        assert [tuple(row.values()) for row in rows] == list(getattr(v, f"{side}_terms"))
+    payload = verdict_payload(v)
+    assert (payload["lhs_terms"], payload["rhs_terms"]) == (v.lhs_terms, v.rhs_terms)  # the named tuples
+    terms = [["lhs", *map(str, t)] for t in v.lhs_terms] + [["rhs", *map(str, t)] for t in v.rhs_terms]
+    doc = json.loads(render("verdict", {"verdicts": [payload]}, "json"))["verdicts"][0]
+    for side in ("lhs", "rhs"):  # JSON: each term is the object of its fields
+        assert [t for t in terms if t[0] == side] == [[side, *t.values()] for t in doc[f"{side}_terms"]]
+        assert all(list(t) == list(_TERM_FIELDS) for t in doc[f"{side}_terms"])
+    rows = list(csv.DictReader(io.StringIO(render("verdict", {"verdicts": [payload]}, "csv"))))
+    assert [[r[f] for f in ("side", *_TERM_FIELDS)] for r in rows if r["row_type"] == "term"] == terms
+    table = render("verdict", {"verdicts": [payload]}, "table").splitlines()
+    assert table[1].split() == ["side", *_TERM_FIELDS]
+    assert [line.split() for line in table[3:3 + len(terms)]] == terms
 
 
 def test_verdicts_and_terms_are_tuples_of_their_values():
