@@ -121,7 +121,7 @@ def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
     the bounded space, and the function re-checks that on every call, raising
     `ClosureViolationError` if the guarantee were ever violated.
     """
-    if k < 1 or k % 2 == 0:
+    if (k := index(k)) < 1 or k % 2 == 0:
         raise ValueError(f"bounded toggle requires an odd bound, got k={k}")
     if not _in_bounded_space(s, k):
         raise ValueError(f"pair outside the bounded space: a side exceeds lds bound {k}")
@@ -216,7 +216,7 @@ def enumerate_pair_space(
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
     ground = tuple(range(1, 2 * n + 1))
-    words = _side_words(2 * n, k)
+    words = _side_words(2 * n, k if k is None else index(k))
     for r in range(2 * n + 1):
         for chosen in combinations(ground, r):
             rest = tuple(x for x in ground if x not in chosen)
@@ -252,9 +252,9 @@ def signed_cancellation_audit(
     verdict holds exactly when that count is 0.
     """
     from .counting import count_fpf, count_fpf_lds_bounded
-    from .identities import IdentityVerdict, _pair_sum, _term
+    from .identities import _pair_sum, _term, _verdict
 
-    if k is not None and (k < 1 or k % 2 == 0):
+    if k is not None and ((k := index(k)) < 1 or k % 2 == 0):
         raise ValueError(f"audit bound must be odd, got k={k}")
     # states counted by split size r: pivot on p (P_r), pivot on q (Q_r), fixed-point-free
     on_p: Counter[int] = Counter()
@@ -285,11 +285,10 @@ def signed_cancellation_audit(
     count = count_fpf if k is None else (lambda r: count_fpf_lds_bounded(k, r))
     lhs_terms = tuple(_term(r, 1, 1, survivors[r], 1) for r in range(2 * n + 1))
     rhs_terms = _pair_sum(count, n, signed=False)
-    rhs = sum(t.term_value for t in rhs_terms)
     failures += sum(left.term_value != right.term_value for left, right in zip(lhs_terms, rhs_terms))
     lhs = survivors.total()
     signed_total = sum((-1) ** r * c for r, c in (on_p + on_q + survivors).items())
     failures += signed_total != lhs
     checks = (("states", on_p.total() + on_q.total() + lhs), ("orbits", on_p.total()), ("survivors", lhs),
               ("signed_total", signed_total), ("assertion_failures", failures))
-    return IdentityVerdict("audit", k, n, lhs, rhs, lhs_terms, rhs_terms, not failures, checks)
+    return _verdict("audit", k, n, lhs_terms, rhs_terms, *checks)._replace(holds=not failures)

@@ -71,10 +71,9 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
 
 
 def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
-    text = render(kind, payload, args.format) + "\n"
+    text = render(kind, payload, args.format)  # whole before any write, so an error leaves stdout empty
     try:
-        sys.stdout.write(text)  # one write, so `| head` ends it cleanly
-        sys.stdout.flush()
+        print(text, flush=True)  # the text, then "\n" apart, so the text is not copied to append it
     except BrokenPipeError:  # the reader left early: not an error, and the exit flush must not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
@@ -119,8 +118,7 @@ def verify(args: argparse.Namespace) -> int:
     from .counting import lookup
     from .identities import IDENTITIES
 
-    verifier, takes_k = lookup("identity", IDENTITIES, args.identity, args.k)
-    return _verdicts(args, (verifier(args.k, n) if takes_k else verifier(n) for n in parse_range(args.n)))
+    return _verdicts(args, map(lookup("identity", IDENTITIES, args.identity, args.k), parse_range(args.n)))
 
 
 def rsk(args: argparse.Namespace) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from operator import ge, index
+from operator import index
 from typing import Iterable, Sequence
 
 
@@ -37,11 +37,11 @@ class Involution:
     """A self-inverse partial permutation: its sorted fixed points and 2-cycles are the value.
 
     The support is the set of labels it acts on: positive integers, not
-    necessarily contiguous.  ``Involution(...)`` validates its input, and the
-    notation readers ``from_cycles`` and ``from_word`` check their grammar and
-    build through it; ``_canonical`` is the one trusted build.  Labels are read
-    with ``operator.index``.  The label -> image map ``_partner`` is derived on
-    each read, keys in increasing order; only the two tuples are kept.
+    necessarily contiguous.  ``Involution(...)`` validates its input in one scan, each
+    fixed point and then each sorted 2-cycle; the notation readers ``from_cycles`` and
+    ``from_word`` check their grammar and build through it, and ``_canonical`` is the one
+    trusted build.  Labels are read with ``operator.index``.  The label -> image map
+    ``_partner`` is derived on each read, keys in increasing order; only the two tuples are kept.
     """
 
     __slots__ = ("fixed_points", "two_cycles")
@@ -50,18 +50,12 @@ class Involution:
         fixed_points = tuple(sorted(map(index, fixed_points)))
         two_cycles = tuple(sorted(tuple(sorted((index(a), index(b)))) for a, b in two_cycles))
         seen: set[int] = set()
-        for x in fixed_points:
-            if x < 1:
-                raise ValueError(f"labels must be positive, got {x}")
-            if x in seen:
-                raise ValueError(f"label {x} appears twice")
-            seen.add(x)
-        for a, b in two_cycles:
-            if a < 1:
-                raise ValueError(f"labels must be positive, got {a}")
-            if a == b:
-                raise ValueError(f"degenerate 2-cycle ({a},{b})")
-            for x in (a, b):
+        for group in (*((x,) for x in fixed_points), *two_cycles):  # each sorted, so its least label is first
+            if group[0] < 1:
+                raise ValueError(f"labels must be positive, got {group[0]}")
+            if len(group) == 2 and group[0] == group[1]:
+                raise ValueError(f"degenerate 2-cycle ({group[0]},{group[1]})")
+            for x in group:
                 if x in seen:
                     raise ValueError(f"label {x} appears twice")
                 seen.add(x)
@@ -158,12 +152,11 @@ class Involution:
 def as_shape(parts: Sequence[int]) -> tuple[int, ...]:
     """Validate and normalize a partition (weakly decreasing positive parts)."""
     shape = tuple(map(index, parts))
-    if shape and not (shape[-1] >= 1 and all(map(ge, shape, shape[1:]))):
-        for i, p in enumerate(shape):  # the slow scan names the first bad part
-            if p < 1:
-                raise ValueError(f"shape parts must be positive, got {p}")
-            if i and shape[i - 1] < p:
-                raise ValueError(f"shape parts must be weakly decreasing, got {shape}")
+    for i, p in enumerate(shape):
+        if p < 1:
+            raise ValueError(f"shape parts must be positive, got {p}")
+        if i and shape[i - 1] < p:
+            raise ValueError(f"shape parts must be weakly decreasing, got {shape}")
     return shape
 
 

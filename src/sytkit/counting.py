@@ -5,7 +5,7 @@ Every count is an arbitrary-precision integer; nothing here touches floats.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import chain, combinations
 from math import comb, factorial, prod
 from operator import index
@@ -225,8 +225,8 @@ FAMILIES = {
 }
 
 
-def lookup(kind: str, registry: dict, name: str, k: int | None) -> tuple[Callable, bool]:
-    """A registry entry (function, takes_k), once the name is known and k given exactly when it takes one."""
+def lookup(kind: str, registry: dict, name: str, k: int | None) -> Callable[[int], object]:
+    """The named entry as a function of n, ``partial(fn, k)`` if it takes a bound k (given exactly then)."""
     if name not in registry:
         raise ValueError(f"unknown {kind} {name!r}; expected one of {', '.join(registry)}")
     fn, takes_k = registry[name]
@@ -234,7 +234,7 @@ def lookup(kind: str, registry: dict, name: str, k: int | None) -> tuple[Callabl
         raise ValueError(f"{kind} {name!r} requires a bound k")
     if not takes_k and k is not None:
         raise ValueError(f"{kind} {name!r} takes no bound k")
-    return fn, takes_k
+    return partial(fn, k) if takes_k else fn
 
 
 def validate_family(family: str, k: int | None, n: int) -> None:
@@ -247,7 +247,5 @@ def validate_family(family: str, k: int | None, n: int) -> None:
 
 
 def count_family(family: str, k: int | None, n: int) -> int:
-    """Evaluate one (family, k, n) count query."""
-    validate_family(family, k, n)
-    count, takes_k = FAMILIES[family]
-    return count(k, n) if takes_k else count(n)
+    """Evaluate one (family, k, n) count query; the count function checks k, then n, as ``validate_family``."""
+    return lookup("family", FAMILIES, family, k)(n)

@@ -225,8 +225,10 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
         if index is not None and index > sys.maxsize:
             raise ValueError(f"{name} is above {sys.maxsize}, the largest size or bound (sys.maxsize)")
     validate_family(family, k, n)
-    # every family's count is at most n**n (1 at n = 0), and a Catalan number below 4**n: 0.60206 > log10(4)
-    if len(value) > (n * 60206 // 100000 + 1 if family == "catalan" else max(1, n * len(n_text))):
+    # y_k(n), x_k(n) <= m**n and u_k(n) <= m**(2n), m = min(k, n) or n without k (Schur-Weyl; i(n), n! <= n**n),
+    # so n*len(str(m)) digits, u twice, at least 1; a Catalan number is below 4**n: 0.60206 > log10(4)
+    bound = max(1, (2 if family == "u" else 1) * n * len(str(min(k or n, n))))
+    if len(value) > (n * 60206 // 100000 + 1 if family == "catalan" else bound):
         raise ValueError(f"count has {len(value)} digits, more than any count at n={n}")
     return (family, k, n), value
 

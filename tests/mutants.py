@@ -57,6 +57,16 @@ KILLED = [
      ids("test_bijections.py", "test_audit_fails_survivors_that_miss_the_closed_form_term_by_term")),
     ("bijections.py", "failures += signed_total != lhs", "failures += 0",
      ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),
+    # the audit's verdict holds whatever its failure count
+    ("bijections.py", "._replace(holds=not failures)", "._replace(holds=True)",
+     ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),
+    # the pair-space bound read without index(), so 1.5 bounds the toggle, the pair space and the audit
+    ("bijections.py", "    if (k := index(k)) < 1 or k % 2 == 0:", "    if k < 1 or k % 2 == 0:",
+     ids("test_bijections.py", "test_library_builders_take_only_integers")),
+    ("bijections.py", "k if k is None else index(k)", "k",
+     ids("test_bijections.py", "test_library_builders_take_only_integers")),
+    ("bijections.py", "((k := index(k)) < 1 or k % 2 == 0)", "(k < 1 or k % 2 == 0)",
+     ids("test_bijections.py", "test_library_builders_take_only_integers")),
     # the bounded toggle's input and image checks
     ("bijections.py", "    if not _in_bounded_space(s, k):", "    if False:", BIJECTIONS),
     ("bijections.py", "if not _in_bounded_space(out, k):", "if False:", BIJECTIONS),
@@ -70,6 +80,9 @@ KILLED = [
     ("identities.py", ', ("fpf_lds2_pair_sum", pair_sum))', ")", IDENTITIES),
     # the pair sums lose their sign
     ("identities.py", "-1 if signed and r % 2 else 1", "1", IDENTITIES),
+    # the registry dispatch drops k, so an entry that takes k gets n alone
+    ("counting.py", "partial(fn, k) if takes_k else fn", "fn",
+     ids("test_counting.py", "test_lookup_returns_a_function_of_n")),
     # the closed form taken where the cap cuts one partition, 1^m
     ("counting.py", "if 0 <= m <= cap:", "if 0 <= m <= cap + 1:", COUNTING),
     # odd sizes no longer have no fixed-point-free involution
@@ -98,6 +111,9 @@ KILLED = [
     ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]', CLI),
     ("output.py", "if index is not None and index > sys.maxsize:", "if False:", CLI),
     ("output.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1", CLI),
+    # the cache: every family's digit bound taken from n, not from min(k, n)
+    ("output.py", "min(k or n, n)", "n",
+     ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
     # the cache: a line of other than four fields, and a blank line
     ("output.py", "if len(parts) != 4:", "if False:", CLI),
     ("output.py", "if not line.strip():", "if False:", CLI),
@@ -105,6 +121,9 @@ KILLED = [
     ("cli.py", "holds.append(v.holds)", "pass", ids("test_cli.py", "test_a_verdict_failing_mid_range_exits_1")),
     # cli.integer lets every size and bound through
     ("cli.py", "if (value := int(text)) > sys.maxsize:", "if (value := int(text)) > sys.maxsize ** 2:", CLI),
+    # the label scan lets a non-positive label through
+    ("core.py", "if group[0] < 1:", "if False:",
+     ids("test_core.py", "test_involution_rejects_bad_input", "test_involution_from_word")),
 ]
 
 # (file, old text, new text, test files, why no test can tell it from the original): the tests must pass

@@ -482,9 +482,14 @@ def test_involution_has_only_its_two_slots():
     lambda x: arrangement_to_matching([x]),
     lambda x: PairState(Involution(), Involution(), x),
     lambda x: count_syt_row_bounded(x, 4),
-], ids=["fixed-point", "two-cycle", "word", "shape", "tableau", "arrangement", "pair-n", "bound-k"])
+    lambda x: list(enumerate_pair_space(2, x)),
+    lambda x: toggle_pivot_bounded(PairState(Involution([1]), Involution([2]), 1), x),
+    lambda x: signed_cancellation_audit(2, x, limit=1),
+], ids=["fixed-point", "two-cycle", "word", "shape", "tableau", "arrangement", "pair-n", "bound-k",
+        "pair-k", "toggle-k", "audit-k"])
 def test_library_builders_take_only_integers(build, value):
-    # int() would truncate 1.5 and parse "3"; operator.index refuses both
+    # int() would truncate 1.5 and parse "3"; operator.index refuses both.  The audit reads its bound
+    # before it checks n against the limit, so before any walk, and not with its closing count.
     with pytest.raises(TypeError):
         build(value)
 

@@ -974,8 +974,16 @@ def test_cache_in_missing_directory_is_a_usage_error(tmp_path):
     "catalan - 9223372036854775808 1",  # n above sys.maxsize
     "y 9223372036854775808 3 4",        # k above sys.maxsize
     "catalan - 10 11111111",            # 8 digits, but C_10 < 4**10 has at most 7
+    "y 2 10 11111111111",               # 11 digits, but y_2(10) <= 2**10 has at most 10
+    "x 3 10 11111111111",               # 11 digits, but x_3(10) <= 3**10 has at most 10
+    "u 2 100 1" + "1" * 200,            # 201 digits, but u_2(100) <= 2**200 has at most 200
+    "y 12 3 1111",                      # 4 digits, but y_12(3) <= 3**3 has at most 3
+    "y_unbounded - 3 1111",             # 4 digits, but i(3) <= 3**3 has at most 3
+    "x_unbounded - 12 1" + "1" * 24,    # 25 digits, but (11)!! <= 12**12 has at most 24
+    "y 2 0 11",                         # 2 digits, but every count at n = 0 is 1
 ], ids=["family", "missing-k", "extra-k", "k", "n", "value", "integer", "duplicate", "huge-n", "huge-k",
-        "catalan-digits"])
+        "catalan-digits", "y-digits", "x-digits", "u-digits", "k-above-n-digits", "y_unbounded-digits",
+        "x_unbounded-digits", "n0-digits"])
 def test_cache_rejects_bad_entries_and_leaves_file_untouched(tmp_path, body, verify_flag):
     path = tmp_path / "counts.cache"
     path.write_bytes(f"sytkit cache v1\n{body}\n".encode())

@@ -1,3 +1,4 @@
+import re
 from math import comb, factorial
 
 import pytest
@@ -526,3 +527,29 @@ def test_count_family_validates_bound_usage():
             validate_family(family, None, -1)
     with pytest.raises(ValueError):
         validate_family("z", None, 3)
+
+
+@pytest.mark.parametrize("family", sytkit.counting.FAMILIES)
+def test_count_family_refuses_a_query_as_validate_family_does(family):
+    # count_family leaves its checks to the count function, which must raise what validate_family
+    # raises: k missing, extra, 0 or 1.5, then n = -1 or 2.5, k checked first
+    bad_ks, good_ks = ([None, 0, 1.5], [2, 5]) if sytkit.counting.FAMILIES[family][1] else ([2, 1.5], [None])
+    for k, n in [(k, n) for k in bad_ks for n in (3, -1)] + [(k, n) for k in good_ks for n in (-1, 2.5)]:
+        with pytest.raises((ValueError, TypeError)) as expected:
+            validate_family(family, k, n)
+        with pytest.raises(expected.type, match=f"^{re.escape(str(expected.value))}$"):
+            count_family(family, k, n)
+
+
+def test_lookup_returns_a_function_of_n():
+    from sytkit.counting import FAMILIES, lookup
+    from sytkit.identities import IDENTITIES, verify_unrestricted, verify_wilf_even
+
+    assert lookup("family", FAMILIES, "y", 3)(4) == 9
+    assert lookup("family", FAMILIES, "catalan", None) is catalan
+    assert lookup("identity", IDENTITIES, "wilf", 2)(3) == verify_wilf_even(2, 3)
+    assert lookup("identity", IDENTITIES, "unrestricted", None) is verify_unrestricted
+    for registry in (FAMILIES, IDENTITIES):
+        for name, (fn, takes_k) in registry.items():
+            k = 3 if name == "odd" else 2 if takes_k else None
+            assert lookup("", registry, name, k)(4) == (fn(k, 4) if takes_k else fn(4))
