@@ -212,7 +212,7 @@ def enumerate_pair_space(
     its words are relabelled onto every subset of that size.
     """
     if n < 1:
-        raise ValueError("n must be a positive integer")
+        raise ValueError(f"n must be a positive integer, got {n}")
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
     ground = tuple(range(1, 2 * n + 1))

@@ -179,12 +179,7 @@ class StandardTableau:
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Sequence[int]] = ()):
-        normalized = tuple(tuple(map(index, row)) for row in rows)
-        self._validate(normalized)
-        self.rows = normalized
-
-    @staticmethod
-    def _validate(rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(map(index, row)) for row in rows)
         as_shape([len(row) for row in rows])
         for i, row in enumerate(rows):
             if any(a >= b for a, b in zip(row, row[1:])):
@@ -196,6 +191,7 @@ class StandardTableau:
         n = sum(len(row) for row in rows)
         if {x for row in rows for x in row} != set(range(1, n + 1)):
             raise ValueError("entries must be exactly 1..n")
+        self.rows = rows
 
     @property
     def shape(self) -> tuple[int, ...]:

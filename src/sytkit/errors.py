@@ -6,7 +6,7 @@ DEFAULT_PAIR_SPACE_LIMIT = 4
 
 
 class ScaleLimitError(RuntimeError):
-    """Requested size exceeds the configured exhaustive-search limit."""
+    """A size exceeds the audit's exhaustive-search limit, or a size or bound is above sys.maxsize."""
 
 
 class PivotAbsentError(ValueError):

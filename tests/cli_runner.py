@@ -12,15 +12,6 @@ class Result(NamedTuple):
     stdout: str
     stderr: str
 
-    @property
-    def output(self) -> str:
-        """stdout, under the name most assertions read it by."""
-        return self.stdout
-
-    @property
-    def stdout_bytes(self) -> bytes:
-        return self.stdout.encode()
-
 
 def invoke(*args: str) -> Result:
     """Run ``sytkit ARGS...`` through ``cli.run``: its exit code, stdout and stderr."""

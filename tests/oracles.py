@@ -10,12 +10,11 @@ live here and not in the library, which keeps only what its commands run.
 """
 
 import json
-from dataclasses import dataclass
 from itertools import combinations, permutations
 from math import comb, factorial
+from typing import NamedTuple
 
 from sytkit.core import Involution, lis
-from sytkit.errors import ScaleLimitError
 
 
 def brute_lis(word):
@@ -187,19 +186,12 @@ def oracle_json(kind, payload):
 
 
 # ---------------------------------------------------------------- exponential routes
-# These enumerate every witness or every permutation, so they are run at small
-# sizes only; each guards its size with a limit.
-
-DEFAULT_PERMUTATION_LIMIT = 8
-DEFAULT_SUBSEQUENCE_LIMIT = 12
+# These enumerate every witness or every permutation, so the tests call them
+# at small sizes only.
 
 
-def brute_count_lis_bounded(k, n, limit=DEFAULT_PERMUTATION_LIMIT):
+def brute_count_lis_bounded(k, n):
     """Oracle for ``count_perms_lis_bounded``: filter all n! permutations."""
-    if k < 1:
-        raise ValueError(f"bound k must be a positive integer, got {k}")
-    if n > limit:
-        raise ScaleLimitError(f"oracle scale exceeded: n={n} > limit={limit}")
     return sum(1 for p in permutations(range(1, n + 1)) if lis(p) <= k)
 
 
@@ -242,32 +234,28 @@ def max_decreasing_subsequences(word):
     return target, out
 
 
-@dataclass(frozen=True)
-class LongestDecreasingReport:
+class LongestDecreasingReport(NamedTuple):
     """All maximum-length decreasing subsequences of an involution's word.
 
     When the maximum length is odd, every such subsequence must pass through
     a fixed point; ``all_contain_fixed_point`` records whether that held.
     """
 
-    involution: Involution
     lds_length: int
     max_decreasing_count: int
     all_contain_fixed_point: bool
 
 
-def report_longest_decreasing(v, limit=DEFAULT_SUBSEQUENCE_LIMIT):
+def report_longest_decreasing(v):
     """Enumerate every maximum-length decreasing subsequence and check fixed points.
 
     An entry of the word is a fixed point exactly when it equals the support
     label at its own position.
     """
-    if v.size > limit:
-        raise ScaleLimitError(f"subsequence enumeration limited to {limit} elements, got {v.size}")
     word = v.word()
     support = v.support
     length, index_runs = max_decreasing_subsequences(word)
     all_fixed = all(
         any(word[i] == support[i] for i in run) for run in index_runs
     )
-    return LongestDecreasingReport(v, length, len(index_runs), all_fixed)
+    return LongestDecreasingReport(length, len(index_runs), all_fixed)

@@ -193,7 +193,7 @@ def test_criterion_11_cli_contract(tmp_path):
     ]
     for args in sweeps:
         result = invoke(*args)
-        assert result.exit_code == 0, (args, result.output)
+        assert result.exit_code == 0, (args, result.stdout)
 
     cache = tmp_path / "counts.cache"
     assert invoke("--cache", str(cache), "count", "y", "--k", "3", "--n", "0..6").exit_code == 0

@@ -283,12 +283,6 @@ def test_report_empty_involution():
     assert (rep.lds_length, rep.max_decreasing_count, rep.all_contain_fixed_point) == (0, 0, True)
 
 
-def test_report_respects_scale_limit():
-    with pytest.raises(ScaleLimitError):
-        report_longest_decreasing(Involution(range(1, 14)))
-    assert report_longest_decreasing(Involution(range(1, 14)), limit=13).lds_length == 1
-
-
 @pytest.mark.parametrize("n", range(1, 9))
 def test_odd_lds_forces_fixed_points_in_every_witness(n):
     for v in generate_involutions(range(1, n + 1)):
@@ -620,8 +614,8 @@ def test_audit_records_a_closure_breach_as_a_failure(monkeypatch):
     result = invoke("audit", "--n", "3", "--k", "3")
     assert result.exit_code == 1
     assert result.stderr == ""  # the failing verdict is reported on stdout alone
-    assert "Traceback" not in result.output + result.stderr
-    assert "[FAILS]" in result.output and f"assertion_failures = {len(breaching)}\n" in result.output
+    assert "Traceback" not in result.stdout + result.stderr
+    assert "[FAILS]" in result.stdout and f"assertion_failures = {len(breaching)}\n" in result.stdout
 
 
 # ---------------------------------------------------------------- audit faults

@@ -214,13 +214,13 @@ def test_an_unknown_flag_is_named_before_a_missing_command(args, message):
 def test_count_sequence():
     result = run("count", "y", "--k", "3", "--n", "0..4")
     assert result.exit_code == 0
-    assert table_column(result.output, "value") == ["1", "1", "2", "4", "9"]
+    assert table_column(result.stdout, "value") == ["1", "1", "2", "4", "9"]
 
 
 def test_count_single_values():
-    assert table_column(run("count", "x", "--k", "2", "--n", "6").output, "value") == ["5"]
-    assert table_column(run("count", "catalan", "--n", "0").output, "value") == ["1"]
-    assert table_column(run("count", "u", "--k", "2", "--n", "3").output, "value") == ["5"]
+    assert table_column(run("count", "x", "--k", "2", "--n", "6").stdout, "value") == ["5"]
+    assert table_column(run("count", "catalan", "--n", "0").stdout, "value") == ["1"]
+    assert table_column(run("count", "u", "--k", "2", "--n", "3").stdout, "value") == ["5"]
 
 
 def test_count_usage_errors():
@@ -232,10 +232,10 @@ def test_count_usage_errors():
 
 def test_count_large_n_without_recursion_limit():
     # one row of 1200 boxes, and the C(1200, 600) shapes of at most two columns
-    assert table_column(run("count", "y", "--k", "1", "--n", "1200").output, "value") == ["1"]
+    assert table_column(run("count", "y", "--k", "1", "--n", "1200").stdout, "value") == ["1"]
     result = run("count", "y", "--k", "2", "--n", "1200")
     assert result.exit_code == 0
-    assert table_column(result.output, "value") == [str(comb(1200, 600))]
+    assert table_column(result.stdout, "value") == [str(comb(1200, 600))]
 
 
 def test_count_unbounded_y_is_the_involution_count_at_once():
@@ -245,7 +245,7 @@ def test_count_unbounded_y_is_the_involution_count_at_once():
     result = run("count", "y", "--k", "60", "--n", "60")
     assert time.perf_counter() - start < 1
     assert result.exit_code == 0
-    assert table_column(result.output, "value") == [str(i60)]
+    assert table_column(result.stdout, "value") == [str(i60)]
 
 
 def test_count_uncut_x_is_the_double_factorial_at_once():
@@ -253,7 +253,7 @@ def test_count_uncut_x_is_the_double_factorial_at_once():
     result = run("count", "x", "--k", "120", "--n", "120")
     assert time.perf_counter() - start < 1
     assert result.exit_code == 0
-    assert table_column(result.output, "value") == [str(prod(range(1, 120, 2)))]
+    assert table_column(result.stdout, "value") == [str(prod(range(1, 120, 2)))]
 
 
 def test_module_entry_point_prints_the_same_bytes():
@@ -263,7 +263,7 @@ def test_module_entry_point_prints_the_same_bytes():
     proc = subprocess.run([sys.executable, "-m", "sytkit", *args],
                           capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0
-    assert proc.stdout == run(*args).stdout_bytes
+    assert proc.stdout == run(*args).stdout.encode()
 
 
 # ---------------------------------------------------------------- verify
@@ -271,13 +271,13 @@ def test_module_entry_point_prints_the_same_bytes():
 def test_verify_sweep_passes():
     result = run("verify", "wilf", "--k", "2", "--n", "1..5")
     assert result.exit_code == 0
-    assert result.output.count("[holds]") == 5
+    assert result.stdout.count("[holds]") == 5
 
 
 def test_verify_naive_failure_counterexample():
     result = run("--format", "json", "verify", "naive-failure", "--k", "2", "--n", "3")
     assert result.exit_code == 0
-    verdict = json.loads(result.output)["verdicts"][0]
+    verdict = json.loads(result.stdout)["verdicts"][0]
     assert (verdict["lhs"], verdict["rhs"]) == ("100", "110")
     assert verdict["holds"] is True
 
@@ -305,12 +305,12 @@ def test_a_verdict_failing_mid_range_exits_1(fmt, monkeypatch):
     result = run("--format", fmt, "verify", "unrestricted", "--n", "1..5")
     assert (result.exit_code, result.stderr) == (1, "")
     if fmt == "json":
-        holds = [v["holds"] for v in json.loads(result.output)["verdicts"]]
+        holds = [v["holds"] for v in json.loads(result.stdout)["verdicts"]]
     elif fmt == "csv":
-        rows = csv.DictReader(io.StringIO(result.output))
+        rows = csv.DictReader(io.StringIO(result.stdout))
         holds = [r["holds"] == "true" for r in rows if r["row_type"] == "verdict"]
     else:
-        heads = [line for line in result.output.splitlines() if line.startswith("unrestricted")]
+        heads = [line for line in result.stdout.splitlines() if line.startswith("unrestricted")]
         holds = [line.endswith("[holds]") for line in heads]
     assert holds == [True, True, False, True, True]
 
@@ -348,7 +348,7 @@ def test_verify_all_identities_smoke():
 def test_rsk_cycles_worked_example():
     result = run("rsk", "--cycles", "(31)(62)(5)")
     assert result.exit_code == 0
-    fields = trace_fields(result.output)
+    fields = trace_fields(result.stdout)
     assert fields["word"] == "3 6 1 5 2"
     assert fields["shape"] == "[2, 2, 1]"
     assert fields["lis"] == "2"
@@ -371,12 +371,12 @@ def test_rsk_runs_robinson_schensted_once(monkeypatch):
     monkeypatch.setattr(core, "rs_of_involution", counted)
     result = run("rsk", "--cycles", "(31)(62)(5)")
     assert result.exit_code == 0
-    assert trace_fields(result.output)["beissinger_ok"] == "true"
+    assert trace_fields(result.stdout)["beissinger_ok"] == "true"
     assert len(calls) == 1
 
 
 def test_rsk_identity_word():
-    fields = trace_fields(run("rsk", "--word", "1 2 3").output)
+    fields = trace_fields(run("rsk", "--word", "1 2 3").stdout)
     assert fields["shape"] == "[3]"
     assert fields["fixed_points"] == "3"
     assert fields["odd_columns"] == "3"
@@ -385,7 +385,7 @@ def test_rsk_identity_word():
 def test_rsk_empty_involution():
     result = run("rsk", "--cycles", "()")
     assert result.exit_code == 0
-    fields = trace_fields(result.output)
+    fields = trace_fields(result.stdout)
     assert (fields["lis"], fields["lds"], fields["shape"]) == ("0", "0", "[]")
 
 
@@ -402,7 +402,7 @@ def test_bijection_f_worked_example():
     result = run("--trace", "bijection", "f", "--n", "4",
                  "--p", "(31)(62)(5)", "--q", "(7)(84)")
     assert result.exit_code == 0
-    fields = trace_fields(result.output)
+    fields = trace_fields(result.stdout)
     assert fields["p_out"] == "(13)(26)(5)(7)"
     assert fields["q_out"] == "(48)"
     assert fields["free_points"] == "5 7"
@@ -412,13 +412,13 @@ def test_bijection_f_worked_example():
 
 
 def test_bijection_f_trace_moves_a_pivot_from_p_to_q():
-    fields = trace_fields(run("--trace", "bijection", "f", "--n", "1", "--p", "(2)", "--q", "(1)").output)
+    fields = trace_fields(run("--trace", "bijection", "f", "--n", "1", "--p", "(2)", "--q", "(1)").stdout)
     assert (fields["p_out"], fields["q_out"]) == ("()", "(1)(2)")
     assert (fields["pivot"], fields["moved_from"], fields["moved_to"]) == ("2", "p", "q")
 
 
 def test_bijection_f_moves_smaller_fixed_point_case():
-    fields = trace_fields(run("bijection", "f", "--n", "1", "--p", "(1)", "--q", "(2)").output)
+    fields = trace_fields(run("bijection", "f", "--n", "1", "--p", "(1)", "--q", "(2)").stdout)
     assert fields["p_out"] == "(1)(2)"
     assert fields["q_out"] == "()"
 
@@ -451,22 +451,22 @@ def test_bijection_f_rejects_a_huge_n_at_once():
 def test_bijection_g_example():
     result = run("--trace", "bijection", "g", "--n", "2", "--chosen", "3 1")
     assert result.exit_code == 0
-    fields = trace_fields(result.output)
+    fields = trace_fields(result.stdout)
     assert fields["red"] == "(23)"
     assert fields["blue"] == "(14)"
-    assert "unchosen" in result.output  # trace table with the pairing
+    assert "unchosen" in result.stdout  # trace table with the pairing
 
 
 def test_bijection_g_single_cycles():
-    assert trace_fields(run("bijection", "g", "--chosen", "2").output)["red"] == "(12)"
-    assert trace_fields(run("bijection", "g", "--chosen", "1").output)["blue"] == "(12)"
+    assert trace_fields(run("bijection", "g", "--chosen", "2").stdout)["red"] == "(12)"
+    assert trace_fields(run("bijection", "g", "--chosen", "1").stdout)["blue"] == "(12)"
 
 
 def test_bijection_g_inverse_example():
-    fields = trace_fields(run("bijection", "g-inverse", "--red", "(23)", "--blue", "(14)").output)
+    fields = trace_fields(run("bijection", "g-inverse", "--red", "(23)", "--blue", "(14)").stdout)
     assert fields["chosen"] == "3 1"
-    assert trace_fields(run("bijection", "g-inverse", "--red", "(12)", "--blue", "").output)["chosen"] == "2"
-    assert trace_fields(run("bijection", "g-inverse", "--red", "", "--blue", "(12)").output)["chosen"] == "1"
+    assert trace_fields(run("bijection", "g-inverse", "--red", "(12)", "--blue", "").stdout)["chosen"] == "2"
+    assert trace_fields(run("bijection", "g-inverse", "--red", "", "--blue", "(12)").stdout)["chosen"] == "1"
 
 
 def test_bijection_g_inverse_validation():
@@ -477,9 +477,9 @@ def test_bijection_g_inverse_validation():
 
 def test_bijection_g_round_trip_through_cli():
     for chosen in ("3 1", "1 2", "4 2 6", "2 1 3"):
-        g = trace_fields(run("bijection", "g", "--chosen", chosen).output)
+        g = trace_fields(run("bijection", "g", "--chosen", chosen).stdout)
         back = run("bijection", "g-inverse", "--red", g["red"], "--blue", g["blue"])
-        assert trace_fields(back.output)["chosen"] == chosen
+        assert trace_fields(back.stdout)["chosen"] == chosen
 
 
 # map -> (a valid call, the options of the other maps, which it does not read)
@@ -538,7 +538,7 @@ def test_bijection_g_trace_table_matches_the_pairing_rule(n):
 def test_audit_small():
     result = run("--format", "json", "audit", "--n", "1")
     assert result.exit_code == 0
-    verdict = json.loads(result.output)["verdicts"][0]
+    verdict = json.loads(result.stdout)["verdicts"][0]
     assert verdict["lhs"] == "2"
     assert dict((c["name"], c["value"]) for c in verdict["checks"])["survivors"] == "2"
 
@@ -550,7 +550,7 @@ def test_audit_bounded():
 def test_audit_of_an_empty_pair_space_is_a_usage_error():
     result = run("audit", "--n", "0")
     assert (result.exit_code, result.stdout) == (2, "")
-    assert result.stderr == "Error: n must be a positive integer\n"
+    assert result.stderr == "Error: n must be a positive integer, got 0\n"
 
 
 def test_audit_scale_and_parity_errors():
@@ -624,7 +624,7 @@ def test_a_saved_cache_always_reloads(tmp_path):
     path = tmp_path / "c.cache"
     args = ("--cache", str(path), "count", "y", "--k", str(sys.maxsize), "--n", "3")
     first = run(*args)
-    assert first.exit_code == 0 and table_column(first.output, "value") == ["4"]
+    assert first.exit_code == 0 and table_column(first.stdout, "value") == ["4"]
     assert load_cache(path) == {("y", sys.maxsize, 3): "4"}
     assert run(*args) == first
     past = tmp_path / "past.cache"
@@ -700,27 +700,27 @@ def csv_rows(output):
 
 def test_count_formats_agree():
     args = ("count", "y", "--k", "3", "--n", "0..4")
-    table_vals = table_column(run(*args).output, "value")
-    json_doc = json.loads(run("--format", "json", *args).output)
+    table_vals = table_column(run(*args).stdout, "value")
+    json_doc = json.loads(run("--format", "json", *args).stdout)
     json_vals = [row["value"] for row in json_doc["rows"]]
-    csv_vals = [row["value"] for row in csv_rows(run("--format", "csv", *args).output)]
+    csv_vals = [row["value"] for row in csv_rows(run("--format", "csv", *args).stdout)]
     assert table_vals == json_vals == csv_vals == ["1", "1", "2", "4", "9"]
     assert all(isinstance(row["value"], str) for row in json_doc["rows"])
 
 
 def test_verdict_formats_agree():
     args = ("verify", "fpf-pairs", "--n", "2")
-    json_doc = json.loads(run("--format", "json", *args).output)["verdicts"][0]
+    json_doc = json.loads(run("--format", "json", *args).stdout)["verdicts"][0]
     json_terms = sorted(t["term_value"] for t in json_doc["rhs_terms"])
 
-    rows = csv_rows(run("--format", "csv", *args).output)
+    rows = csv_rows(run("--format", "csv", *args).stdout)
     csv_verdict = next(r for r in rows if r["row_type"] == "verdict")
     csv_terms = sorted(r["term_value"] for r in rows
                        if r["row_type"] == "term" and r["side"] == "rhs")
     assert (csv_verdict["lhs"], csv_verdict["rhs"]) == (json_doc["lhs"], json_doc["rhs"]) == ("12", "12")
     assert csv_terms == json_terms
 
-    table_out = run(*args).output
+    table_out = run(*args).stdout
     assert "lhs=12" in table_out and "rhs=12" in table_out
 
 
@@ -734,7 +734,7 @@ def test_render_checks_the_record_kind_in_every_format(fmt):
 
 
 def test_json_serializes_integers_as_strings():
-    doc = json.loads(run("--format", "json", "count", "catalan", "--n", "10..12").output)
+    doc = json.loads(run("--format", "json", "count", "catalan", "--n", "10..12").stdout)
     for row in doc["rows"]:
         assert isinstance(row["value"], str) and row["value"].isdigit()
         assert isinstance(row["n"], str)
@@ -862,7 +862,7 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch, fmt):
     # a count reaches the renderer as its decimal text, which prints as the int does
     ints = [{"family": "y", "k": 3, "n": n, "value": counting.count_family("y", 3, n)}
             for n in range(4, 10)]
-    assert first.exit_code == 0 and first.output == render("count", {"rows": ints}, fmt) + "\n"
+    assert first.exit_code == 0 and first.stdout == render("count", {"rows": ints}, fmt) + "\n"
     walked = []
     hook_count = counting._hook_count  # the kernel every shape walk calls
     monkeypatch.setattr(counting, "_hook_count",
@@ -870,13 +870,13 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch, fmt):
     counting.count_syt_row_bounded.cache_clear()  # as cold as a new process
     saved = path.read_bytes()
     second = run(*args)
-    assert second.exit_code == 0 and second.output == first.output
+    assert second.exit_code == 0 and second.stdout == first.stdout
     assert walked == []
     assert path.read_bytes() == saved
 
     counting.count_syt_row_bounded.cache_clear()
     third = run("--cache", str(path), "count", "y", "--k", "3", "--n", "8..10")
-    assert table_column(third.output, "value") == ["323", "835", "2188"]  # Motzkin numbers
+    assert table_column(third.stdout, "value") == ["323", "835", "2188"]  # Motzkin numbers
     assert walked and all(sum(shape) == 10 for shape in walked)  # only the miss is walked
     assert load_cache(path)[("y", 3, 10)] == "2188"
 
@@ -1124,12 +1124,14 @@ def test_cache_save_failure_keeps_old_file(tmp_path, monkeypatch, failure):
 
 # ---------------------------------------------------------------- import contract
 
+# Each child runs with -S, so the modules that site loads (which differ between Python versions)
+# are not counted against sytkit.
 LOADED_MODULES = """
 import contextlib, io, json, sys
 if len(sys.argv) > 1:
-    from sytkit.cli import main
+    from sytkit import cli
     with contextlib.redirect_stdout(io.StringIO()):
-        main.main(args=json.loads(sys.argv[1]), prog_name="sytkit", standalone_mode=False)
+        cli.run(json.loads(sys.argv[1]))
 else:
     import sytkit
 print(json.dumps(sorted(m for m in sys.modules
@@ -1152,16 +1154,16 @@ COMMAND_LAYERS = [
 
 TABLE_FORMAT_LOADS = """
 import contextlib, io, sys
-from sytkit.cli import main
+from sytkit import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    main.main(args=sys.argv[1:], prog_name="sytkit", standalone_mode=False)
+    cli.run(sys.argv[1:])
 print(sorted({"csv", "json", "_json"} & set(sys.modules)))
 """
 
 
 def test_table_format_loads_neither_csv_nor_json():
     src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
-    proc = subprocess.run([sys.executable, "-c", TABLE_FORMAT_LOADS, "rsk", "--cycles", "(13)(26)(5)"],
+    proc = subprocess.run([sys.executable, "-S", "-c", TABLE_FORMAT_LOADS, "rsk", "--cycles", "(13)(26)(5)"],
                           capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
@@ -1171,7 +1173,7 @@ def test_table_format_loads_neither_csv_nor_json():
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_json_and_csv_formats_load_only_their_own_module(fmt):
     src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
-    proc = subprocess.run([sys.executable, "-c", TABLE_FORMAT_LOADS, "--format", fmt,
+    proc = subprocess.run([sys.executable, "-S", "-c", TABLE_FORMAT_LOADS, "--format", fmt,
                            "rsk", "--cycles", "(13)(26)(5)"],
                           capture_output=True, env={**os.environ, "PYTHONPATH": src}, text=True,
                           timeout=60)
@@ -1183,11 +1185,12 @@ def test_json_and_csv_formats_load_only_their_own_module(fmt):
 def test_each_command_loads_only_its_layers():
     src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    procs = [subprocess.Popen([sys.executable, "-c", LOADED_MODULES, *([json.dumps(argv)] if argv else [])],
+    procs = [subprocess.Popen([sys.executable, "-S", "-c", LOADED_MODULES,
+                               *([json.dumps(argv)] if argv else [])],
                               stdout=subprocess.PIPE, env=env, text=True)
              for argv, _ in COMMAND_LAYERS]
-    for proc, (argv, layers) in zip(procs, COMMAND_LAYERS):
-        out, _ = proc.communicate(timeout=60)
+    outs = [proc.communicate(timeout=60)[0] for proc in procs]  # every child reaped before any assertion
+    for proc, out, (argv, layers) in zip(procs, outs, COMMAND_LAYERS):
         assert proc.returncode == 0, argv
         loaded = set(json.loads(out))
         assert not loaded & {"dataclasses", "inspect"}, argv
@@ -1223,7 +1226,7 @@ def test_runs_in_one_process_share_one_parser(monkeypatch):
     assert len(built) == 1 and cli._parser is built[0]
 
 
-# bench/inproc.py runs each command as main.main(args=..., prog_name=..., standalone_mode=False)
+# bench/inproc.py calls main.main with args=..., prog_name=... and standalone_mode=False
 # and reads the code it returns; it does not catch SystemExit
 @pytest.mark.parametrize("argv, code", [
     (("rsk", "--cycles", "(13)(26)(5)"), 0),

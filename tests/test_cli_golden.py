@@ -163,7 +163,7 @@ GOLDEN = {
 @pytest.mark.parametrize("command", sorted(GOLDEN))
 def test_stdout_digest_and_exit_code(command, fmt):
     result = invoke("--format", fmt, *shlex.split(command))
-    digest = hashlib.sha256(result.stdout_bytes).hexdigest()
+    digest = hashlib.sha256(result.stdout.encode()).hexdigest()
     assert (result.exit_code, digest) == GOLDEN[command][fmt]
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from sytkit import (
     Involution,
-    ScaleLimitError,
     catalan,
     conjugate,
     count_family,
@@ -294,12 +293,6 @@ def test_closed_form_oracles_match_small_values():
 @pytest.mark.parametrize("n", range(0, 7))
 def test_lis_bounded_permutation_count_matches_brute_force(k, n):
     assert count_perms_lis_bounded(k, n) == brute_count_lis_bounded(k, n)
-
-
-def test_brute_force_respects_scale_limit():
-    with pytest.raises(ScaleLimitError):
-        brute_count_lis_bounded(2, 9)
-    assert brute_count_lis_bounded(2, 9, limit=9) == catalan(9)
 
 
 def test_lis_bounded_count_matches_single_pass_filter_at_size_eight():

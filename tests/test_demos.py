@@ -21,7 +21,7 @@ def test_demo_runs_clean(script):
 
 
 def test_identity_tour_prints_the_record_verify_prints():
-    record = invoke("verify", "odd", "--k", "3", "--n", "2").output
+    record = invoke("verify", "odd", "--k", "3", "--n", "2").stdout
     buf = io.StringIO()
     with redirect_stdout(buf):
         runpy.run_path(str(Path(__file__).parent.parent / "demos" / "identity_tour.py"), run_name="__main__")
