@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .core import Involution, odd_columns, rs_of_involution
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, ScaleLimitError
-from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
+from .output import FORMATS, _pieces, load_cache, save_cache, verdict_payload, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
@@ -71,9 +71,10 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
 
 
 def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
-    text = render(kind, payload, args.format)  # whole before any write, so an error leaves stdout empty
+    pieces = _pieces(kind, payload, args.format)  # all before any write, so an error leaves stdout empty
     try:
-        print(text, flush=True)  # the text, then "\n" apart, so the text is not copied to append it
+        sys.stdout.writelines(pieces)  # piece by piece: the record is never joined or copied whole
+        print(flush=True)
     except BrokenPipeError:  # the reader left early: not an error, and the exit flush must not fail again
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -6,9 +6,9 @@ Every count is an arbitrary-precision integer; nothing here touches floats.
 from __future__ import annotations
 
 from functools import lru_cache, partial
-from itertools import chain, combinations
+from itertools import chain, combinations, starmap
 from math import comb, factorial, prod
-from operator import index
+from operator import add, index, sub
 from typing import Callable, Iterator, Sequence
 
 from .core import _conjugate, as_shape
@@ -70,10 +70,8 @@ def _hook_count(s: tuple[int, ...], fact: Callable[[int], int]) -> int:
     """
     if s and len(s) > s[0]:
         s = _conjugate(s)
-    d = len(s)
-    first_hooks = [part + d - i for i, part in enumerate(s, 1)]  # hooks of the first column
-    return (fact(sum(s)) * prod(a - b for a, b in combinations(first_hooks, 2))
-            // prod(map(fact, first_hooks)))
+    first_hooks = list(map(add, s, range(len(s) - 1, -1, -1)))  # hooks of the first column
+    return fact(sum(s)) * prod(starmap(sub, combinations(first_hooks, 2))) // prod(map(fact, first_hooks))
 
 
 def _require_size(n: int) -> None:

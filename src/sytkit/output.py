@@ -1,11 +1,12 @@
 """Structured output records, text renderers, and the persistent count cache.
 
-Every format writes integers as decimal strings.  A verdict record's verdicts
-may come from an iterator: each is rendered as it comes, its terms read from
-their ``TermBreakdown`` named tuples, and dropped.  JSON is written in the
-layout of ``json.dumps(indent=2)``; it loads only the C string escaper from
-``_json``, not the json package, and csv loads only for CSV.  The cache
-file is a versioned, sorted-key text document, so a load/save round trip is
+Every format writes integers as decimal strings.  A record is rendered as a
+list of pieces, which ``render`` joins and the CLI writes one by one.  A
+verdict record's verdicts may come from an iterator: each is rendered as it
+comes, into its own piece, and dropped.  JSON is written in the layout of
+``json.dumps(indent=2)``; it loads only the C string escaper from ``_json``,
+not the json package, and csv loads only for CSV.  The cache file is a
+versioned, sorted-key text document, so a load/save round trip is
 byte-identical.  A cached count is kept as the decimal text it was read as
 and is never parsed.
 """
@@ -17,6 +18,7 @@ import os
 import re
 import sys
 from collections.abc import Iterable, Iterator
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -29,6 +31,10 @@ FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
 
 
+#: (named tuple type, indent) -> the %-template of its object, for a tuple of ints
+_TEMPLATES: dict[tuple[type, str], str] = {}
+
+
 def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> list[str]:
     """Append ``value`` to ``out`` (and return it) as ``json.dumps(indent=2)`` would, ints as strings,
     a named tuple as the object of its fields, and an iterator as a list, each item joined as it comes."""
@@ -37,6 +43,10 @@ def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> 
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, (int, str)):
         out.append(quote(str(value)))
+    elif hasattr(value, "_fields") and {*map(type, value)} == {int}:  # a term: one template
+        if (template := _TEMPLATES.get((type(value), pad))) is None:  # each int field written as '"%d"'
+            template = _TEMPLATES[type(value), pad] = "".join(_json(value._make(["%d"] * len(value)), [], pad, quote))
+        out.append(template % value)
     elif isinstance(value, dict) or hasattr(value, "_fields"):
         items = value.items() if isinstance(value, dict) else zip(value._fields, value)  # a named tuple
         for i, (key, item) in enumerate(items):
@@ -77,16 +87,19 @@ def verdict_payload(v: IdentityVerdict) -> dict:
     }
 
 
-def render(kind: str, payload: dict, fmt: str) -> str:
-    """One record (kind count, verdict or trace) as text in the given format."""
+def _pieces(kind: str, payload: dict, fmt: str) -> list[str]:
+    """``render``'s record as the list of pieces of its text."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if kind not in ("count", "verdict", "trace"):
         raise ValueError(f"unknown record kind {kind!r}")
     if fmt == "json":
         from _json import encode_basestring_ascii  # json.encoder's own escaper, without json's import
-        return "".join(_json({"kind": kind, **payload}, [], "", encode_basestring_ascii))
-    tabulate = _aligned if fmt == "table" else _csv_text
+        return _json({"kind": kind, **payload}, [], "", encode_basestring_ascii)
+
+    def tabulate(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[str]:
+        return [_aligned(header, rows)] if fmt == "table" else _csv(header, [rows])
+
     if kind == "count":
         return tabulate(
             ["family", "k", "n", "value"],
@@ -96,25 +109,34 @@ def render(kind: str, payload: dict, fmt: str) -> str:
         return (_verdicts_table if fmt == "table" else _verdicts_csv)(payload["verdicts"])
     # a trace: its named fields, then an optional table
     if fmt == "table":
-        out = "\n".join(f"{name}: {_cell(value)}" for name, value in payload["fields"])
+        out = ["\n".join(f"{name}: {_cell(value)}" for name, value in payload["fields"])]
     else:
-        out = _csv_text(["name", "value"], payload["fields"])
+        out = _csv(["name", "value"], [payload["fields"]])
     if "table" in payload:
-        out += "\n" + tabulate(payload["table"]["columns"], payload["table"]["rows"])
+        out += ["\n", *tabulate(payload["table"]["columns"], payload["table"]["rows"])]
     return out
+
+
+def render(kind: str, payload: dict, fmt: str) -> str:
+    """One record (kind count, verdict or trace) as text in the given format: its pieces, joined.
+    The CLI writes the pieces instead, so it never holds their join."""
+    return "".join(_pieces(kind, payload, fmt))
 
 
 # ---------------------------------------------------------------- csv
 
-def _csv_text(header: Sequence[str], rows: Iterable[Sequence[Any]]) -> str:
+def _csv(header: Sequence[str], groups: Iterable[Iterable[Sequence[Any]]]) -> list[str]:
+    """CSV of a header and groups of rows, a piece for each (the header's first), no final newline."""
     import csv
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(x) for x in row])
-    return buf.getvalue().rstrip("\n")
+    pieces = []
+    for rows in chain([[header]], groups):  # a buffer per group: a drained one keeps its largest size
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([_cell(x) for x in row] for row in rows)
+        if buf.tell():
+            pieces.append(buf.getvalue())
+    pieces[-1] = pieces[-1].rstrip("\n")
+    return pieces
 
 
 #: the columns of one ``TermBreakdown``, in the order both verdict layouts print them
@@ -128,17 +150,17 @@ def _term_rows(v: dict) -> list[list[Any]]:
     return [[side, *t] for side in ("lhs", "rhs") for t in v[f"{side}_terms"]]
 
 
-def _verdicts_csv(verdicts: Iterable[dict]) -> str:
-    def rows():  # verdict by verdict, so a verdict is dropped once its rows are written
-        no_term = [""] * (1 + len(_TERM_FIELDS))
-        for v in verdicts:
-            base = [v["identity"], v["k"], v["n"]]
-            yield ["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""]
-            for term in _term_rows(v):
-                yield ["term", *base, "", "", "", *term, "", ""]
-            for c in v["checks"]:
-                yield ["check", *base, "", "", "", *no_term, c["name"], c["value"]]
-    return _csv_text(_VERDICT_CSV_HEADER, rows())
+def _verdicts_csv(verdicts: Iterable[dict]) -> list[str]:
+    no_term = [""] * (1 + len(_TERM_FIELDS))
+
+    def rows(v: dict) -> Iterator[list[Any]]:  # one group per verdict, dropped once its rows are written
+        base = [v["identity"], v["k"], v["n"]]
+        yield ["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""]
+        for term in _term_rows(v):
+            yield ["term", *base, "", "", "", *term, "", ""]
+        for c in v["checks"]:
+            yield ["check", *base, "", "", "", *no_term, c["name"], c["value"]]
+    return _csv(_VERDICT_CSV_HEADER, map(rows, verdicts))
 
 
 # ---------------------------------------------------------------- table
@@ -151,19 +173,19 @@ def _aligned(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
     return "\n".join(lines)
 
 
-def _verdicts_table(verdicts: Iterable[dict]) -> str:
-    blocks = []
+def _verdicts_table(verdicts: Iterable[dict]) -> list[str]:
+    blocks: list[str] = []  # one piece per verdict, a blank line before each after the first
     for v in verdicts:
         status = "holds" if v["holds"] else "FAILS"
         head = (
             f"{v['identity']}  k={_cell(v['k'])}  n={v['n']}  "
             f"lhs={v['lhs']}  rhs={v['rhs']}  [{status}]"
         )
-        block = head + "\n" + _aligned(["side", *_TERM_FIELDS], _term_rows(v))
+        block = ("\n\n" if blocks else "") + head + "\n" + _aligned(["side", *_TERM_FIELDS], _term_rows(v))
         if v["checks"]:
             block += "\n" + "\n".join(f"  {c['name']} = {c['value']}" for c in v["checks"])
         blocks.append(block)
-    return "\n\n".join(blocks)
+    return blocks
 
 
 # ---------------------------------------------------------------- cache

@@ -99,6 +99,9 @@ KILLED = [
     ("counting.py", "fact(sum(s))", "fact(len(s))", COUNTING),
     ("counting.py", "_hook_count(as_shape(shape), factorial)", "_hook_count(tuple(shape), factorial)",
      ("tests/test_core.py",)),
+    # the hook kernel's Vandermonde product takes sums of the first-column hooks, not differences
+    ("counting.py", "starmap(sub,", "starmap(add,",
+     ids("test_counting.py", "test_hook_length_examples", "test_hook_length_matches_box_by_box_product")),
     # the walk's factorial table: an entry stored one place off; a new table for every shape; no bound
     ("counting.py", "self[n] = value", "self[n + 1] = value",
      ids("test_counting.py", "test_walk_kernel_matches_the_public_count_on_every_shape")),
@@ -117,6 +120,10 @@ KILLED = [
     # the cache: a line of other than four fields, and a blank line
     ("output.py", "if len(parts) != 4:", "if False:", CLI),
     ("output.py", "if not line.strip():", "if False:", CLI),
+    # a JSON term's template indents its fields one level too deep (each of the two tests fails it)
+    ("output.py", 'len(value)), [], pad, quote)', 'len(value)), [], inner, quote)',
+     ids("test_cli_golden.py", "test_stdout_digest_and_exit_code[verify unrestricted --n 1..60-json]")
+     + ids("test_cli.py", "test_json_writer_matches_the_stdlib_encoder")),
     # the exit code of a verify range reads no verdict
     ("cli.py", "holds.append(v.holds)", "pass", ids("test_cli.py", "test_a_verdict_failing_mid_range_exits_1")),
     # cli.integer lets every size and bound through

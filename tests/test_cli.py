@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from itertools import permutations
 from math import comb, prod
 from typing import NamedTuple
@@ -168,35 +169,43 @@ def test_usage_error_exits_2_with_one_message(tmp_path, monkeypatch, args):
 
 
 class ClosedPipe(io.StringIO):
-    """A stdout whose reader has left: each write raises, as a write to a closed pipe does."""
+    """A stdout whose reader leaves after the first ``accepted`` writes: each later write raises,
+    as a write to a closed pipe does."""
 
-    def __init__(self, fd):
+    def __init__(self, fd, accepted=0):
         super().__init__()
         self.fd = fd
+        self.accepted = accepted
 
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        if not self.accepted:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.accepted -= 1
+        return super().write(text)
 
     def fileno(self):
         return self.fd
 
 
-@pytest.mark.parametrize("args, code", [
-    (("count", "catalan", "--n", "0..3000"), 0),
-    (("verify", "naive-failure", "--k", "2", "--n", "1"), 1),
+@pytest.mark.parametrize("args, code, accepted", [
+    pytest.param(("count", "catalan", "--n", "0..3000"), 0, 0, id="args0-0"),
+    pytest.param(("verify", "naive-failure", "--k", "2", "--n", "1"), 1, 0, id="args1-1"),
+    pytest.param(("--format", "json", "verify", "unrestricted", "--n", "1..20"), 0, 3, id="json-mid-record"),
 ])
-def test_a_reader_that_leaves_early_is_not_an_error(tmp_path, args, code):
+def test_a_reader_that_leaves_early_is_not_an_error(tmp_path, args, code, accepted):
     # as `sytkit count catalan --n 0..3000 | head -c 10`: the command keeps its exit code, prints
     # nothing on stderr, and its stdout descriptor now points at os.devnull, so the exit flush passes
     fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
     try:
-        err = io.StringIO()
-        with contextlib.redirect_stdout(ClosedPipe(fd)), contextlib.redirect_stderr(err):
+        err, pipe = io.StringIO(), ClosedPipe(fd, accepted)
+        with contextlib.redirect_stdout(pipe), contextlib.redirect_stderr(err):
             assert cli.run(list(args)) == code
         assert err.getvalue() == ""
         assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
     finally:
         os.close(fd)
+    written, whole = pipe.getvalue(), run(*args).stdout
+    assert whole.startswith(written) and len(written) < len(whole) and bool(written) == bool(accepted)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -330,6 +339,32 @@ def test_a_verifier_raising_mid_range_leaves_stdout_empty(fmt, monkeypatch):
     result = run("--format", fmt, "verify", "unrestricted", "--n", "1..5")
     assert (result.exit_code, result.stdout, result.stderr) == (2, "", "Error: refused n = 3\n")
     assert made == [1, 2, 3]  # the verdicts are made as the record is rendered
+
+
+def test_a_large_verdict_record_matches_the_stdlib_encoder():
+    # real big-int terms over many pieces, where the hypothesis writer test stops at 12 leaves
+    from sytkit.identities import verify_odd_k
+    payload = {"verdicts": [verdict_payload(verify_odd_k(3, n)) for n in range(1, 31)]}
+    result = run("--format", "json", "verify", "odd", "--k", "3", "--n", "1..30")
+    assert (result.exit_code, result.stdout) == (0, oracle_json("verdict", payload) + "\n")
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_a_long_record_is_written_without_a_copy_of_the_whole(tmp_path, fmt):
+    # stdout is a file, as a pipe would be, not a capturing buffer: the record is written piece by
+    # piece, so the peak holds about one record, not its pieces beside their join (2.0-2.5 times)
+    args = ["--format", fmt, "verify", "unrestricted", "--n"]
+    with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+        assert cli.run([*args, "1"]) == 0  # loads what the format uses before the trace starts
+    path = tmp_path / "stdout"
+    with open(path, "w") as out, contextlib.redirect_stdout(out):
+        tracemalloc.start()
+        try:
+            assert cli.run([*args, "1..60"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.3 * path.stat().st_size
 
 
 def test_verify_all_identities_smoke():

@@ -91,6 +91,12 @@ GOLDEN = {
         'json': (0, '73b1c2e3dcac5997dc50ccfe8b0b0ce7952ea7a93a1b5d7ad39b9d50a9924476'),
         'csv': (0, 'bab704a39926d17151b37cc4dcc30ec2f461758782392be6fb62349d48b54c8a'),
     },
+    # a large record: 7,381 terms with big integers, 1.25 MB of JSON, written in many pieces
+    'verify unrestricted --n 1..60': {
+        'table': (0, 'ba4cbabbabc33a49f9f18ba43aca78a664d4ac53b94bbf56c9bc19be7b250f60'),
+        'json': (0, '94df0a1209a95eb5fc91db07ae97dea747fbd23735b3dd3b7fd754f516b05db7'),
+        'csv': (0, 'ef1e865d1989ab5548fea3d3bfdba37d19d7972e3659c9edf4993cf98d8db758'),
+    },
     'verify fpf-pairs --n 1..3': {
         'table': (0, '637991458e6675046dcfe24ad2ed68e32147c1df96abfade97dbdad4ef164548'),
         'json': (0, 'f9a8abd3d2952be0503b4c7e70242f237de1c7b1bb2d6e66f9d587236efe241b'),
