@@ -44,7 +44,7 @@ print("`sytkit verify odd --k 3 --n 2` prints")
 print("lhs: sum of C(4,r) * fpf(r, lds<=3) * fpf(4-r, lds<=3)")
 print("rhs: sum of (-1)^r C(4,r) * rows<=3 tableau counts")
 print("-" * 68)
-print(render("verdict", {"verdicts": [verdict_payload(verify_odd_k(3, 2))]}, "table"))
+print("".join(render("verdict", {"verdicts": [verdict_payload(verify_odd_k(3, 2))]}, "table")))
 
 print()
 print("Why the obvious variant is NOT an identity: bound the increasing")

@@ -203,9 +203,9 @@ def enumerate_pair_space(
 ) -> Iterator[PairState]:
     """Yield every pair of involutions on complementary subsets of [2n].
 
-    With k, both sides are restricted to decreasing subsequences of length at
-    most k.  Order: by the size r of the first support, then by the chosen
-    subset lexicographically, then by generation order on each side.
+    With k, at least 1, both sides are restricted to decreasing subsequences
+    of length at most k.  Order: by the size r of the first support, then by
+    the chosen subset lexicographically, then by generation order on each side.
 
     Generation order and lds depend only on the relative order of the labels,
     so each size is grown and filtered once on 1..m (see `_side_words`), and
@@ -215,8 +215,10 @@ def enumerate_pair_space(
         raise ValueError(f"n must be a positive integer, got {n}")
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
+    if k is not None and (k := index(k)) < 1:
+        raise ValueError(f"bound k must be a positive integer, got {k}")
     ground = tuple(range(1, 2 * n + 1))
-    words = _side_words(2 * n, k if k is None else index(k))
+    words = _side_words(2 * n, k)
     for r in range(2 * n + 1):
         for chosen in combinations(ground, r):
             rest = tuple(x for x in ground if x not in chosen)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 from .core import Involution, odd_columns, rs_of_involution
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, ScaleLimitError
-from .output import FORMATS, _pieces, load_cache, save_cache, verdict_payload, verify_cache_entries
+from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
@@ -71,7 +71,7 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
 
 
 def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
-    pieces = _pieces(kind, payload, args.format)  # all before any write, so an error leaves stdout empty
+    pieces = render(kind, payload, args.format)  # all made before the first write: an error leaves stdout empty
     try:
         sys.stdout.writelines(pieces)  # piece by piece: the record is never joined or copied whole
         print(flush=True)

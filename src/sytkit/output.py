@@ -1,9 +1,10 @@
 """Structured output records, text renderers, and the persistent count cache.
 
-Every format writes integers as decimal strings.  A record is rendered as a
-list of pieces, which ``render`` joins and the CLI writes one by one.  A
-verdict record's verdicts may come from an iterator: each is rendered as it
-comes, into its own piece, and dropped.  JSON is written in the layout of
+Every format writes integers as decimal strings.  ``render`` returns a record
+as the list of pieces of its text, and the CLI writes them one by one after
+the last one is made; a caller that wants the text joins them.  A verdict
+record's verdicts may come from an iterator: each is rendered as it comes,
+into its own piece, and dropped.  JSON is written in the layout of
 ``json.dumps(indent=2)``; it loads only the C string escaper from ``_json``,
 not the json package, and csv loads only for CSV.  The cache file is a
 versioned, sorted-key text document, so a load/save round trip is
@@ -50,10 +51,8 @@ def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> 
     elif isinstance(value, dict) or hasattr(value, "_fields"):
         items = value.items() if isinstance(value, dict) else zip(value._fields, value)  # a named tuple
         for i, (key, item) in enumerate(items):
-            head = f"{',' if i else '{'}\n{inner}{quote(key)}: "
-            out.append(f'{head}"{item}"' if type(item) is int else head)  # int fields: no call
-            if type(item) is not int:
-                _json(item, out, inner, quote)
+            out.append(f"{',' if i else '{'}\n{inner}{quote(key)}: ")
+            _json(item, out, inner, quote)
         out.append(f"\n{pad}}}" if value else "{}")
     elif isinstance(value, (list, tuple, Iterator)):
         i = -1
@@ -87,8 +86,9 @@ def verdict_payload(v: IdentityVerdict) -> dict:
     }
 
 
-def _pieces(kind: str, payload: dict, fmt: str) -> list[str]:
-    """``render``'s record as the list of pieces of its text."""
+def render(kind: str, payload: dict, fmt: str) -> list[str]:
+    """One record (kind count, verdict or trace) in the given format, as the list of pieces of its
+    text; ``"".join`` of them is the record, with no final newline."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}")
     if kind not in ("count", "verdict", "trace"):
@@ -115,12 +115,6 @@ def _pieces(kind: str, payload: dict, fmt: str) -> list[str]:
     if "table" in payload:
         out += ["\n", *tabulate(payload["table"]["columns"], payload["table"]["rows"])]
     return out
-
-
-def render(kind: str, payload: dict, fmt: str) -> str:
-    """One record (kind count, verdict or trace) as text in the given format: its pieces, joined.
-    The CLI writes the pieces instead, so it never holds their join."""
-    return "".join(_pieces(kind, payload, fmt))
 
 
 # ---------------------------------------------------------------- csv

@@ -30,7 +30,6 @@ ROOT = Path(__file__).resolve().parent.parent
 BIJECTIONS = ("tests/test_bijections.py",)
 IDENTITIES = ("tests/test_identities.py",)
 COUNTING = ("tests/test_counting.py",)
-CLI = ("tests/test_cli.py",)
 
 
 def ids(file: str, *tests: str) -> tuple[str, ...]:
@@ -63,13 +62,17 @@ KILLED = [
     # the pair-space bound read without index(), so 1.5 bounds the toggle, the pair space and the audit
     ("bijections.py", "    if (k := index(k)) < 1 or k % 2 == 0:", "    if k < 1 or k % 2 == 0:",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
-    ("bijections.py", "k if k is None else index(k)", "k",
+    ("bijections.py", "if k is not None and (k := index(k)) < 1:", "if k is not None and k < 1:",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
     ("bijections.py", "((k := index(k)) < 1 or k % 2 == 0)", "(k < 1 or k % 2 == 0)",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
+    # the pair space takes a bound below 1, and walks an empty space
+    ("bijections.py", "if k is not None and (k := index(k)) < 1:", "if False:",
+     ids("test_bijections.py", "test_pair_space_refuses_a_bound_below_1_before_any_walk")),
     # the bounded toggle's input and image checks
     ("bijections.py", "    if not _in_bounded_space(s, k):", "    if False:", BIJECTIONS),
-    ("bijections.py", "if not _in_bounded_space(out, k):", "if False:", BIJECTIONS),
+    ("bijections.py", "if not _in_bounded_space(out, k):", "if False:",
+     ids("test_bijections.py", "test_audit_records_a_closure_breach_as_a_failure")),
     # the toggle moves the smaller of the two last fixed points
     ("bijections.py", "if fp and not (fq and fq[-1] > fp[-1]):", "if fp and not (fq and fq[-1] < fp[-1]):",
      BIJECTIONS),
@@ -88,17 +91,19 @@ KILLED = [
     # odd sizes no longer have no fixed-point-free involution
     ("counting.py", "if r % 2:", "if False:", COUNTING),
     # a count size read without index(), so 3.0 counts, or not read at all, so -1 counts
-    ("counting.py", "if index(n) < 0:", "if n < 0:", COUNTING),
-    ("counting.py", "if index(n) < 0:", "if False:", COUNTING),
+    ("counting.py", "if index(n) < 0:", "if n < 0:",
+     ids("test_counting.py", "test_an_odd_float_size_is_refused_not_counted_as_zero")),
+    ("counting.py", "if index(n) < 0:", "if False:", ids("test_counting.py", "test_fpf_counts_reject_negative_length")),
     # the memo answers a float size from the entry of the equal int
-    ("counting.py", "typed=True", "typed=False", COUNTING),
+    ("counting.py", "typed=True", "typed=False",
+     ids("test_counting.py", "test_an_odd_float_size_is_refused_not_counted_as_zero")),
     # the partition cap read without index(), so 1.5 caps at 1, or not checked, so -2 walks nothing
     ("counting.py", "else index(max_parts)", "else max_parts", COUNTING),
     ("counting.py", "if cap < 0:", "if False:", COUNTING),
     # the hook kernel: n! read as the factorial of the part count; the public entry trusts its input
     ("counting.py", "fact(sum(s))", "fact(len(s))", COUNTING),
     ("counting.py", "_hook_count(as_shape(shape), factorial)", "_hook_count(tuple(shape), factorial)",
-     ("tests/test_core.py",)),
+     ids("test_core.py", "test_shape_errors_name_the_first_bad_part")),
     # the hook kernel's Vandermonde product takes sums of the first-column hooks, not differences
     ("counting.py", "starmap(sub,", "starmap(add,",
      ids("test_counting.py", "test_hook_length_examples", "test_hook_length_matches_box_by_box_product")),
@@ -110,16 +115,20 @@ KILLED = [
     ("counting.py", "if self.bits < _FACTORIAL_BITS:", "if True:",
      ids("test_counting.py", "test_walk_table_stops_storing_at_its_bit_bound")),
     # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize; a long Catalan count
-    ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}", CLI),
-    ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]', CLI),
-    ("output.py", "if index is not None and index > sys.maxsize:", "if False:", CLI),
-    ("output.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1", CLI),
+    ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}",
+     ids("test_cli.py", "test_cache_rejects_oversized_value_and_leaves_file_untouched")),
+    ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]',
+     ids("test_cli.py", "test_cache_accepts_only_the_integers_save_cache_writes")),
+    ("output.py", "if index is not None and index > sys.maxsize:", "if False:",
+     ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
+    ("output.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1",
+     ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
     # the cache: every family's digit bound taken from n, not from min(k, n)
     ("output.py", "min(k or n, n)", "n",
      ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
     # the cache: a line of other than four fields, and a blank line
-    ("output.py", "if len(parts) != 4:", "if False:", CLI),
-    ("output.py", "if not line.strip():", "if False:", CLI),
+    ("output.py", "if len(parts) != 4:", "if False:", ids("test_cli.py", "test_cache_line_needs_exactly_four_fields")),
+    ("output.py", "if not line.strip():", "if False:", ids("test_cli.py", "test_cache_skips_blank_lines")),
     # a JSON term's template indents its fields one level too deep (each of the two tests fails it)
     ("output.py", 'len(value)), [], pad, quote)', 'len(value)), [], inner, quote)',
      ids("test_cli_golden.py", "test_stdout_digest_and_exit_code[verify unrestricted --n 1..60-json]")
@@ -127,7 +136,8 @@ KILLED = [
     # the exit code of a verify range reads no verdict
     ("cli.py", "holds.append(v.holds)", "pass", ids("test_cli.py", "test_a_verdict_failing_mid_range_exits_1")),
     # cli.integer lets every size and bound through
-    ("cli.py", "if (value := int(text)) > sys.maxsize:", "if (value := int(text)) > sys.maxsize ** 2:", CLI),
+    ("cli.py", "if (value := int(text)) > sys.maxsize:", "if (value := int(text)) > sys.maxsize ** 2:",
+     ids("test_cli.py", "test_a_size_or_bound_above_maxsize_is_a_scale_limit")),
     # the label scan lets a non-positive label through
     ("core.py", "if group[0] < 1:", "if False:",
      ids("test_core.py", "test_involution_rejects_bad_input", "test_involution_from_word")),

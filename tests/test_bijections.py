@@ -488,6 +488,14 @@ def test_library_builders_take_only_integers(build, value):
         build(value)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_pair_space_refuses_a_bound_below_1_before_any_walk(monkeypatch, k):
+    # refused as every count refuses it, not walked as an empty pair space
+    monkeypatch.setattr(bijections, "_side_words", lambda *args: pytest.fail("walked the sides"))
+    with pytest.raises(ValueError, match=f"^bound k must be a positive integer, got {k}$"):
+        next(enumerate_pair_space(2, k))
+
+
 def test_pair_space_bound_filters_both_sides():
     for s in enumerate_pair_space(2, 2):
         assert brute_lds(s.p.word()) <= 2 and brute_lds(s.q.word()) <= 2

@@ -22,6 +22,7 @@ except ImportError:  # not on Windows
 from cli_runner import invoke as run
 from oracles import oracle_json
 from sytkit import cli
+from sytkit.bijections import _colored_pairs, arrangement_to_matching
 from sytkit.cli import _parse_ints, main, parse_range
 from sytkit.core import Involution
 from sytkit.counting import catalan
@@ -763,7 +764,7 @@ def test_verdict_formats_agree():
 def test_render_checks_the_record_kind_in_every_format(fmt):
     with pytest.raises(ValueError, match=r"^unknown record kind 'bogus'$"):
         render("bogus", {}, fmt)
-    assert render("trace", {"fields": [("n", 1)]}, fmt)
+    assert "".join(render("trace", {"fields": [("n", 1)]}, fmt))
     with pytest.raises(ValueError, match=r"^unknown format 'xml'$"):
         render("bogus", {}, "xml")  # the format is checked first
 
@@ -793,7 +794,7 @@ JSON_VALUE = st.recursive(
 
 @given(st.sampled_from(["count", "verdict", "trace"]), st.dictionaries(JSON_TEXT, JSON_VALUE, max_size=4))
 def test_json_writer_matches_the_stdlib_encoder(kind, payload):
-    assert render(kind, payload, "json") == oracle_json(kind, payload)
+    assert "".join(render(kind, payload, "json")) == oracle_json(kind, payload)
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
@@ -802,6 +803,26 @@ def test_a_verdict_record_renders_the_same_from_an_iterator(fmt):
     listed = render("verdict", {"verdicts": payloads}, fmt)
     assert render("verdict", {"verdicts": iter(payloads)}, fmt) == listed
     assert render("verdict", {"verdicts": iter(())}, fmt) == render("verdict", {"verdicts": []}, fmt)
+
+
+def g_trace(labels):
+    """The trace record of ``--trace bijection g`` for these labels, built from the library."""
+    colored = arrangement_to_matching(labels)
+    return {"fields": [("n", colored.n), ("chosen", " ".join(map(str, labels)) or "-"),
+                       ("red", colored.p.cycle_string()), ("blue", colored.q.cycle_string())],
+            "table": {"columns": ["unchosen", "chosen", "color"], "rows": _colored_pairs(colored)}}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("args, kind, payload", [
+    (("verify", "a005568", "--n", "0..3"), "verdict",
+     lambda: {"verdicts": [verdict_payload(verify_a005568(n)) for n in range(4)]}),
+    (("--trace", "bijection", "g", "--chosen", "3 1"), "trace", lambda: g_trace((3, 1))),
+    (("--trace", "bijection", "g", "--chosen", ""), "trace", lambda: g_trace(())),  # a table with no rows
+], ids=["verdict", "trace-table", "trace-empty-table"])
+def test_the_cli_writes_what_render_returns(fmt, args, kind, payload):
+    result = run("--format", fmt, *args)
+    assert result.exit_code == 0 and result.stdout == "".join(render(kind, payload(), fmt)) + "\n"
 
 
 @pytest.mark.parametrize("bad", [1.5, {1, 2}, [None, {"x": (1, 2.0)}]], ids=["float", "set", "nested"])
@@ -897,7 +918,7 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch, fmt):
     # a count reaches the renderer as its decimal text, which prints as the int does
     ints = [{"family": "y", "k": 3, "n": n, "value": counting.count_family("y", 3, n)}
             for n in range(4, 10)]
-    assert first.exit_code == 0 and first.stdout == render("count", {"rows": ints}, fmt) + "\n"
+    assert first.exit_code == 0 and first.stdout == "".join(render("count", {"rows": ints}, fmt)) + "\n"
     walked = []
     hook_count = counting._hook_count  # the kernel every shape walk calls
     monkeypatch.setattr(counting, "_hook_count",

@@ -253,13 +253,13 @@ def test_term_fields_are_the_printed_columns():
     payload = verdict_payload(v)
     assert (payload["lhs_terms"], payload["rhs_terms"]) == (v.lhs_terms, v.rhs_terms)  # the named tuples
     terms = [["lhs", *map(str, t)] for t in v.lhs_terms] + [["rhs", *map(str, t)] for t in v.rhs_terms]
-    doc = json.loads(render("verdict", {"verdicts": [payload]}, "json"))["verdicts"][0]
+    doc = json.loads("".join(render("verdict", {"verdicts": [payload]}, "json")))["verdicts"][0]
     for side in ("lhs", "rhs"):  # JSON: each term is the object of its fields
         assert [t for t in terms if t[0] == side] == [[side, *t.values()] for t in doc[f"{side}_terms"]]
         assert all(list(t) == list(_TERM_FIELDS) for t in doc[f"{side}_terms"])
-    rows = list(csv.DictReader(io.StringIO(render("verdict", {"verdicts": [payload]}, "csv"))))
+    rows = list(csv.DictReader(io.StringIO("".join(render("verdict", {"verdicts": [payload]}, "csv")))))
     assert [[r[f] for f in ("side", *_TERM_FIELDS)] for r in rows if r["row_type"] == "term"] == terms
-    table = render("verdict", {"verdicts": [payload]}, "table").splitlines()
+    table = "".join(render("verdict", {"verdicts": [payload]}, "table")).splitlines()
     assert table[1].split() == ["side", *_TERM_FIELDS]
     assert [line.split() for line in table[3:3 + len(terms)]] == terms
 
