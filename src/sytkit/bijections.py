@@ -1,17 +1,11 @@
 """Executable forms of the constructive maps behind the identities.
 
-Two maps do the real work:
-
-* the free-point toggle: on a pair of involutions whose supports split
-  [2n], move the largest fixed point present to the other side.  It is a
-  sign-reversing involution, so all pairs cancel out of the alternating sum
-  except those where it is undefined (both sides fixed-point-free);
-* the arrangement/matching correspondence: an ordered choice of n labels
-  from [2n] versus a red/blue-colored perfect matching on [2n], which is a
-  fixed-point-free `PairState` with the red cycles on p and the blue on q.
-
-`signed_cancellation_audit` replays the cancellation argument exhaustively
-and compares the surviving pairs against the closed counts.
+The free-point toggle moves the largest fixed point of a pair of involutions whose supports split
+[2n] to the other side: a sign-reversing involution, so every pair cancels out of the alternating
+sum but the fixed-point-free ones, where it is undefined.  The arrangement/matching map pairs an
+ordered choice of n labels from [2n] with a red/blue perfect matching on [2n], a fixed-point-free
+`PairState` with the red cycles on p and the blue on q.  `signed_cancellation_audit` replays the
+cancellation argument exhaustively.
 """
 
 from __future__ import annotations
@@ -27,11 +21,9 @@ from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsent
 if TYPE_CHECKING:
     from .identities import IdentityVerdict
 
-# A slotted class written out by hand: the dataclass decorator would load dataclasses (and with
-# it inspect) in every process that walks pair states.  Like Involution, it is treated as
-# immutable.  PairState(...) always checks the [2n] cover.  _pair_state is the one trusted
-# build, for the two builders that cover [2n] by construction: enumerate_pair_space (sides
-# relabelled onto a subset and its complement) and toggle_pivot (one label moved across).
+# Written out by hand: a dataclass would load dataclasses and inspect.  Treated as immutable.
+# PairState(...) checks the [2n] cover; _pair_state, the one trusted build, serves the builders
+# that cover [2n] by construction: the pair space (a subset and its complement) and toggle_pivot.
 class PairState:
     """An ordered pair of involutions whose supports partition [2n]; compared by value."""
 
@@ -73,19 +65,13 @@ def free_points(s: PairState) -> tuple[int, ...]:
 
 def pivot(s: PairState) -> int | None:
     """Largest free point, or None when both sides are fixed-point-free."""
-    fp, fq = s.p.fixed_points, s.q.fixed_points  # sorted, so each side's largest is last
-    if fp and fq:
-        return max(fp[-1], fq[-1])
-    return fp[-1] if fp else fq[-1] if fq else None
+    return max(s.p.fixed_points[-1:] + s.q.fixed_points[-1:], default=None)  # each side's largest is last
 
 
 def toggle_pivot(s: PairState) -> PairState:
-    """Move the largest free point to the other involution.
-
-    Self-inverse wherever defined: the free-point set is unchanged, so the
-    same label moves straight back.  The side sizes change by one, flipping
-    the parity that weights the pair in the alternating sum.
-    """
+    """Move the largest free point to the other involution.  Self-inverse wherever defined: the
+    free points stay, so the same label moves straight back; the side sizes change by one,
+    flipping the parity that weights the pair in the alternating sum."""
     p, q = s.p, s.q
     fp, fq = p.fixed_points, q.fixed_points  # sorted, so each side's largest is last
     # the supports partition [2n], so the pivot is the last fixed point of one side and lands
@@ -115,12 +101,8 @@ def _in_bounded_space(s: PairState, k: int) -> bool:
 
 
 def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
-    """The toggle restricted to pairs with both decreasing statistics <= k.
-
-    Only odd bounds are accepted: for odd k the image provably stays inside
-    the bounded space, and the function re-checks that on every call, raising
-    `ClosureViolationError` if the guarantee were ever violated.
-    """
+    """The toggle on pairs whose sides both have lds <= k, for odd k only: the image provably stays
+    in that space, and each call re-checks it, raising `ClosureViolationError` if it did not."""
     if (k := index(k)) < 1 or k % 2 == 0:
         raise ValueError(f"bounded toggle requires an odd bound, got k={k}")
     if not _in_bounded_space(s, k):
@@ -133,12 +115,8 @@ def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
 
 
 def arrangement_to_matching(chosen: Sequence[int]) -> PairState:
-    """Pair an arranged n-subset of [2n] with the unchosen labels, coloring by order.
-
-    The j-th smallest unchosen label is matched with the j-th chosen one; the
-    cycle is red when the unchosen label is the smaller of the two, blue
-    otherwise.  The coloring is exactly what makes the map invertible.
-    """
+    """Match the j-th smallest unchosen label of [2n] with the j-th of n chosen ones: red when the
+    unchosen label is the smaller, blue otherwise.  The coloring makes the map invertible."""
     a = tuple(map(index, chosen))
     n = len(a)
     ground = set(range(1, 2 * n + 1))
@@ -166,16 +144,16 @@ def matching_to_arrangement(s: PairState) -> tuple[int, ...]:
     return tuple(chosen for _, chosen, _ in _colored_pairs(s))
 
 
-def _relabel(word: Sequence[int], labels: Sequence[int]) -> Involution:
-    """Carry the word of an involution on 1..m onto m sorted labels by x -> labels[x - 1].
+def _positions(word: Sequence[int]) -> tuple[int, ...]:
+    """(fixed count, fixed positions..., cycle positions...) of a word on 1..m: 0-based, canonical order."""
+    fixed = [i for i, y in enumerate(word) if y == i + 1]
+    return (len(fixed), *fixed, *(j for i, y in enumerate(word) if y > i + 1 for j in (i, y - 1)))
 
-    The labels are sorted, so the relabelled fixed points and cycles come out
-    canonical and the trusted build applies.
-    """
-    return Involution._canonical(
-        tuple(x for x, y in zip(labels, word) if labels[y - 1] == x),
-        tuple((x, labels[y - 1]) for x, y in zip(labels, word) if labels[y - 1] > x),
-    )
+
+def _relabel(form: tuple[int, ...], labels: Sequence[int]) -> Involution:
+    """A `_positions` form on sorted labels, position x to labels[x], so canonical."""
+    ends = map(labels.__getitem__, form[form[0] + 1:])
+    return Involution._canonical(tuple(map(labels.__getitem__, form[1:form[0] + 1])), tuple(zip(ends, ends)))
 
 
 def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
@@ -198,19 +176,9 @@ def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
     return words
 
 
-def enumerate_pair_space(
-    n: int, k: int | None = None, limit: int = DEFAULT_PAIR_SPACE_LIMIT
-) -> Iterator[PairState]:
-    """Yield every pair of involutions on complementary subsets of [2n].
-
-    With k, at least 1, both sides are restricted to decreasing subsequences
-    of length at most k.  Order: by the size r of the first support, then by
-    the chosen subset lexicographically, then by generation order on each side.
-
-    Generation order and lds depend only on the relative order of the labels,
-    so each size is grown and filtered once on 1..m (see `_side_words`), and
-    its words are relabelled onto every subset of that size.
-    """
+def _pair_rows(n: int, k: int | None, limit: int) -> Iterator[tuple]:
+    """Yield (r, p, qs): p of size r on a chosen subset, and the qs on its complement, one list for
+    every p there.  Each word's positions are read once, and relabelled onto every subset."""
     if n < 1:
         raise ValueError(f"n must be a positive integer, got {n}")
     if n > limit:
@@ -218,15 +186,31 @@ def enumerate_pair_space(
     if k is not None and (k := index(k)) < 1:
         raise ValueError(f"bound k must be a positive integer, got {k}")
     ground = tuple(range(1, 2 * n + 1))
-    words = _side_words(2 * n, k)
+    forms = _side_words(2 * n, k)
+    # in place, from the top size down: a form of size m reuses the tuple a word of size m + 1 freed
+    for words in reversed(forms):
+        for i, w in enumerate(words):
+            words[i] = _positions(w)
     for r in range(2 * n + 1):
         for chosen in combinations(ground, r):
             rest = tuple(x for x in ground if x not in chosen)
-            qs = [_relabel(w, rest) for w in words[2 * n - r]]
-            for w in words[r]:
-                p = _relabel(w, chosen)
-                for q in qs:
-                    yield _pair_state(p, q, n)
+            qs = [_relabel(form, rest) for form in forms[2 * n - r]]
+            for form in forms[r]:
+                yield r, _relabel(form, chosen), qs
+
+
+def enumerate_pair_space(n: int, k: int | None = None,
+                         limit: int = DEFAULT_PAIR_SPACE_LIMIT) -> Iterator[PairState]:
+    """Yield every pair of involutions on complementary subsets of [2n].
+
+    With k, at least 1, both sides are restricted to decreasing subsequences
+    of length at most k.  Order: by the size r of the first support, then by
+    the chosen subset lexicographically, then by generation order on each side
+    (`_side_words`): the rows of `_pair_rows`, flattened.
+    """
+    for _, p, qs in _pair_rows(n, k, limit):
+        for q in qs:
+            yield _pair_state(p, q, n)
 
 
 def signed_cancellation_audit(
@@ -234,13 +218,13 @@ def signed_cancellation_audit(
 ) -> IdentityVerdict:
     """Replay the cancellation argument over the whole (possibly bounded) pair space.
 
-    Each state is classified by its sides' last fixed points, without a
-    toggle: a survivor has none; P_r holds the states of split size r whose
-    pivot is on p, and Q_r those whose pivot is on q.  Each state s in P_r is
-    toggled once, and its image f(s) is checked to be closed under the bound,
-    to lie in Q_{r-1}, to keep the free points, and to give back s when
-    toggled again.  After the walk, |P_r| = |Q_{r-1}| is checked for every
-    r, P_0 and Q_{2n} empty included.
+    Each state of each `_pair_rows` row is classified by its sides' last fixed
+    points, p's read once per row: a survivor has none; P_r holds the states
+    of split size r whose pivot is on p, and Q_r those whose pivot is on q.
+    Only a state s in P_r is built, and toggled once; its image f(s) is
+    checked to be closed under the bound, to lie in Q_{r-1}, to keep the free
+    points, and to give back s when toggled again.  After the walk,
+    |P_r| = |Q_{r-1}| is checked for every r, P_0 and Q_{2n} empty included.
 
     That covers Q without toggling it.  f(f(s)) = s makes f one to one on P,
     and f maps P_r into Q_{r-1}, a set of the same size, so onto it.  Every t
@@ -258,29 +242,30 @@ def signed_cancellation_audit(
 
     if k is not None and ((k := index(k)) < 1 or k % 2 == 0):
         raise ValueError(f"audit bound must be odd, got k={k}")
-    # states counted by split size r: pivot on p (P_r), pivot on q (Q_r), fixed-point-free
-    on_p: Counter[int] = Counter()
-    on_q: Counter[int] = Counter()
-    survivors: Counter[int] = Counter()
+    # states by split size r: pivot on p (P_r), on q (Q_r), none
+    on_p, on_q, survivors = Counter(), Counter(), Counter()
     failures = 0  # each failed check adds 1
-    for s in enumerate_pair_space(n, k, limit):
-        fp, fq = s.p.fixed_points, s.q.fixed_points  # sorted, so each side's largest is last
-        r = s.p.size
-        if not fp or fq and fq[-1] > fp[-1]:
-            (on_q if fq else survivors)[r] += 1
-            continue
-        on_p[r] += 1
-        # the enumeration kept only sides with lds <= k, so only the image is checked
-        image = toggle_pivot(s)
-        if k is not None and not _in_bounded_space(image, k):
-            failures += 1
-        ifp, ifq = image.p.fixed_points, image.q.fixed_points
-        if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:  # not in Q_{r-1}
-            failures += 1
-        if toggle_pivot(image) != s:
-            failures += 1
-        if free_points(image) != free_points(s):
-            failures += 1
+    for r, p, qs in _pair_rows(n, k, limit):
+        fp = p.fixed_points
+        last = fp[-1] if fp else None  # sorted, so the largest is last
+        for q in qs:
+            fq = q.fixed_points
+            if not fp or fq and fq[-1] > last:
+                (on_q if fq else survivors)[r] += 1
+                continue
+            s = _pair_state(p, q, n)
+            on_p[r] += 1
+            # the enumeration kept only sides with lds <= k, so only the image is checked
+            image = toggle_pivot(s)
+            if k is not None and not _in_bounded_space(image, k):
+                failures += 1
+            ifp, ifq = image.p.fixed_points, image.q.fixed_points
+            if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:  # not in Q_{r-1}
+                failures += 1
+            if toggle_pivot(image) != s:
+                failures += 1
+            if free_points(image) != free_points(s):
+                failures += 1
     # P_0 faces the empty Q_{-1}, and Q_{2n} the empty P_{2n+1}
     failures += sum(on_p[r] != on_q[r - 1] for r in range(2 * n + 2))
 

@@ -56,6 +56,9 @@ KILLED = [
      ids("test_bijections.py", "test_audit_fails_survivors_that_miss_the_closed_form_term_by_term")),
     ("bijections.py", "failures += signed_total != lhs", "failures += 0",
      ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),
+    # the audit skips the last state of each row, so it counts fewer states than the pair space holds
+    ("bijections.py", "for q in qs:\n            fq = q", "for q in qs[:-1]:\n            fq = q",
+     ids("test_bijections.py", "test_audit_counts_agree_with_the_pivot_of_every_state")),
     # the audit's verdict holds whatever its failure count
     ("bijections.py", "._replace(holds=not failures)", "._replace(holds=True)",
      ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),

@@ -1,5 +1,6 @@
 import time
 import tracemalloc
+from collections import Counter
 from functools import cache
 from itertools import combinations, permutations
 from math import comb, factorial
@@ -171,7 +172,8 @@ def test_side_lds_agrees_with_the_word_routes():
     for r in range(8):
         words = [v.word() for v in generate_involutions(range(1, r + 1))]
         for labels in combinations(range(1, 8), r):
-            sides = [*generate_involutions(labels), *(bijections._relabel(w, labels) for w in words)]
+            sides = [*generate_involutions(labels),
+                     *(bijections._relabel(bijections._positions(w), labels) for w in words)]
             # as the toggle builds them: 8 added as the largest fixed point, or the last one dropped
             toggled = [Involution._canonical(v.fixed_points + (8,), v.two_cycles) for v in sides]
             toggled += [Involution._canonical(v.fixed_points[:-1], v.two_cycles) for v in sides if v.fixed_points]
@@ -534,21 +536,52 @@ def test_audit_survivor_terms_match_closed_form_per_split_size():
 
 def test_audit_toggles_each_state_before_the_next_is_enumerated(monkeypatch):
     events = []
+    pair_rows = bijections._pair_rows
 
-    def logged_states(*args):
-        for s in enumerate_pair_space(*args):
+    def logged_states(qs):
+        for q in qs:
             events.append("state")
-            yield s
+            yield q
+
+    def logged_rows(*args):
+        for r, p, qs in pair_rows(*args):
+            yield r, p, logged_states(qs)
 
     def logged_toggle(s):
         events.append("toggle")
         return toggle_pivot(s)
 
-    monkeypatch.setattr(bijections, "enumerate_pair_space", logged_states)
+    # a state whose pivot is on p is toggled, and its image toggled back, before the next state
+    expected = [e for s in enumerate_pair_space(2) for e in ("state", *("toggle",) * 2 * toggled(s))]
+    monkeypatch.setattr(bijections, "_pair_rows", logged_rows)
     monkeypatch.setattr(bijections, "toggle_pivot", logged_toggle)
     assert signed_cancellation_audit(2).holds
-    # a state whose pivot is on p is toggled, and its image toggled back, before the next state
-    assert events == [e for s in enumerate_pair_space(2) for e in ("state", *("toggle",) * 2 * toggled(s))]
+    assert events == expected
+
+
+@pytest.mark.parametrize("k", (None, 1, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_audit_counts_agree_with_the_pivot_of_every_state(monkeypatch, n, k):
+    # an independent route: every state of the public pair space, classified by pivot()
+    states = list(enumerate_pair_space(n, k))
+    orbits = sum(map(toggled, states))
+    survivors = Counter(s.p.size for s in states if pivot(s) is None)
+    built = 0
+    pair_state = bijections._pair_state
+
+    def counted(*args):
+        nonlocal built
+        built += 1
+        return pair_state(*args)
+
+    monkeypatch.setattr(bijections, "_pair_state", counted)
+    v = signed_cancellation_audit(n, k)
+    assert v.holds
+    assert dict(v.checks)["states"] == len(states)
+    assert dict(v.checks)["orbits"] == orbits
+    assert [t.term_value for t in v.lhs_terms] == [survivors[r] for r in range(2 * n + 1)]
+    # a P state, its image and the image toggled back; a Q state or a survivor builds no PairState
+    assert built == 3 * orbits
 
 
 @pytest.mark.parametrize("args, built", [((3,), 3526), ((3, 3), 3146)])
@@ -730,11 +763,13 @@ def test_audit_fails_survivors_that_miss_the_closed_form_term_by_term(monkeypatc
 # missing one state fails it and one balance check, two failed checks.
 
 def audit_without_one_state(monkeypatch, on_p):
-    """Drop from the pair space its first state with the pivot on p, or on q."""
+    """Drop from the pair space its first state with the pivot on p, or on q, from a copy of its row."""
     missing = next(s for s in enumerate_pair_space(2) if pivot(s) is not None and toggled(s) == on_p)
     checks = dict(signed_cancellation_audit(2).checks)
-    states = lambda *args: (s for s in enumerate_pair_space(*args) if s != missing)
-    v = audit_under_fault(monkeypatch, bijections, "enumerate_pair_space", states, 2,
+    pair_rows = bijections._pair_rows
+    rows = lambda *args: ((r, p, [q for q in qs if (p, q) != (missing.p, missing.q)])
+                          for r, p, qs in pair_rows(*args))
+    v = audit_under_fault(monkeypatch, bijections, "_pair_rows", rows, 2,
                           states=checks["states"] - 1, orbits=checks["orbits"] - on_p,
                           signed_total=checks["signed_total"] - (-1) ** missing.p.size,
                           assertion_failures=2)
