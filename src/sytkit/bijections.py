@@ -179,12 +179,13 @@ def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
 def _pair_rows(n: int, k: int | None, limit: int) -> Iterator[tuple]:
     """Yield (r, p, qs): p of size r on a chosen subset, and the qs on its complement, one list for
     every p there.  Each word's positions are read once, and relabelled onto every subset."""
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
+    from .counting import _require_bound, _require_positive
+
+    _require_positive(n)
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
-    if k is not None and (k := index(k)) < 1:
-        raise ValueError(f"bound k must be a positive integer, got {k}")
+    if k is not None:
+        _require_bound(k)
     ground = tuple(range(1, 2 * n + 1))
     forms = _side_words(2 * n, k)
     # in place, from the top size down: a form of size m reuses the tuple a word of size m + 1 freed

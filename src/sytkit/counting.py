@@ -84,6 +84,11 @@ def _require_bound(k: int) -> None:
         raise ValueError(f"bound k must be a positive integer, got {k}")
 
 
+def _require_positive(n: int) -> None:
+    if index(n) < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
 #: the bits one walk's factorial table stores before it stops storing, 1 MiB: every m! for m < 1420.
 #: It bounds bits, not entries, so a walk's few hundred small factorials (u(50, 200): 0! .. 200!) all
 #: fit.  A walk reads m! only for m <= n.  One of three-part shapes reads each m! about n/3 times:
@@ -235,13 +240,17 @@ def lookup(kind: str, registry: dict, name: str, k: int | None) -> Callable[[int
     return partial(fn, k) if takes_k else fn
 
 
-def validate_family(family: str, k: int | None, n: int) -> None:
-    """Check a (family, k, n) count query without counting anything: a known
-    family, k given for u, y, x only and then k >= 1, and n >= 0."""
+def validate_family(family: str, k: int | None, n: int) -> int:
+    """Check a (family, k, n) count query without counting anything: a known family, k given
+    for u, y, x only and then k >= 1, and n >= 0.  Return the most decimal digits its count can have."""
     lookup("family", FAMILIES, family, k)
     if k is not None:
         _require_bound(k)
     _require_size(n)
+    # y_k(n), x_k(n) <= m**n and u_k(n) <= m**(2n), m = min(k, n) or n without k (Schur-Weyl; i(n), n! <= n**n),
+    # so n*len(str(m)) digits, u twice, at least 1; a Catalan number is below 4**n: 0.60206 > log10(4)
+    digits = max(1, (2 if family == "u" else 1) * n * len(str(min(k or n, n))))
+    return n * 60206 // 100000 + 1 if family == "catalan" else digits
 
 
 def count_family(family: str, k: int | None, n: int) -> int:

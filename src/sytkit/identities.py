@@ -13,6 +13,7 @@ from typing import Callable, NamedTuple
 
 from .counting import (
     _require_bound,
+    _require_positive,
     _require_size,
     catalan,
     count_fpf,
@@ -75,11 +76,6 @@ def _verdict(identity_id: str, k: int | None, n: int, lhs_terms: tuple[TermBreak
     rhs = sum(t.term_value for t in rhs_terms)
     holds = lhs == rhs and all(value == lhs for _, value in checks)
     return IdentityVerdict(identity_id, k, n, lhs, rhs, lhs_terms, rhs_terms, holds, checks)
-
-
-def _require_positive(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
 
 
 def verify_wilf_even(k: int, n: int) -> IdentityVerdict:

@@ -228,6 +228,8 @@ _FIELD_FORMS = (
 def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
     from .counting import validate_family
 
+    if not line.isascii():
+        raise ValueError("not ASCII")
     parts = line.split()
     if len(parts) != 4:
         raise ValueError("expected 'family k n value'")
@@ -240,19 +242,14 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
     for name, index in (("k", k), ("n", n)):
         if index is not None and index > sys.maxsize:
             raise ValueError(f"{name} is above {sys.maxsize}, the largest size or bound (sys.maxsize)")
-    validate_family(family, k, n)
-    # y_k(n), x_k(n) <= m**n and u_k(n) <= m**(2n), m = min(k, n) or n without k (Schur-Weyl; i(n), n! <= n**n),
-    # so n*len(str(m)) digits, u twice, at least 1; a Catalan number is below 4**n: 0.60206 > log10(4)
-    bound = max(1, (2 if family == "u" else 1) * n * len(str(min(k or n, n))))
-    if len(value) > (n * 60206 // 100000 + 1 if family == "catalan" else bound):
+    if len(value) > validate_family(family, k, n):
         raise ValueError(f"count has {len(value)} digits, more than any count at n={n}")
     return (family, k, n), value
 
 
 def load_cache(path: str | Path) -> dict[CacheKey, str]:
-    """Read a cache file; any malformed or duplicate entry raises ValueError."""
-    text = Path(path).read_text(encoding="ascii")
-    lines = text.splitlines()
+    """Read a cache file; a malformed entry (a byte past ASCII too) or a duplicate one raises ValueError."""
+    lines = Path(path).read_bytes().decode("ascii", "surrogateescape").splitlines()
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"not a cache file (expected header {CACHE_HEADER!r})")
     entries: dict[CacheKey, str] = {}

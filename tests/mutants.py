@@ -62,15 +62,16 @@ KILLED = [
     # the audit's verdict holds whatever its failure count
     ("bijections.py", "._replace(holds=not failures)", "._replace(holds=True)",
      ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),
-    # the pair-space bound read without index(), so 1.5 bounds the toggle, the pair space and the audit
+    # the pair-space bound read without index(), so 1.5 bounds the toggle, the pair space (through
+    # counting._require_bound) and the audit
     ("bijections.py", "    if (k := index(k)) < 1 or k % 2 == 0:", "    if k < 1 or k % 2 == 0:",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
-    ("bijections.py", "if k is not None and (k := index(k)) < 1:", "if k is not None and k < 1:",
+    ("counting.py", "if index(k) < 1:", "if k < 1:",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
     ("bijections.py", "((k := index(k)) < 1 or k % 2 == 0)", "(k < 1 or k % 2 == 0)",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
     # the pair space takes a bound below 1, and walks an empty space
-    ("bijections.py", "if k is not None and (k := index(k)) < 1:", "if False:",
+    ("bijections.py", "if k is not None:\n        _require_bound(k)", "if False:\n        _require_bound(k)",
      ids("test_bijections.py", "test_pair_space_refuses_a_bound_below_1_before_any_walk")),
     # the bounded toggle's input and image checks
     ("bijections.py", "    if not _in_bounded_space(s, k):", "    if False:", BIJECTIONS),
@@ -117,18 +118,24 @@ KILLED = [
      ids("test_counting.py", "test_walk_computes_only_the_factorials_it_reads_each_once")),
     ("counting.py", "if self.bits < _FACTORIAL_BITS:", "if True:",
      ids("test_counting.py", "test_walk_table_stops_storing_at_its_bit_bound")),
-    # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize; a long Catalan count
+    # the cache: k and n of 20 digits, with a leading zero, or above sys.maxsize
     ("output.py", "{len(str(sys.maxsize)) - 1}", "{len(str(sys.maxsize))}",
      ids("test_cli.py", "test_cache_rejects_oversized_value_and_leaves_file_untouched")),
     ("output.py", '_INDEX_FORM = rf"0|-?[1-9]', '_INDEX_FORM = rf"0|-?[0-9]',
      ids("test_cli.py", "test_cache_accepts_only_the_integers_save_cache_writes")),
     ("output.py", "if index is not None and index > sys.maxsize:", "if False:",
      ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
-    ("output.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1",
+    # the digit bound the cache applies: a long Catalan count; every family's bound taken from n, not
+    # from min(k, n); u's bound not doubled, so a true u count is refused
+    ("counting.py", "n * 60206 // 100000 + 1", "n * 60206 // 10000 + 1",
      ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
-    # the cache: every family's digit bound taken from n, not from min(k, n)
-    ("output.py", "min(k or n, n)", "n",
+    ("counting.py", "min(k or n, n)", "n",
      ids("test_cli.py", "test_cache_rejects_bad_entries_and_leaves_file_untouched")),
+    ("counting.py", '(2 if family == "u" else 1)', "1",
+     ids("test_counting.py", "test_every_count_fits_the_digit_bound_validate_family_returns")),
+    # the cache: a line with a byte past ASCII read on
+    ("output.py", "if not line.isascii():", "if False:",
+     ids("test_cli.py", "test_cache_names_the_line_of_a_byte_past_ascii")),
     # the cache: a line of other than four fields, and a blank line
     ("output.py", "if len(parts) != 4:", "if False:", ids("test_cli.py", "test_cache_line_needs_exactly_four_fields")),
     ("output.py", "if not line.strip():", "if False:", ids("test_cli.py", "test_cache_skips_blank_lines")),

@@ -1064,6 +1064,21 @@ def test_cache_line_needs_exactly_four_fields(tmp_path, body, verify_flag):
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("verify_flag", [(), ("--verify-cache",)], ids=["plain", "verify"])
+@pytest.mark.parametrize("body, shown", [
+    ("café - 2 2".encode(), r"'caf\udcc3\udca9 - 2 2'"),
+    (b"catalan - 2 2\x85", r"'catalan - 2 2\udc85'"),  # NEL, a line break once decoded as Latin-1
+], ids=["family", "trailing-byte"])
+def test_cache_names_the_line_of_a_byte_past_ascii(tmp_path, body, shown, verify_flag):
+    path = tmp_path / "counts.cache"
+    path.write_bytes(b"sytkit cache v1\ncatalan - 1 1\n" + body + b"\n")
+    before = path.read_bytes()
+    result = run("--cache", str(path), *verify_flag, "count", "catalan", "--n", "1")
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"Error: malformed cache line 3: {shown}: not ASCII\n"
+    assert path.read_bytes() == before
+
+
 def test_cache_skips_blank_lines(tmp_path):
     path = tmp_path / "counts.cache"
     path.write_bytes(b"sytkit cache v1\ncatalan - 1 1\n\ncatalan - 2 2\n")

@@ -534,6 +534,16 @@ def test_count_family_refuses_a_query_as_validate_family_does(family):
             count_family(family, k, n)
 
 
+@pytest.mark.parametrize("family", sytkit.counting.FAMILIES)
+def test_every_count_fits_the_digit_bound_validate_family_returns(family):
+    # the cache refuses a count longer than this bound as malformed; u needs twice the y and x
+    # bound, as u_6(27) has 28 digits against n * len(str(6)) = 27
+    ks, sizes = (range(1, 11), range(31)) if sytkit.counting.FAMILIES[family][1] else ([None], range(301))
+    for k in ks:
+        for n in sizes:
+            assert len(str(count_family(family, k, n))) <= validate_family(family, k, n), (k, n)
+
+
 def test_lookup_returns_a_function_of_n():
     from sytkit.counting import FAMILIES, lookup
     from sytkit.identities import IDENTITIES, verify_unrestricted, verify_wilf_even
