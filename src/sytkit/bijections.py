@@ -15,7 +15,7 @@ from itertools import combinations
 from operator import index
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import Involution, lds, lis
+from .core import Involution, _require_bound, _require_positive, _require_size, lds, lis
 from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsentError, ScaleLimitError
 
 if TYPE_CHECKING:
@@ -30,15 +30,14 @@ class PairState:
     __slots__ = ("p", "q", "n")
 
     def __init__(self, p: Involution, q: Involution, n: int) -> None:
-        if (n := index(n)) < 0:
-            raise ValueError(f"n must be non-negative, got n={n}")
+        _require_size(n)
         sp, sq = p._partner, q._partner
         if not sp.keys().isdisjoint(sq):
             raise ValueError(f"supports overlap: {sorted(sp.keys() & sq.keys())}")
         # labels are positive, so disjoint supports of 2n labels, none above 2n, are 1..2n
         if len(sp) + len(sq) != 2 * n or max((0, *sp, *sq)) > 2 * n:
             raise ValueError(f"supports must partition 1..{2 * n}")
-        self.p, self.q, self.n = p, q, n
+        self.p, self.q, self.n = p, q, index(n)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairState):
@@ -103,8 +102,7 @@ def _in_bounded_space(s: PairState, k: int) -> bool:
 def toggle_pivot_bounded(s: PairState, k: int) -> PairState:
     """The toggle on pairs whose sides both have lds <= k, for odd k only: the image provably stays
     in that space, and each call re-checks it, raising `ClosureViolationError` if it did not."""
-    if (k := index(k)) < 1 or k % 2 == 0:
-        raise ValueError(f"bounded toggle requires an odd bound, got k={k}")
+    _require_bound(k, parity=1)
     if not _in_bounded_space(s, k):
         raise ValueError(f"pair outside the bounded space: a side exceeds lds bound {k}")
     out = toggle_pivot(s)
@@ -179,8 +177,6 @@ def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
 def _pair_rows(n: int, k: int | None, limit: int) -> Iterator[tuple]:
     """Yield (r, p, qs): p of size r on a chosen subset, and the qs on its complement, one list for
     every p there.  Each word's positions are read once, and relabelled onto every subset."""
-    from .counting import _require_bound, _require_positive
-
     _require_positive(n)
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
@@ -241,8 +237,8 @@ def signed_cancellation_audit(
     from .counting import count_fpf, count_fpf_lds_bounded
     from .identities import _pair_sum, _term, _verdict
 
-    if k is not None and ((k := index(k)) < 1 or k % 2 == 0):
-        raise ValueError(f"audit bound must be odd, got k={k}")
+    if k is not None:
+        _require_bound(k, parity=1)
     # states by split size r: pivot on p (P_r), on q (Q_r), none
     on_p, on_q, survivors = Counter(), Counter(), Counter()
     failures = 0  # each failed check adds 1

@@ -5,6 +5,9 @@ just {1..n}: the bijection machinery moves labels between the two halves of
 a pair while keeping their identities.  Subsequence statistics of an
 involution are statistics of its one-line word, read off the support in
 increasing label order.
+
+Every layer's size and bound rules live beside ``as_shape``, each read with ``operator.index``: n >= 0
+(``_require_size``), n >= 1 (``_require_positive``), k >= 1 of a parity if one is given (``_require_bound``).
 """
 
 from __future__ import annotations
@@ -158,6 +161,23 @@ def as_shape(parts: Sequence[int]) -> tuple[int, ...]:
         if i and shape[i - 1] < p:
             raise ValueError(f"shape parts must be weakly decreasing, got {shape}")
     return shape
+
+
+def _require_size(n: int) -> None:
+    if index(n) < 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+
+
+def _require_positive(n: int) -> None:
+    if index(n) < 1:
+        raise ValueError(f"n must be a positive integer, got {n}")
+
+
+def _require_bound(k: int, parity: int | None = None) -> None:
+    if index(k) < 1:
+        raise ValueError(f"bound k must be a positive integer, got {k}")
+    if parity is not None and k % 2 != parity:
+        raise ValueError(f"bound k must be {('even', 'odd')[parity]}, got {k}")
 
 
 def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:

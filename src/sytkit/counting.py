@@ -1,6 +1,7 @@
 """Exact counting.
 
-Every count is an arbitrary-precision integer; nothing here touches floats.
+Every count is an arbitrary-precision integer; nothing here touches floats.  Sizes and bounds
+are checked by ``core``'s rules; the digits a count query can have, by ``validate_family``.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from math import comb, factorial, prod
 from operator import add, index, sub
 from typing import Callable, Iterator, Sequence
 
-from .core import _conjugate, as_shape
+from .core import _conjugate, _require_bound, _require_size, as_shape
 
 
 # typed, so a float size never takes the memo entry of the equal int and is read by _require_size
@@ -72,21 +73,6 @@ def _hook_count(s: tuple[int, ...], fact: Callable[[int], int]) -> int:
         s = _conjugate(s)
     first_hooks = list(map(add, s, range(len(s) - 1, -1, -1)))  # hooks of the first column
     return fact(sum(s)) * prod(starmap(sub, combinations(first_hooks, 2))) // prod(map(fact, first_hooks))
-
-
-def _require_size(n: int) -> None:
-    if index(n) < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-
-
-def _require_bound(k: int) -> None:
-    if index(k) < 1:
-        raise ValueError(f"bound k must be a positive integer, got {k}")
-
-
-def _require_positive(n: int) -> None:
-    if index(n) < 1:
-        raise ValueError(f"n must be a positive integer, got {n}")
 
 
 #: the bits one walk's factorial table stores before it stops storing, 1 MiB: every m! for m < 1420.

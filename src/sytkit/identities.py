@@ -11,10 +11,8 @@ from __future__ import annotations
 from math import comb, factorial
 from typing import Callable, NamedTuple
 
+from .core import _require_bound, _require_positive, _require_size
 from .counting import (
-    _require_bound,
-    _require_positive,
-    _require_size,
     catalan,
     count_fpf,
     count_fpf_lds_bounded,
@@ -85,8 +83,7 @@ def verify_wilf_even(k: int, n: int) -> IdentityVerdict:
     the right side alternates over splittings of [2n] into two tableau
     supports with rows bounded by k.
     """
-    if k < 1 or k % 2 == 1:
-        raise ValueError(f"this identity needs an even bound; got k={k} (see verify_odd_k)")
+    _require_bound(k, parity=0)
     _require_positive(n)
     return _verdict("wilf_even", k, n, (_term(n, 1, comb(2 * n, n), count_perms_lis_bounded(k, n), 1),),
                     _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True))
@@ -112,8 +109,7 @@ def verify_odd_k(k: int, n: int) -> IdentityVerdict:
     Both involutions carry a "no decreasing subsequence longer than k" bound;
     the left side keeps only fixed-point-free ones and drops the signs.
     """
-    if k < 1 or k % 2 == 0:
-        raise ValueError(f"this identity needs an odd bound; got k={k} (see verify_wilf_even)")
+    _require_bound(k, parity=1)
     _require_positive(n)
     return _verdict("odd_k", k, n, _pair_sum(lambda r: count_fpf_lds_bounded(k, r), n, signed=False),
                     _pair_sum(lambda r: count_syt_row_bounded(k, r), n, signed=True))

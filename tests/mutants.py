@@ -5,25 +5,31 @@ Run from anywhere, with the test dependencies installed:
     python tests/mutants.py
 
 The script copies src/, tests/ and pyproject.toml into a temporary directory, so the
-pytest ini's ``pythonpath = ["src"]`` points at the mutated copy.  For each mutant it
-checks that the old text occurs exactly once in its file, writes the new text in its
-place, runs ``python -m pytest -q -x -p no:cacheprovider`` on the named test files or ids, and
-puts the file back.  No bytecode is written, so a mutant never runs a stale module.
+pytest ini's ``pythonpath = ["src"]`` points at the mutated copy.  It first runs every named
+test file and id once on the unmutated copy, and stops if any of them fails or is not found.
+Then, for each mutant, it checks that the old text occurs exactly once in its file, writes the
+new text in its place, runs ``python -m pytest -q -x -p no:cacheprovider`` on the named test
+files or ids, and puts the file back.  No bytecode is written, so a mutant never runs a stale module.
 
 It exits 1 when a mutant listed under KILLED passes its tests, or one listed under
-EQUIVALENT fails them.  pytest does not collect this file: its name does not start
-with ``test_``.
+EQUIVALENT fails them.  A pytest usage error or an empty collection, such as a test id that
+does not exist, stops the script with the mutant named: it is no kill.  The last line gives
+the mutant count and the time, against the CI job's ``timeout 180``.  pytest does not collect
+this file: its name does not start with ``test_``.
 """
 
 from __future__ import annotations
 
 import os
+import shlex
 import shutil
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from pytest import ExitCode
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -62,14 +68,14 @@ KILLED = [
     # the audit's verdict holds whatever its failure count
     ("bijections.py", "._replace(holds=not failures)", "._replace(holds=True)",
      ids("test_bijections.py", "test_audit_fails_a_signed_total_off_the_survivors")),
-    # the pair-space bound read without index(), so 1.5 bounds the toggle, the pair space (through
-    # counting._require_bound) and the audit
-    ("bijections.py", "    if (k := index(k)) < 1 or k % 2 == 0:", "    if k < 1 or k % 2 == 0:",
+    # the one bound rule reads k without index(), so 1.5 bounds the toggle, the pair space, the audit
+    # and the verifiers
+    ("core.py", "if index(k) < 1:", "if k < 1:",
      ids("test_bijections.py", "test_library_builders_take_only_integers")),
-    ("counting.py", "if index(k) < 1:", "if k < 1:",
-     ids("test_bijections.py", "test_library_builders_take_only_integers")),
-    ("bijections.py", "((k := index(k)) < 1 or k % 2 == 0)", "(k < 1 or k % 2 == 0)",
-     ids("test_bijections.py", "test_library_builders_take_only_integers")),
+    # the bound rule drops its parity test, so verify wilf takes an odd k and verify odd an even one
+    ("core.py", "if parity is not None and k % 2 != parity:", "if False:",
+     ids("test_cli.py", "test_size_and_bound_errors_name_the_rule_they_break[wilf-k3]",
+         "test_size_and_bound_errors_name_the_rule_they_break[odd-k2]")),
     # the pair space takes a bound below 1, and walks an empty space
     ("bijections.py", "if k is not None:\n        _require_bound(k)", "if False:\n        _require_bound(k)",
      ids("test_bijections.py", "test_pair_space_refuses_a_bound_below_1_before_any_walk")),
@@ -80,6 +86,10 @@ KILLED = [
     # the toggle moves the smaller of the two last fixed points
     ("bijections.py", "if fp and not (fq and fq[-1] > fp[-1]):", "if fp and not (fq and fq[-1] < fp[-1]):",
      BIJECTIONS),
+    # ... but only when both sides have a fixed point above 10, which no exhaustive check reaches
+    ("bijections.py", "if fp and not (fq and fq[-1] > fp[-1]):",
+     "if fp and not (fq and fq[-1] > fp[-1] and fp[-1] <= 10):",
+     ids("test_bijections.py", "test_bounded_toggle_closure_on_sampled_pairs_past_the_exhaustive_sizes")),
     # identity verdicts: the checks ignored, and each extra leg dropped
     ("identities.py", "holds = lhs == rhs and all(value == lhs for _, value in checks)", "holds = lhs == rhs",
      IDENTITIES),
@@ -95,9 +105,9 @@ KILLED = [
     # odd sizes no longer have no fixed-point-free involution
     ("counting.py", "if r % 2:", "if False:", COUNTING),
     # a count size read without index(), so 3.0 counts, or not read at all, so -1 counts
-    ("counting.py", "if index(n) < 0:", "if n < 0:",
+    ("core.py", "if index(n) < 0:", "if n < 0:",
      ids("test_counting.py", "test_an_odd_float_size_is_refused_not_counted_as_zero")),
-    ("counting.py", "if index(n) < 0:", "if False:", ids("test_counting.py", "test_fpf_counts_reject_negative_length")),
+    ("core.py", "if index(n) < 0:", "if False:", ids("test_counting.py", "test_fpf_counts_reject_negative_length")),
     # the memo answers a float size from the entry of the equal int
     ("counting.py", "typed=True", "typed=False",
      ids("test_counting.py", "test_an_odd_float_size_is_refused_not_counted_as_zero")),
@@ -167,10 +177,11 @@ EQUIVALENT = [
 ]
 
 
-def run_tests(copy: Path, tests: tuple[str, ...]) -> bool:
+def run_tests(copy: Path, tests: tuple[str, ...]) -> int:
+    """pytest's exit code on the tests, in the copy."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH=str(copy / "src"))
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode == 0
+    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
 def check(copy: Path, file: str, old: str, new: str, tests: tuple[str, ...], should_pass: bool) -> bool:
@@ -181,9 +192,13 @@ def check(copy: Path, file: str, old: str, new: str, tests: tuple[str, ...], sho
     path.write_text(original.replace(old, new))
     start = time.perf_counter()
     try:
-        passed = run_tests(copy, tests)
+        code = run_tests(copy, tests)
     finally:
         path.write_text(original)
+    if code in (ExitCode.USAGE_ERROR, ExitCode.NO_TESTS_COLLECTED):  # a missing test id kills nothing
+        raise SystemExit(f"{file}: pytest exit {code}, a usage error or no test collected, for the mutant "
+                         f"{old.strip()!r} -> {new.strip()!r} with tests {tests}")
+    passed = code == ExitCode.OK
     verdict = "survived" if passed else "killed"
     ok = passed == should_pass
     print(f"{'ok ' if ok else 'BAD'} {verdict:8} {time.perf_counter() - start:5.1f}s  {file}: {old.strip()!r}"
@@ -192,18 +207,25 @@ def check(copy: Path, file: str, old: str, new: str, tests: tuple[str, ...], sho
 
 
 def main() -> int:
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="sytkit-mutants-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", "*.egg-info")
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, copy / name, ignore=ignore)
         shutil.copy2(ROOT / "pyproject.toml", copy)
+        named = tuple(dict.fromkeys(test for mutant in KILLED + EQUIVALENT for test in mutant[3]))
+        # --keep-duplicates, or pytest would skip, not report, a missing id in a file also named whole
+        if (code := run_tests(copy, ("--keep-duplicates", *named))) != ExitCode.OK:
+            raise SystemExit(f"the named tests must pass on the unmutated copy; pytest exit {code}: "
+                             + shlex.join(["python", "-m", "pytest", "-q", "--keep-duplicates", *named]))
         results = [check(copy, *m, should_pass=False) for m in KILLED]
         for file, old, new, tests, reason in EQUIVALENT:
             print(f"    equivalent: {reason}")
             results.append(check(copy, file, old, new, tests, should_pass=True))
     bad = results.count(False)
-    print(f"{len(results)} mutants, {bad} unexpected")
+    print(f"{len(results)} mutants, {bad} unexpected; {time.perf_counter() - start:.0f} s, against the CI job's"
+          " timeout 180")
     return 1 if bad else 0
 
 

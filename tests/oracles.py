@@ -4,17 +4,20 @@ Deliberately naive and structurally different from the library: subsequence
 search over index combinations, tableau generation by backtracking,
 involution generation by filtering whole permutations or by recursion on the
 smallest label (the reference for the audit's generation order), and JSON
-records laid out by the stdlib's ``json.dumps(indent=2)``.  The exponential
+records laid out by the stdlib's ``json.dumps(indent=2)``.  Past the exhaustive sizes, the hook
+walk draws uniform random tableaux, so involutions by ``rs_inverse``.  The exponential
 routes at the end (every maximum decreasing subsequence, every permutation)
 live here and not in the library, which keeps only what its commands run.
 """
 
 import json
-from itertools import combinations, permutations
+from functools import cache
+from itertools import accumulate, combinations, permutations
 from math import comb, factorial
 from typing import NamedTuple
 
-from sytkit.core import Involution, lis
+from sytkit.core import Involution, StandardTableau, lis
+from sytkit.counting import hook_length_count
 
 
 def brute_lis(word):
@@ -183,6 +186,58 @@ def oracle_s(value):
 def oracle_json(kind, payload):
     """Oracle for ``render(kind, payload, "json")``: the stdlib encoder's indent=2 layout."""
     return json.dumps({"kind": kind, **oracle_s(payload)}, indent=2)
+
+
+# ---------------------------------------------------------------- random tableaux
+
+
+def hook_walk(shape, rng):
+    """A uniform random standard tableau of a shape, by the hook walk of Greene, Nijenhuis and Wilf
+    (Adv. Math. 31, 1979).  Each label from n down to 1 starts on a uniform cell of those left,
+    steps to a uniform other cell of its hook until it stands on a corner, and fills that corner."""
+    rows, cols = list(shape), list(column_lengths(shape))
+    grid = [[0] * r for r in shape]
+    for label in range(sum(shape), 0, -1):  # as many cells are left as the label
+        i, j = 0, rng.randrange(label)
+        while j >= rows[i]:
+            j -= rows[i]
+            i += 1
+        while (arm := rows[i] - j - 1) + (leg := cols[j] - i - 1):
+            step = rng.randrange(arm + leg)
+            if step < arm:
+                j += 1 + step
+            else:
+                i += 1 + step - arm
+        grid[i][j] = label
+        rows[i] -= 1
+        cols[j] -= 1
+    return StandardTableau(grid)
+
+
+def _shapes(m, rows, cap):
+    """Partitions of m into at most `rows` parts, none above cap, largest part first."""
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, cap), -(-m // rows) - 1, -1):
+        for rest in _shapes(m - first, rows - 1, first):
+            yield (first, *rest)
+
+
+@cache
+def _bounded_shapes(m, k):
+    """The shapes of m with at most k rows, and their running f_lambda sums.  The library's hook
+    count takes a third of the time ``hook_product_count`` does; a wrong weight only skews the draw."""
+    shapes = list(_shapes(m, k, m))
+    return shapes, list(accumulate(map(hook_length_count, shapes)))
+
+
+def random_bounded_tableau(m, k, rng):
+    """A uniform random standard tableau of m boxes with at most k rows: a shape drawn with weight
+    f_lambda, then filled by the hook walk.  Through ``rs_inverse`` it is a uniform involution of
+    length m with lds <= k (Schensted: the rows count a longest decreasing subsequence)."""
+    shapes, weights = _bounded_shapes(m, k)
+    return hook_walk(rng.choices(shapes, cum_weights=weights)[0], rng)
 
 
 # ---------------------------------------------------------------- exponential routes

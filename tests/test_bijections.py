@@ -1,3 +1,4 @@
+import random
 import time
 import tracemalloc
 from collections import Counter
@@ -26,16 +27,21 @@ from sytkit import (
     lis,
     matching_to_arrangement,
     pivot,
+    rs_inverse,
+    rs_of_involution,
     signed_cancellation_audit,
     toggle_pivot,
     toggle_pivot_bounded,
+    verify_odd_k,
+    verify_wilf_even,
 )
 
 from sytkit import bijections
 from sytkit.core import as_shape
 
 from cli_runner import invoke
-from oracles import brute_lds, generate_involutions, max_decreasing_subsequences, report_longest_decreasing
+from oracles import (brute_lds, generate_involutions, max_decreasing_subsequences, random_bounded_tableau,
+                     report_longest_decreasing)
 
 WORKED_PAIR = PairState(
     Involution((5,), ((1, 3), (2, 6))), Involution((7,), ((4, 8),)), 4
@@ -74,7 +80,7 @@ def test_pair_state_cover_check_matches_the_set_rule(n):
     for a in subsets:
         for b in subsets:
             if n < 0:
-                expected = f"n must be non-negative, got n={n}"
+                expected = f"n must be non-negative, got {n}"
             elif set(a) & set(b):
                 expected = f"supports overlap: {sorted(set(a) & set(b))}"
             elif set(a) | set(b) != set(range(1, 2 * n + 1)):
@@ -193,6 +199,59 @@ def test_increasing_bound_analogue_has_closure_counterexample():
         if lis(image.p.word()) > k or lis(image.q.word()) > k:
             escaped += 1
     assert escaped > 0
+
+
+# ---------------------------------------------------------------- sampled bounded toggle
+
+def sampled_pair(n, k, rng):
+    """A pair of involutions with lds <= k on a random split of [2n], each side drawn uniformly by
+    the hook walk and relabelled from 1..m onto its labels; with the two tableaux drawn."""
+    ground = range(1, 2 * n + 1)
+    chosen = set(rng.sample(ground, rng.randint(0, 2 * n)))
+    labels = (sorted(chosen), [x for x in ground if x not in chosen])
+    tableaux = [random_bounded_tableau(len(side), k, rng) for side in labels]
+    p, q = (bijections._relabel(bijections._positions(rs_inverse(t).word()), side)
+            for t, side in zip(tableaux, labels))
+    return PairState(p, q, n), tableaux
+
+
+@pytest.mark.parametrize("n, k", [(50, 3), (25, 5)])
+def test_bounded_toggle_closure_on_sampled_pairs_past_the_exhaustive_sizes(n, k):
+    # 100 and 50 labels, where the exhaustive checks stop at 10
+    rng = random.Random(14)
+    toggled = 0
+    for _ in range(200):
+        s, tableaux = sampled_pair(n, k, rng)
+        for t, side in zip(tableaux, (s.p, s.q)):
+            assert rs_of_involution(rs_inverse(t)) == t
+            assert check_beissinger(side) and lds(side.word()) == len(t.rows) <= k
+        if pivot(s) is None:
+            continue
+        image = toggle_pivot_bounded(s, k)  # raises ClosureViolationError on failure
+        assert toggle_pivot(image) == s and free_points(image) == free_points(s)
+        assert abs(image.p.size - s.p.size) == 1
+        toggled += 1
+    assert toggled > 100
+
+
+def test_sampled_pairs_leave_the_space_at_an_even_bound():
+    # the positive control: the sampler reaches pairs whose toggle escapes when the bound is even
+    rng = random.Random(2)
+    pairs = [sampled_pair(10, 2, rng)[0] for _ in range(100)]
+    assert any(not bijections._in_bounded_space(toggle_pivot(s), 2) for s in pairs if pivot(s) is not None)
+
+
+@pytest.mark.parametrize("k", (1, 2, 3))
+def test_hook_walk_sampler_reaches_every_bounded_involution(k):
+    rng = random.Random(k)
+    for m in range(7):
+        expected = {v for v in generate_involutions(range(1, m + 1)) if brute_lds(v.word()) <= k}
+        seen = set()
+        for _ in range(2000):
+            seen.add(rs_inverse(random_bounded_tableau(m, k, rng)))
+            if seen == expected:
+                break
+        assert seen == expected, m
 
 
 # ---------------------------------------------------------------- coloring bijection
@@ -481,8 +540,10 @@ def test_involution_has_only_its_two_slots():
     lambda x: list(enumerate_pair_space(2, x)),
     lambda x: toggle_pivot_bounded(PairState(Involution([1]), Involution([2]), 1), x),
     lambda x: signed_cancellation_audit(2, x, limit=1),
+    lambda x: verify_wilf_even(x, 1),
+    lambda x: verify_odd_k(x, 1),
 ], ids=["fixed-point", "two-cycle", "word", "shape", "tableau", "arrangement", "pair-n", "bound-k",
-        "pair-k", "toggle-k", "audit-k"])
+        "pair-k", "toggle-k", "audit-k", "wilf-k", "odd-k"])
 def test_library_builders_take_only_integers(build, value):
     # int() would truncate 1.5 and parse "3"; operator.index refuses both.  The audit reads its bound
     # before it checks n against the limit, so before any walk, and not with its closing count.

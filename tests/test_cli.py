@@ -301,6 +301,21 @@ def test_verify_parity_usage_errors():
     assert missing.exit_code == 2 and "identity 'odd' requires a bound k" in missing.stderr
 
 
+@pytest.mark.parametrize("args, message", [
+    (("verify", "wilf", "--k", "0", "--n", "1"), "bound k must be a positive integer, got 0"),
+    (("verify", "odd", "--k", "-1", "--n", "1"), "bound k must be a positive integer, got -1"),
+    (("audit", "--n", "2", "--k", "-3"), "bound k must be a positive integer, got -3"),
+    (("verify", "wilf", "--k", "3", "--n", "1"), "bound k must be even, got 3"),
+    (("verify", "odd", "--k", "2", "--n", "1"), "bound k must be odd, got 2"),
+    (("audit", "--n", "2", "--k", "2"), "bound k must be odd, got 2"),
+    (("bijection", "f", "--n", "-1", "--p", "(1)", "--q", ""), "n must be non-negative, got -1"),
+], ids=["wilf-k0", "odd-k-1", "audit-k-3", "wilf-k3", "odd-k2", "audit-k2", "pair-n-1"])
+def test_size_and_bound_errors_name_the_rule_they_break(args, message):
+    # one rule per message, as the counts state it: k <= 0 is below 1, not of the wrong parity
+    result = run(*args)
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"Error: {message}\n")
+
+
 def test_verify_failure_exit_code():
     # the broken variant is *equal* at (2,1), so the inequality verdict fails
     result = run("verify", "naive-failure", "--k", "2", "--n", "1")
@@ -472,7 +487,7 @@ def test_bijection_f_validates_pair():
     result = run("bijection", "f", "--n", "-1", "--p", "(1)", "--q", "")
     assert result.exit_code == 2
     assert result.stdout == ""
-    assert "Error: n must be non-negative, got n=-1" in result.stderr
+    assert "Error: n must be non-negative, got -1" in result.stderr
 
 
 def test_bijection_f_rejects_a_huge_n_at_once():
