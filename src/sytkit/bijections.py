@@ -175,8 +175,9 @@ def _side_words(top: int, k: int | None) -> list[list[tuple[int, ...]]]:
 
 
 def _pair_rows(n: int, k: int | None, limit: int) -> Iterator[tuple]:
-    """Yield (r, p, qs): p of size r on a chosen subset, and the qs on its complement, one list for
-    every p there.  Each word's positions are read once, and relabelled onto every subset."""
+    """Yield (r, p, qs): p of size r on a subset, and the qs on its complement, one list for every
+    p there.  Each subset S is walked once with its complement: S's rows, then the complement's,
+    whose qs are S's sides.  Each word's positions are read once, and each side relabelled once."""
     _require_positive(n)
     if n > limit:
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
@@ -188,12 +189,17 @@ def _pair_rows(n: int, k: int | None, limit: int) -> Iterator[tuple]:
     for words in reversed(forms):
         for i, w in enumerate(words):
             words[i] = _positions(w)
-    for r in range(2 * n + 1):
+    for r in range(n + 1):
         for chosen in combinations(ground, r):
+            if r == n and chosen[0] != 1:  # an n-subset and its complement: the one holding 1 walks both
+                break  # lexicographic, so every later n-subset lacks 1 too
             rest = tuple(x for x in ground if x not in chosen)
+            ps = [_relabel(form, chosen) for form in forms[r]]
             qs = [_relabel(form, rest) for form in forms[2 * n - r]]
-            for form in forms[r]:
-                yield r, _relabel(form, chosen), qs
+            for p in ps:
+                yield r, p, qs
+            for q in qs:
+                yield 2 * n - r, q, ps
 
 
 def enumerate_pair_space(n: int, k: int | None = None,
@@ -201,9 +207,11 @@ def enumerate_pair_space(n: int, k: int | None = None,
     """Yield every pair of involutions on complementary subsets of [2n].
 
     With k, at least 1, both sides are restricted to decreasing subsequences
-    of length at most k.  Order: by the size r of the first support, then by
-    the chosen subset lexicographically, then by generation order on each side
-    (`_side_words`): the rows of `_pair_rows`, flattened.
+    of length at most k.  Order: by complementary support pair, the rows of
+    `_pair_rows` flattened.  For r = 0..n, and each r-subset S of [2n] in
+    lexicographic order (at r = n only those that hold 1), first the states
+    whose p is on S, then those whose p is on its complement; within each,
+    by generation order (`_side_words`) of p, then of q.
     """
     for _, p, qs in _pair_rows(n, k, limit):
         for q in qs:
@@ -218,6 +226,8 @@ def signed_cancellation_audit(
     Each state of each `_pair_rows` row is classified by its sides' last fixed
     points, p's read once per row: a survivor has none; P_r holds the states
     of split size r whose pivot is on p, and Q_r those whose pivot is on q.
+    Each side is built once and serves both orders of its split; a row's
+    states share r, so they are tallied in ints and added once per row.
     Only a state s in P_r is built, and toggled once; its image f(s) is
     checked to be closed under the bound, to lie in Q_{r-1}, to keep the free
     points, and to give back s when toggled again.  After the walk,
@@ -245,13 +255,17 @@ def signed_cancellation_audit(
     for r, p, qs in _pair_rows(n, k, limit):
         fp = p.fixed_points
         last = fp[-1] if fp else None  # sorted, so the largest is last
+        in_p = in_q = free = 0  # r is fixed within a row, so the row's states are tallied once
         for q in qs:
             fq = q.fixed_points
             if not fp or fq and fq[-1] > last:
-                (on_q if fq else survivors)[r] += 1
+                if fq:
+                    in_q += 1
+                else:
+                    free += 1
                 continue
             s = _pair_state(p, q, n)
-            on_p[r] += 1
+            in_p += 1
             # the enumeration kept only sides with lds <= k, so only the image is checked
             image = toggle_pivot(s)
             if k is not None and not _in_bounded_space(image, k):
@@ -263,6 +277,9 @@ def signed_cancellation_audit(
                 failures += 1
             if free_points(image) != free_points(s):
                 failures += 1
+        on_p[r] += in_p
+        on_q[r] += in_q
+        survivors[r] += free
     # P_0 faces the empty Q_{-1}, and Q_{2n} the empty P_{2n+1}
     failures += sum(on_p[r] != on_q[r - 1] for r in range(2 * n + 2))
 

@@ -428,21 +428,41 @@ def test_pair_space_is_deterministic_and_duplicate_free():
     assert len(set(first)) == len(first)
 
 
+def _generated_sides(labels, k):
+    return [v for v in generate_involutions(labels) if k is None or brute_lds(v.word()) <= k]
+
+
 @pytest.mark.parametrize("k", (None, 1, 2, 3))
 @pytest.mark.parametrize("n", (1, 2, 3))
 def test_pair_space_order_matches_per_subset_generation(n, k):
-    def side(labels):
-        return [v for v in generate_involutions(labels) if k is None or brute_lds(v.word()) <= k]
-
+    # by complementary support pair: each subset S of size r <= n (at r = n, only those holding 1)
+    # with p on S, then with p on its complement; p, then q, in generation order
     ground = range(1, 2 * n + 1)
-    expected = [
+    expected = []
+    for r in range(n + 1):
+        for chosen in combinations(ground, r):
+            if r == n and 1 not in chosen:
+                continue
+            sides = _generated_sides(chosen, k)
+            rest = _generated_sides([x for x in ground if x not in chosen], k)
+            expected += [PairState(p, q, n) for p in sides for q in rest]
+            expected += [PairState(p, q, n) for p in rest for q in sides]
+    assert list(enumerate_pair_space(n, k)) == expected
+
+
+@pytest.mark.parametrize("k", (None, 1, 2, 3))
+@pytest.mark.parametrize("n", (1, 2, 3))
+def test_pair_space_holds_every_ordered_split_once(n, k):
+    # as a multiset, the product over every subset of [2n] of its sides and its complement's
+    ground = range(1, 2 * n + 1)
+    expected = Counter(
         PairState(p, q, n)
         for r in range(2 * n + 1)
         for chosen in combinations(ground, r)
-        for p in side(chosen)
-        for q in side([x for x in ground if x not in chosen])
-    ]
-    assert list(enumerate_pair_space(n, k)) == expected
+        for p in _generated_sides(chosen, k)
+        for q in _generated_sides([x for x in ground if x not in chosen], k)
+    )
+    assert Counter(enumerate_pair_space(n, k)) == expected
 
 
 @pytest.mark.parametrize("k", (None, 1, 3))
@@ -645,10 +665,11 @@ def test_audit_counts_agree_with_the_pivot_of_every_state(monkeypatch, n, k):
     assert built == 3 * orbits
 
 
-@pytest.mark.parametrize("args, built", [((3,), 3526), ((3, 3), 3146)])
+@pytest.mark.parametrize("args, built", [((3,), 3027), ((3, 3), 2717)])
 def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args, built):
     # every pair side, relabelled or toggled, is built once, by Involution.__init__ or the
-    # trusted Involution._canonical, and only the states with the pivot on p are toggled;
+    # trusted Involution._canonical: each side on a subset is relabelled once, a p in its own rows
+    # and a q in its complement's (499 at n = 3), and only the states with the pivot on p are toggled;
     # the side word lists are grown as plain words and build none (sum of i(m) for m <= 6 = 120)
     calls = 0
     init, canonical = Involution.__init__, Involution._canonical
