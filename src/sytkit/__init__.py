@@ -13,7 +13,9 @@ import importlib
 
 _LAYERS = {
     "bijections": (
+        "ClosureViolationError",
         "PairState",
+        "PivotAbsentError",
         "arrangement_to_matching",
         "enumerate_pair_space",
         "free_points",
@@ -25,6 +27,7 @@ _LAYERS = {
     ),
     "core": (
         "Involution",
+        "ScaleLimitError",
         "StandardTableau",
         "check_beissinger",
         "conjugate",
@@ -46,12 +49,6 @@ _LAYERS = {
         "hook_length_count",
         "partitions",
     ),
-    "errors": (
-        "CacheMismatchError",
-        "ClosureViolationError",
-        "PivotAbsentError",
-        "ScaleLimitError",
-    ),
     "identities": (
         "IdentityVerdict",
         "TermBreakdown",
@@ -63,6 +60,7 @@ _LAYERS = {
         "verify_unrestricted",
         "verify_wilf_even",
     ),
+    "output": ("CacheMismatchError",),
 }
 _MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
 

@@ -15,11 +15,28 @@ from itertools import combinations
 from operator import index
 from typing import TYPE_CHECKING, Iterator, Sequence
 
-from .core import Involution, _require_bound, _require_positive, _require_size, lds, lis
-from .errors import DEFAULT_PAIR_SPACE_LIMIT, ClosureViolationError, PivotAbsentError, ScaleLimitError
+from .core import (DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, _require_bound, _require_positive,
+                   _require_size, lds, lis)
 
 if TYPE_CHECKING:
     from .identities import IdentityVerdict
+
+
+class PivotAbsentError(ValueError):
+    """The free-point toggle was applied to a pair with no free points.
+
+    Both involutions of the pair are fixed-point-free, so the toggle map is
+    undefined there; such pairs are exactly its fixed set.
+    """
+
+
+class ClosureViolationError(RuntimeError):
+    """A bounded toggle produced a pair outside the bounded pair space.
+
+    For odd bounds this must never happen; raising instead of returning keeps
+    a silent invariant breach from contaminating downstream counts.
+    """
+
 
 # Written out by hand: a dataclass would load dataclasses and inspect.  Treated as immutable.
 # PairState(...) checks the [2n] cover; _pair_state, the one trusted build, serves the builders
@@ -239,13 +256,14 @@ def signed_cancellation_audit(
     defined, flips the parity, keeps the free points and stays in the space,
     because it does so on s.  The orbits are the pairs {s, f(s)}, Sigma |P_r|
     of them, and they cancel out of the alternating sum, which leaves the
-    survivors.  Those are compared per split size against the closed form,
-    the positive side of the matching identity, and in number against the
-    signed total.  Every failed check adds 1 to `assertion_failures`, and the
-    verdict holds exactly when that count is 0.
+    survivors.  Those are compared per split size against the positive side
+    of the identity it replays, read from that identity's verdict: the right
+    side of `verify_fpf_pairs` with no bound, the left side of `verify_odd_k`
+    with one; and in number against the signed total.  Every failed check
+    adds 1 to `assertion_failures`, and the verdict holds exactly when that
+    count is 0.
     """
-    from .counting import count_fpf, count_fpf_lds_bounded
-    from .identities import _pair_sum, _term, _verdict
+    from .identities import _term, _verdict, verify_fpf_pairs, verify_odd_k
 
     if k is not None:
         _require_bound(k, parity=1)
@@ -283,9 +301,8 @@ def signed_cancellation_audit(
     # P_0 faces the empty Q_{-1}, and Q_{2n} the empty P_{2n+1}
     failures += sum(on_p[r] != on_q[r - 1] for r in range(2 * n + 2))
 
-    count = count_fpf if k is None else (lambda r: count_fpf_lds_bounded(k, r))
     lhs_terms = tuple(_term(r, 1, 1, survivors[r], 1) for r in range(2 * n + 1))
-    rhs_terms = _pair_sum(count, n, signed=False)
+    rhs_terms = verify_fpf_pairs(n).rhs_terms if k is None else verify_odd_k(k, n).lhs_terms
     failures += sum(left.term_value != right.term_value for left, right in zip(lhs_terms, rhs_terms))
     lhs = survivors.total()
     signed_total = sum((-1) ** r * c for r, c in (on_p + on_q + survivors).items())

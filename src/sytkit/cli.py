@@ -25,9 +25,8 @@ import sys
 from collections.abc import Iterable
 from pathlib import Path
 
-from .core import Involution, odd_columns, rs_of_involution
-from .errors import DEFAULT_PAIR_SPACE_LIMIT, CacheMismatchError, ScaleLimitError
-from .output import FORMATS, load_cache, render, save_cache, verdict_payload, verify_cache_entries
+from .core import DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, odd_columns, rs_of_involution
+from .output import FORMATS, CacheMismatchError, load_cache, render, save_cache, verdict_payload, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2

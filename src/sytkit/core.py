@@ -8,6 +8,8 @@ increasing label order.
 
 Every layer's size and bound rules live beside ``as_shape``, each read with ``operator.index``: n >= 0
 (``_require_size``), n >= 1 (``_require_positive``), k >= 1 of a parity if one is given (``_require_bound``).
+The scale rule lives there too: ``ScaleLimitError``, which the CLI maps to exit 3, and the default
+largest n whose pair space the cancellation audit enumerates, ``DEFAULT_PAIR_SPACE_LIMIT``.
 """
 
 from __future__ import annotations
@@ -178,6 +180,14 @@ def _require_bound(k: int, parity: int | None = None) -> None:
         raise ValueError(f"bound k must be a positive integer, got {k}")
     if parity is not None and k % 2 != parity:
         raise ValueError(f"bound k must be {('even', 'odd')[parity]}, got {k}")
+
+
+#: largest n whose pair space the cancellation audit enumerates unless told otherwise
+DEFAULT_PAIR_SPACE_LIMIT = 4
+
+
+class ScaleLimitError(RuntimeError):
+    """A size exceeds the audit's exhaustive-search limit, or a size or bound is above sys.maxsize."""
 
 
 def _conjugate(shape: tuple[int, ...]) -> tuple[int, ...]:

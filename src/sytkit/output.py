@@ -23,13 +23,15 @@ from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-from .errors import CacheMismatchError
-
 if TYPE_CHECKING:
     from .identities import IdentityVerdict
 
 FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
+
+
+class CacheMismatchError(RuntimeError):
+    """A persisted count disagrees with its recomputed value."""
 
 
 #: (named tuple type, indent) -> the %-template of its object, for a tuple of ints

@@ -830,14 +830,32 @@ def test_audit_fails_a_toggle_that_trades_one_free_point_for_another(monkeypatch
 
 def test_audit_fails_survivors_that_miss_the_closed_form_term_by_term(monkeypatch):
     # the matching counts 1, 0, 6 at sizes 0, 2, 4 give the pair-sum terms 6, 0, 6: the total
-    # still equals the 3 + 6 + 3 survivors, but no term does, so each of the three fails
-    from sytkit import counting
+    # still equals the 3 + 6 + 3 survivors, but no term does, so each of the three fails.  The
+    # closed side is the right side of the fpf_pairs verdict, so the fault goes in its counts
+    from sytkit import identities
     wrong = {2: 0, 4: 6}
-    v = audit_under_fault(monkeypatch, counting, "count_fpf", lambda m: wrong.get(m, count_fpf(m)), 2,
+    v = audit_under_fault(monkeypatch, identities, "count_fpf", lambda m: wrong.get(m, count_fpf(m)), 2,
                           assertion_failures=3)
     assert v.lhs == v.rhs == 12
     assert [t.term_value for t in v.lhs_terms] == [3, 0, 6, 0, 3]
     assert [t.term_value for t in v.rhs_terms] == [6, 0, 0, 0, 6]
+
+
+def test_bounded_audit_fails_survivors_that_miss_the_odd_k_left_side_by_one_term(monkeypatch):
+    # the bounded closed side is the left side of the odd_k verdict: one of its terms off by one
+    # fails that term's check alone, and the signed total still equals the survivors
+    from sytkit import identities
+    verify_odd_k = identities.verify_odd_k
+
+    def off_by_one(k, n):
+        v = verify_odd_k(k, n)
+        terms = list(v.lhs_terms)
+        terms[2] = terms[2]._replace(term_value=terms[2].term_value + 1)
+        return v._replace(lhs_terms=tuple(terms))
+
+    v = audit_under_fault(monkeypatch, identities, "verify_odd_k", off_by_one, 2, 3, assertion_failures=1)
+    assert [t.term_value for t in v.lhs_terms] == [2, 0, 6, 0, 2]
+    assert [t.term_value for t in v.rhs_terms] == [2, 0, 7, 0, 2]
 
 
 # Once |P_r| = |Q_{r-1}| for every r, the orbits cancel out of the signed total and leave the

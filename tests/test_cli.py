@@ -1280,7 +1280,7 @@ def test_each_command_loads_only_its_layers():
         assert proc.returncode == 0, argv
         loaded = set(json.loads(out))
         assert not loaded & {"dataclasses", "inspect"}, argv
-        base = {"sytkit"} | ({"sytkit.cli", "sytkit.errors"} if argv else set())
+        base = {"sytkit"} | ({"sytkit.cli"} if argv else set())
         assert loaded == base | {f"sytkit.{layer}" for layer in layers}, argv
 
     import sytkit
@@ -1290,6 +1290,32 @@ def test_each_command_loads_only_its_layers():
         assert getattr(sytkit, name) is not None and name in listed
     with pytest.raises(AttributeError, match="no_such_name"):
         sytkit.no_such_name
+
+
+# each module alone: the layers it imports at load time, itself included; every error type is
+# defined by the module that raises it, so no module loads another just for an exception
+MODULE_LAYERS = {
+    "core": {"core"},
+    "counting": {"core", "counting"},
+    "identities": {"core", "counting", "identities"},
+    "bijections": {"core", "bijections"},
+    "output": {"output"},
+    "cli": {"core", "output", "cli"},
+}
+
+
+def test_each_module_loads_only_the_layers_it_imports():
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    script = ("import importlib, json, sys; importlib.import_module('sytkit.' + sys.argv[1]); "
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sytkit.'))))")
+    procs = {module: subprocess.Popen([sys.executable, "-S", "-c", script, module], stdout=subprocess.PIPE,
+                                      env=env, text=True)
+             for module in MODULE_LAYERS}
+    outs = {module: proc.communicate(timeout=60)[0] for module, proc in procs.items()}  # all reaped first
+    for module, layers in MODULE_LAYERS.items():
+        assert procs[module].returncode == 0, module
+        assert set(json.loads(outs[module])) == {f"sytkit.{layer}" for layer in layers}, module
 
 
 def test_runs_in_one_process_share_one_parser(monkeypatch):
