@@ -11,15 +11,12 @@ cancellation argument exhaustively.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from itertools import combinations
 from operator import index
-from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .core import (DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, _require_bound, _require_positive,
                    _require_size, lds, lis)
-
-if TYPE_CHECKING:
-    from .identities import IdentityVerdict
 
 
 class PivotAbsentError(ValueError):
@@ -196,7 +193,7 @@ def _pair_rows(n: int, k: int | None, limit: int) -> Iterator[tuple]:
     p there.  Each subset S is walked once with its complement: S's rows, then the complement's,
     whose qs are S's sides.  Each word's positions are read once, and each side relabelled once."""
     _require_positive(n)
-    if n > limit:
+    if n > index(limit):
         raise ScaleLimitError(f"pair space enumeration limited to n={limit}, got n={n}")
     if k is not None:
         _require_bound(k)

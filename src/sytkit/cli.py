@@ -23,7 +23,6 @@ import os
 import re
 import sys
 from collections.abc import Iterable
-from pathlib import Path
 
 from .core import DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, odd_columns, rs_of_involution
 from .output import FORMATS, CacheMismatchError, load_cache, render, save_cache, verdict_payload, verify_cache_entries
@@ -101,7 +100,7 @@ def count(args: argparse.Namespace) -> None:
 
     family, k, sizes = args.family, args.k, parse_range(args.n)
     validate_family(family, k, sizes[0])  # before the cache, so a bad query is reported first
-    entries = load_cache(args.cache) if args.cache is not None and Path(args.cache).exists() else {}
+    entries = load_cache(args.cache) if args.cache is not None else {}
     if args.verify_cache:
         verify_cache_entries(entries)
     missing = [n for n in sizes if (family, k, n) not in entries]  # a cached value is not recomputed

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
+from collections.abc import Iterable, Sequence
 from operator import index
-from typing import Iterable, Sequence
 
 
 def lis(word: Iterable[int]) -> int:

@@ -6,11 +6,11 @@ are checked by ``core``'s rules; the digits a count query can have, by ``validat
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import chain, combinations, starmap
 from math import comb, factorial, prod
 from operator import add, index, sub
-from typing import Callable, Iterator, Sequence
 
 from .core import _conjugate, _require_bound, _require_size, as_shape
 

@@ -8,8 +8,9 @@ to individual summands.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from math import comb, factorial
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .core import _require_bound, _require_positive, _require_size
 from .counting import (

@@ -8,7 +8,8 @@ into its own piece, and dropped.  JSON is written in the layout of
 ``json.dumps(indent=2)``; it loads only the C string escaper from ``_json``,
 not the json package, and csv loads only for CSV.  The cache file is a
 versioned, sorted-key text document, so a load/save round trip is
-byte-identical.  A cached count is kept as the decimal text it was read as
+byte-identical; a missing file is an empty cache, and pathlib loads only to
+read or write one.  A cached count is kept as the decimal text it was read as
 and is never parsed.
 """
 
@@ -18,13 +19,8 @@ import io
 import os
 import re
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
-from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
-
-if TYPE_CHECKING:
-    from .identities import IdentityVerdict
 
 FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
@@ -38,7 +34,7 @@ class CacheMismatchError(RuntimeError):
 _TEMPLATES: dict[tuple[type, str], str] = {}
 
 
-def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> list[str]:
+def _json(value: object, out: list[str], pad: str, quote: Callable[[str], str]) -> list[str]:
     """Append ``value`` to ``out`` (and return it) as ``json.dumps(indent=2)`` would, ints as strings,
     a named tuple as the object of its fields, and an iterator as a list, each item joined as it comes."""
     inner = pad + "  "
@@ -66,7 +62,7 @@ def _json(value: Any, out: list[str], pad: str, quote: Callable[[str], str]) -> 
     return out
 
 
-def _cell(value: Any) -> str:
+def _cell(value: object) -> str:
     if value is None:
         return "-"
     if isinstance(value, bool):
@@ -99,7 +95,7 @@ def render(kind: str, payload: dict, fmt: str) -> list[str]:
         from _json import encode_basestring_ascii  # json.encoder's own escaper, without json's import
         return _json({"kind": kind, **payload}, [], "", encode_basestring_ascii)
 
-    def tabulate(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> list[str]:
+    def tabulate(header: Sequence[str], rows: Sequence[Sequence[object]]) -> list[str]:
         return [_aligned(header, rows)] if fmt == "table" else _csv(header, [rows])
 
     if kind == "count":
@@ -121,7 +117,7 @@ def render(kind: str, payload: dict, fmt: str) -> list[str]:
 
 # ---------------------------------------------------------------- csv
 
-def _csv(header: Sequence[str], groups: Iterable[Iterable[Sequence[Any]]]) -> list[str]:
+def _csv(header: Sequence[str], groups: Iterable[Iterable[Sequence[object]]]) -> list[str]:
     """CSV of a header and groups of rows, a piece for each (the header's first), no final newline."""
     import csv
 
@@ -141,7 +137,7 @@ _VERDICT_CSV_HEADER = ["row_type", "identity", "k", "n", "lhs", "rhs", "holds",
                        "side", *_TERM_FIELDS, "check_name", "check_value"]
 
 
-def _term_rows(v: dict) -> list[list[Any]]:
+def _term_rows(v: dict) -> list[list[object]]:
     """One row per term of a verdict payload: its side, then the ``TermBreakdown``'s fields."""
     return [[side, *t] for side in ("lhs", "rhs") for t in v[f"{side}_terms"]]
 
@@ -149,7 +145,7 @@ def _term_rows(v: dict) -> list[list[Any]]:
 def _verdicts_csv(verdicts: Iterable[dict]) -> list[str]:
     no_term = [""] * (1 + len(_TERM_FIELDS))
 
-    def rows(v: dict) -> Iterator[list[Any]]:  # one group per verdict, dropped once its rows are written
+    def rows(v: dict) -> Iterator[list[object]]:  # one group per verdict, dropped once its rows are written
         base = [v["identity"], v["k"], v["n"]]
         yield ["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""]
         for term in _term_rows(v):
@@ -161,7 +157,7 @@ def _verdicts_csv(verdicts: Iterable[dict]) -> list[str]:
 
 # ---------------------------------------------------------------- table
 
-def _aligned(header: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
+def _aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     cells = [header] + [[_cell(x) for x in row] for row in rows]
     widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
@@ -194,9 +190,11 @@ def _key_sort(key: CacheKey) -> tuple:
     return (family, k is not None, k if k is not None else 0, n)
 
 
-def save_cache(entries: dict[CacheKey, str], path: str | Path) -> None:
+def save_cache(entries: dict[CacheKey, str], path: str | os.PathLike) -> None:
     """Write the cache through a temporary file in the same directory, then rename
     it over ``path``, so a failed write leaves the old file as it was."""
+    from pathlib import Path
+
     lines = [CACHE_HEADER]
     for family, k, n in sorted(entries, key=_key_sort):
         lines.append(f"{family} {'-' if k is None else k} {n} {entries[(family, k, n)]}")
@@ -249,9 +247,14 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
     return (family, k, n), value
 
 
-def load_cache(path: str | Path) -> dict[CacheKey, str]:
-    """Read a cache file; a malformed entry (a byte past ASCII too) or a duplicate one raises ValueError."""
-    lines = Path(path).read_bytes().decode("ascii", "surrogateescape").splitlines()
+def load_cache(path: str | os.PathLike) -> dict[CacheKey, str]:
+    """Read a cache file; a missing file is an empty cache, and a malformed entry (a byte past ASCII
+    too) or a duplicate one raises ValueError."""
+    from pathlib import Path
+
+    if not (path := Path(path)).exists():
+        return {}
+    lines = path.read_bytes().decode("ascii", "surrogateescape").splitlines()
     if not lines or lines[0] != CACHE_HEADER:
         raise ValueError(f"not a cache file (expected header {CACHE_HEADER!r})")
     entries: dict[CacheKey, str] = {}

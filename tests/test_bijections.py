@@ -562,8 +562,10 @@ def test_involution_has_only_its_two_slots():
     lambda x: signed_cancellation_audit(2, x, limit=1),
     lambda x: verify_wilf_even(x, 1),
     lambda x: verify_odd_k(x, 1),
+    lambda x: list(enumerate_pair_space(2, limit=x)),
+    lambda x: signed_cancellation_audit(2, limit=x),
 ], ids=["fixed-point", "two-cycle", "word", "shape", "tableau", "arrangement", "pair-n", "bound-k",
-        "pair-k", "toggle-k", "audit-k", "wilf-k", "odd-k"])
+        "pair-k", "toggle-k", "audit-k", "wilf-k", "odd-k", "pair-limit", "audit-limit"])
 def test_library_builders_take_only_integers(build, value):
     # int() would truncate 1.5 and parse "3"; operator.index refuses both.  The audit reads its bound
     # before it checks n against the limit, so before any walk, and not with its closing count.

@@ -1012,6 +1012,28 @@ def test_cache_rejects_malformed_file(tmp_path):
     assert run("--cache", str(path), "count", "catalan", "--n", "1").exit_code == 2
 
 
+def test_a_missing_cache_file_is_an_empty_cache(tmp_path):
+    path = tmp_path / "counts.cache"
+    assert load_cache(path) == {} and load_cache(str(path)) == {}
+    assert not path.exists()
+
+
+def test_a_cache_path_with_a_trailing_slash_names_the_file(tmp_path, monkeypatch):
+    # pathlib drops the slash, so the first run writes 'newc' and the second reads it back
+    import sytkit.counting as counting
+
+    args = ("--cache", f"{tmp_path / 'newc'}/", "count", "catalan", "--n", "0..3")
+    first = run(*args)
+    assert first.exit_code == 0, first.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["newc"]
+    saved = (tmp_path / "newc").read_bytes()
+    assert saved == b"sytkit cache v1\ncatalan - 0 1\ncatalan - 1 1\ncatalan - 2 2\ncatalan - 3 5\n"
+    monkeypatch.setattr(counting, "count_family", lambda *args: pytest.fail("recounted a cached entry"))
+    second = run(*args)
+    assert (second.exit_code, second.stdout, second.stderr) == (0, first.stdout, "")
+    assert (tmp_path / "newc").read_bytes() == saved
+
+
 def test_bad_query_is_reported_before_a_bad_cache(tmp_path):
     path = tmp_path / "counts.cache"
     path.write_text("not a cache\n")
@@ -1220,8 +1242,8 @@ if len(sys.argv) > 1:
         cli.run(json.loads(sys.argv[1]))
 else:
     import sytkit
-print(json.dumps(sorted(m for m in sys.modules
-                        if m.startswith("sytkit") or m.split(".")[0] in ("click", "dataclasses", "inspect"))))
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit") or m in ("pathlib", "typing")
+                        or m.split(".")[0] in ("click", "dataclasses", "inspect"))))
 """
 
 # the CLI runs on argparse, and its records are named tuples and slotted classes: click,
@@ -1236,6 +1258,10 @@ COMMAND_LAYERS = [
     (("verify", "wilf", "--k", "2", "--n", "3"), {"core", "counting", "identities", "output"}),
     (("audit", "--n", "1"), {"core", "counting", "identities", "bijections", "output"}),
 ]
+
+# the standard-library modules that only some commands load: typing for the identities' named
+# tuples, pathlib for a cache file; bare `import sytkit` and every other command load neither
+STDLIB_LOADS = {"verify": {"typing"}, "audit": {"typing"}, "--cache": {"pathlib"}}
 
 
 TABLE_FORMAT_LOADS = """
@@ -1268,20 +1294,24 @@ def test_json_and_csv_formats_load_only_their_own_module(fmt):
     assert proc.stdout == f"['{loads}']\n"
 
 
-def test_each_command_loads_only_its_layers():
+def test_each_command_loads_only_its_layers(tmp_path):
     src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
     env = {**os.environ, "PYTHONPATH": src}
+    cases = [*COMMAND_LAYERS, (("--cache", str(tmp_path / "c.cache"), "count", "y", "--k", "3", "--n", "0..6"),
+                               {"core", "counting", "output"})]
     procs = [subprocess.Popen([sys.executable, "-S", "-c", LOADED_MODULES,
                                *([json.dumps(argv)] if argv else [])],
                               stdout=subprocess.PIPE, env=env, text=True)
-             for argv, _ in COMMAND_LAYERS]
+             for argv, _ in cases]
     outs = [proc.communicate(timeout=60)[0] for proc in procs]  # every child reaped before any assertion
-    for proc, out, (argv, layers) in zip(procs, outs, COMMAND_LAYERS):
+    for proc, out, (argv, layers) in zip(procs, outs, cases):
         assert proc.returncode == 0, argv
         loaded = set(json.loads(out))
         assert not loaded & {"dataclasses", "inspect"}, argv
         base = {"sytkit"} | ({"sytkit.cli"} if argv else set())
-        assert loaded == base | {f"sytkit.{layer}" for layer in layers}, argv
+        stdlib = set().union(*(STDLIB_LOADS.get(arg, set()) for arg in argv))
+        assert loaded == base | {f"sytkit.{layer}" for layer in layers} | stdlib, argv
+    assert (tmp_path / "c.cache").exists()  # the cache case read and wrote its file
 
     import sytkit
 
@@ -1293,7 +1323,8 @@ def test_each_command_loads_only_its_layers():
 
 
 # each module alone: the layers it imports at load time, itself included; every error type is
-# defined by the module that raises it, so no module loads another just for an exception
+# defined by the module that raises it, so no module loads another just for an exception.  Only
+# identities loads typing (for NamedTuple), and no module loads pathlib at import
 MODULE_LAYERS = {
     "core": {"core"},
     "counting": {"core", "counting"},
@@ -1308,14 +1339,16 @@ def test_each_module_loads_only_the_layers_it_imports():
     src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
     env = {**os.environ, "PYTHONPATH": src}
     script = ("import importlib, json, sys; importlib.import_module('sytkit.' + sys.argv[1]); "
-              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sytkit.'))))")
+              "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sytkit.') "
+              "or m in ('pathlib', 'typing'))))")
     procs = {module: subprocess.Popen([sys.executable, "-S", "-c", script, module], stdout=subprocess.PIPE,
                                       env=env, text=True)
              for module in MODULE_LAYERS}
     outs = {module: proc.communicate(timeout=60)[0] for module, proc in procs.items()}  # all reaped first
     for module, layers in MODULE_LAYERS.items():
         assert procs[module].returncode == 0, module
-        assert set(json.loads(outs[module])) == {f"sytkit.{layer}" for layer in layers}, module
+        stdlib = {"typing"} if module == "identities" else set()
+        assert set(json.loads(outs[module])) == {f"sytkit.{layer}" for layer in layers} | stdlib, module
 
 
 def test_runs_in_one_process_share_one_parser(monkeypatch):
