@@ -9,8 +9,6 @@ up in its module on first use (PEP 562), so ``sytkit.lis`` loads only
 ``sytkit.core``.
 """
 
-import importlib
-
 _LAYERS = {
     "bijections": (
         "ClosureViolationError",
@@ -73,6 +71,8 @@ def __getattr__(name: str):
     module = _MODULE_OF.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib  # here, not at the top: only a public name's first lookup loads it
+
     value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
     globals()[name] = value  # later lookups skip this function
     return value

@@ -8,8 +8,6 @@ ordered choice of n labels from [2n] with a red/blue perfect matching on [2n], a
 cancellation argument exhaustively.
 """
 
-from __future__ import annotations
-
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from itertools import combinations
@@ -234,7 +232,7 @@ def enumerate_pair_space(n: int, k: int | None = None,
 
 def signed_cancellation_audit(
     n: int, k: int | None = None, limit: int = DEFAULT_PAIR_SPACE_LIMIT
-) -> IdentityVerdict:
+) -> "IdentityVerdict":
     """Replay the cancellation argument over the whole (possibly bounded) pair space.
 
     Each state of each `_pair_rows` row is classified by its sides' last fixed

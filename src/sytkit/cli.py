@@ -6,8 +6,9 @@ declares the other global flags it reads: count --cache and --verify-cache, bije
 and g --trace, audit --oracle-limit; any other is a usage error.  Sizes and bounds are read
 by ``integer``, involutions by ``Involution.from_cycles`` and ``from_word``, names by ``counting.lookup``.
 
-``run`` maps every outcome to one exit code: 0 success / all verdicts hold; 1 a failing
-verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``, printed as
+Each command returns ``(kind, record)`` and writes nothing.  ``run`` writes every record, once its
+last piece is made, and maps every outcome to one exit code: 0 success / all verdicts hold; 1 a
+failing verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``, printed as
 ``Error: <message>`` on stderr; 3 ``ScaleLimitError``, such as a size above sys.maxsize, or ``MemoryError``.
 A reader that closes stdout early changes no code.  ``main``, the ``sytkit`` entry point, exits with it.
 
@@ -16,13 +17,10 @@ it runs inside its own body, so a process loads only those: ``count``
 counting, ``verify`` identities, ``bijection`` bijections, ``audit`` all.
 """
 
-from __future__ import annotations
-
 import argparse
 import os
 import re
 import sys
-from collections.abc import Iterable
 
 from .core import DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, odd_columns, rs_of_involution
 from .output import FORMATS, CacheMismatchError, load_cache, render, save_cache, verdict_payload, verify_cache_entries
@@ -68,8 +66,8 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
     return tuple(map(int, parts))
 
 
-def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
-    pieces = render(kind, payload, args.format)  # all made before the first write: an error leaves stdout empty
+def _emit(fmt: str, kind: str, payload: dict) -> None:
+    pieces = render(kind, payload, fmt)  # all made before the first write: an error leaves stdout empty
     try:
         sys.stdout.writelines(pieces)  # piece by piece: the record is never joined or copied whole
         print(flush=True)
@@ -79,22 +77,9 @@ def _emit(args: argparse.Namespace, kind: str, payload: dict) -> None:
         os.close(devnull)
 
 
-def _verdicts(args: argparse.Namespace, verdicts: Iterable) -> int:
-    """Emit one verdict record, each verdict rendered as it is made and then dropped; the exit
-    code is 1 if any verdict fails."""
-    holds = []
-
-    def payload(v) -> dict:
-        holds.append(v.holds)
-        return verdict_payload(v)
-
-    _emit(args, "verdict", {"verdicts": map(payload, verdicts)})
-    return 0 if all(holds) else EXIT_VERIFICATION_FAILURE
-
-
 # ---------------------------------------------------------------- commands
 
-def count(args: argparse.Namespace) -> None:
+def count(args: argparse.Namespace) -> tuple[str, dict]:
     """Evaluate one counting family at the given sizes."""
     from .counting import count_family, validate_family
 
@@ -109,18 +94,18 @@ def count(args: argparse.Namespace) -> None:
     rows = [{"family": family, "k": k, "n": n, "value": entries[family, k, n]} for n in sizes]
     if args.cache is not None and missing:
         save_cache(entries, args.cache)
-    _emit(args, "count", {"rows": rows})
+    return "count", {"rows": rows}
 
 
-def verify(args: argparse.Namespace) -> int:
+def verify(args: argparse.Namespace) -> tuple[str, map]:
     """Check identity instances exactly; exit 0 only if every verdict holds."""
     from .counting import lookup
     from .identities import IDENTITIES
 
-    return _verdicts(args, map(lookup("identity", IDENTITIES, args.identity, args.k), parse_range(args.n)))
+    return "verdict", map(lookup("identity", IDENTITIES, args.identity, args.k), parse_range(args.n))
 
 
-def rsk(args: argparse.Namespace) -> None:
+def rsk(args: argparse.Namespace) -> tuple[str, dict]:
     """Map an involution to its standard tableau and report its statistics."""
     v = (Involution.from_cycles(args.cycles) if args.cycles is not None
          else Involution.from_word(_parse_ints(args.word, "word entries")))
@@ -138,10 +123,10 @@ def rsk(args: argparse.Namespace) -> None:
         ("odd_columns", odd),
         ("beissinger_ok", odd == len(v.fixed_points)),
     ]
-    _emit(args, "trace", {"fields": fields})
+    return "trace", {"fields": fields}
 
 
-def bijection_f(args: argparse.Namespace) -> None:
+def bijection_f(args: argparse.Namespace) -> tuple[str, dict]:
     """Toggle the largest free point of a pair to the other side."""
     from .bijections import PairState, free_points, pivot, toggle_pivot
 
@@ -161,10 +146,10 @@ def bijection_f(args: argparse.Namespace) -> None:
             ("moved_from", moved_from),
             ("moved_to", moved_to),
         ]
-    _emit(args, "trace", {"fields": fields})
+    return "trace", {"fields": fields}
 
 
-def bijection_g(args: argparse.Namespace) -> None:
+def bijection_g(args: argparse.Namespace) -> tuple[str, dict]:
     """Match an arrangement with the unchosen labels, red or blue."""
     from .bijections import _colored_pairs, arrangement_to_matching
 
@@ -180,28 +165,28 @@ def bijection_g(args: argparse.Namespace) -> None:
     ]}
     if args.trace:
         payload["table"] = {"columns": ["unchosen", "chosen", "color"], "rows": _colored_pairs(colored)}
-    _emit(args, "trace", payload)
+    return "trace", payload
 
 
-def bijection_g_inverse(args: argparse.Namespace) -> None:
+def bijection_g_inverse(args: argparse.Namespace) -> tuple[str, dict]:
     """Recover the arrangement from a red/blue matching."""
     from .bijections import PairState, matching_to_arrangement
 
     red_inv, blue_inv = Involution.from_cycles(args.red), Involution.from_cycles(args.blue)
     colored = PairState(red_inv, blue_inv, (red_inv.size + blue_inv.size) // 2)
-    _emit(args, "trace", {"fields": [
+    return "trace", {"fields": [
         ("red", red_inv.cycle_string()),
         ("blue", blue_inv.cycle_string()),
         ("chosen", " ".join(str(x) for x in matching_to_arrangement(colored)) or "-"),
-    ]})
+    ]}
 
 
-def audit(args: argparse.Namespace) -> int:
+def audit(args: argparse.Namespace) -> tuple[str, list]:
     """Exhaustively audit the cancellation argument; exit 0 iff it all checks out."""
     from .bijections import signed_cancellation_audit
 
     limit = args.oracle_limit or DEFAULT_PAIR_SPACE_LIMIT
-    return _verdicts(args, [signed_cancellation_audit(args.n, args.k, limit=limit)])
+    return "verdict", [signed_cancellation_audit(args.n, args.k, limit=limit)]
 
 
 # ---------------------------------------------------------------- parser
@@ -299,7 +284,12 @@ def run(argv: list[str]) -> int:
         if unread:
             raise ValueError(f"{args.command} does not read the global flag{'s' * (len(unread) > 1)} "
                              f"{', '.join(unread)}")
-        return args.func(args) or 0
+        kind, record = args.func(args)
+        holds = []  # each verdict's, kept as it is rendered: a verdict record is a stream of verdicts
+        if kind == "verdict":
+            record = {"verdicts": (holds.append(v.holds) or verdict_payload(v) for v in record)}
+        _emit(args.format, kind, record)
+        return 0 if all(holds) else EXIT_VERIFICATION_FAILURE
     except SystemExit as exc:  # --help has printed the help text
         return exc.code
     except ScaleLimitError as exc:

@@ -12,8 +12,6 @@ The scale rule lives there too: ``ScaleLimitError``, which the CLI maps to exit 
 largest n whose pair space the cancellation audit enumerates, ``DEFAULT_PAIR_SPACE_LIMIT``.
 """
 
-from __future__ import annotations
-
 import re
 from bisect import bisect_left
 from collections.abc import Iterable, Sequence

@@ -4,8 +4,6 @@ Every count is an arbitrary-precision integer; nothing here touches floats.  Siz
 are checked by ``core``'s rules; the digits a count query can have, by ``validate_family``.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable, Iterator, Sequence
 from functools import lru_cache, partial
 from itertools import chain, combinations, starmap

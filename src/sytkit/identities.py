@@ -6,8 +6,6 @@ breakdown, so a failure (or the one deliberate non-identity) can be traced
 to individual summands.
 """
 
-from __future__ import annotations
-
 from collections.abc import Callable
 from math import comb, factorial
 from typing import NamedTuple

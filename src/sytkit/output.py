@@ -13,8 +13,6 @@ read or write one.  A cached count is kept as the decimal text it was read as
 and is never parsed.
 """
 
-from __future__ import annotations
-
 import io
 import os
 import re
@@ -70,7 +68,7 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def verdict_payload(v: IdentityVerdict) -> dict:
+def verdict_payload(v: "IdentityVerdict") -> dict:
     return {
         "identity": v.identity_id,
         "k": v.k,

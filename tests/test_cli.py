@@ -7,6 +7,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections.abc import Iterator
 from itertools import permutations
 from math import comb, prod
 from typing import NamedTuple
@@ -355,6 +356,31 @@ def test_a_verifier_raising_mid_range_leaves_stdout_empty(fmt, monkeypatch):
     result = run("--format", fmt, "verify", "unrestricted", "--n", "1..5")
     assert (result.exit_code, result.stdout, result.stderr) == (2, "", "Error: refused n = 3\n")
     assert made == [1, 2, 3]  # the verdicts are made as the record is rendered
+
+
+# a command returns (kind, record) and writes nothing: run renders the record, writes it and maps
+# its exit code; verify's verdicts stay a lazy stream, so each is rendered as it is made
+@pytest.mark.parametrize("argv, kind", [
+    (("count", "catalan", "--n", "0..3"), "count"),
+    (("verify", "wilf", "--k", "2", "--n", "1..3"), "verdict"),
+    (("rsk", "--cycles", "(13)(26)(5)"), "trace"),
+    (("--trace", "bijection", "f", "--n", "2", "--p", "(1)", "--q", "(2)(34)"), "trace"),
+    (("--trace", "bijection", "g", "--chosen", "3 1"), "trace"),
+    (("bijection", "g-inverse", "--red", "(23)", "--blue", "(14)"), "trace"),
+    (("audit", "--n", "1"), "verdict"),
+], ids=lambda a: " ".join(a) if isinstance(a, tuple) else a)
+def test_a_command_returns_its_record_and_writes_nothing(argv, kind):
+    args = cli.build_parser().parse_args(argv)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        returned = args.func(args)
+    assert out.getvalue() == ""
+    assert isinstance(returned, tuple) and len(returned) == 2 and returned[0] == kind
+    record = returned[1]
+    if argv[0] == "verify":
+        assert isinstance(record, Iterator) and not isinstance(record, list)
+    if kind == "verdict":
+        record = {"verdicts": map(verdict_payload, record)}
+    assert "".join(render(kind, record, "table")) + "\n" == run(*argv).stdout
 
 
 def test_a_large_verdict_record_matches_the_stdlib_encoder():
@@ -1242,7 +1268,8 @@ if len(sys.argv) > 1:
         cli.run(json.loads(sys.argv[1]))
 else:
     import sytkit
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit") or m in ("pathlib", "typing")
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("sytkit")
+                        or m in ("pathlib", "typing", "__future__", "importlib")
                         or m.split(".")[0] in ("click", "dataclasses", "inspect"))))
 """
 
@@ -1260,7 +1287,9 @@ COMMAND_LAYERS = [
 ]
 
 # the standard-library modules that only some commands load: typing for the identities' named
-# tuples, pathlib for a cache file; bare `import sytkit` and every other command load neither
+# tuples, pathlib for a cache file; bare `import sytkit` and every other command load neither.
+# No command loads __future__ or importlib: no module imports __future__, and sytkit.__getattr__
+# imports importlib only for a public name, which no command looks up
 STDLIB_LOADS = {"verify": {"typing"}, "audit": {"typing"}, "--cache": {"pathlib"}}
 
 
@@ -1324,7 +1353,7 @@ def test_each_command_loads_only_its_layers(tmp_path):
 
 # each module alone: the layers it imports at load time, itself included; every error type is
 # defined by the module that raises it, so no module loads another just for an exception.  Only
-# identities loads typing (for NamedTuple), and no module loads pathlib at import
+# identities loads typing (for NamedTuple), and no module loads pathlib, __future__ or importlib
 MODULE_LAYERS = {
     "core": {"core"},
     "counting": {"core", "counting"},
@@ -1338,9 +1367,9 @@ MODULE_LAYERS = {
 def test_each_module_loads_only_the_layers_it_imports():
     src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    script = ("import importlib, json, sys; importlib.import_module('sytkit.' + sys.argv[1]); "
+    script = ("import json, sys; __import__('sytkit.' + sys.argv[1]); "  # __import__: importlib not loaded
               "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sytkit.') "
-              "or m in ('pathlib', 'typing'))))")
+              "or m in ('pathlib', 'typing', '__future__', 'importlib'))))")
     procs = {module: subprocess.Popen([sys.executable, "-S", "-c", script, module], stdout=subprocess.PIPE,
                                       env=env, text=True)
              for module in MODULE_LAYERS}
