@@ -11,13 +11,13 @@ from sytkit import (
     verify_unrestricted,
     verify_wilf_even,
 )
-from sytkit.output import render, verdict_payload
+from sytkit.output import render
 
 
 def show(verdict):
     status = "holds" if verdict.holds else "FAILS"
     bound = "-" if verdict.k is None else verdict.k
-    print(f"{verdict.identity_id:<14} k={bound:<2} n={verdict.n}  "
+    print(f"{verdict.identity:<14} k={bound:<2} n={verdict.n}  "
           f"lhs={verdict.lhs}  rhs={verdict.rhs}  [{status}]")
 
 
@@ -44,7 +44,7 @@ print("`sytkit verify odd --k 3 --n 2` prints")
 print("lhs: sum of C(4,r) * fpf(r, lds<=3) * fpf(4-r, lds<=3)")
 print("rhs: sum of (-1)^r C(4,r) * rows<=3 tableau counts")
 print("-" * 68)
-print("".join(render("verdict", {"verdicts": [verdict_payload(verify_odd_k(3, 2))]}, "table")))
+print("".join(render("verdict", {"verdicts": [verify_odd_k(3, 2)]}, "table")))
 
 print()
 print("Why the obvious variant is NOT an identity: bound the increasing")

@@ -23,7 +23,7 @@ import re
 import sys
 
 from .core import DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, odd_columns, rs_of_involution
-from .output import FORMATS, CacheMismatchError, load_cache, render, save_cache, verdict_payload, verify_cache_entries
+from .output import FORMATS, CacheMismatchError, load_cache, render, save_cache, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
@@ -287,7 +287,7 @@ def run(argv: list[str]) -> int:
         kind, record = args.func(args)
         holds = []  # each verdict's, kept as it is rendered: a verdict record is a stream of verdicts
         if kind == "verdict":
-            record = {"verdicts": (holds.append(v.holds) or verdict_payload(v) for v in record)}
+            record = {"verdicts": (holds.append(v.holds) or v for v in record)}
         _emit(args.format, kind, record)
         return 0 if all(holds) else EXIT_VERIFICATION_FAILURE
     except SystemExit as exc:  # --help has printed the help text

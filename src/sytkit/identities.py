@@ -37,27 +37,35 @@ def _term(r: int, sign: int, binomial: int, left: int, right: int) -> TermBreakd
     return TermBreakdown(r, sign, binomial, left, right, sign * binomial * left * right)
 
 
+class Check(NamedTuple):
+    """One named side value of a multi-way equality, or one of the audit's counts."""
+
+    name: str
+    value: int
+
+
 class IdentityVerdict(NamedTuple):
-    """Exact two-side evaluation of one identity instance.
+    """Exact two-side evaluation of one identity instance, with the fields of its output record in
+    the record's order, so every format writes it as it is.
 
     An identity's ``holds`` means that lhs, rhs and every ``checks`` value are
     equal, except for ``naive_failure``, where it means lhs != rhs (that verdict
     passes when the broken identity really breaks).  The audit's holds exactly
     when its ``assertion_failures`` check, which counts every failed check, is
-    0.  ``checks`` carries named side values for the multi-way equalities.
-    Like each ``TermBreakdown``, it is a named tuple: it iterates and indexes
-    like one, and equals the plain tuple of its values.
+    0.  ``checks`` carries named side values, each a ``Check``, for the multi-way
+    equalities.  Like each ``Check`` and ``TermBreakdown``, it is a named tuple:
+    it iterates and indexes like one, and equals the plain tuple of its values.
     """
 
-    identity_id: str
+    identity: str
     k: int | None
     n: int
     lhs: int
     rhs: int
+    holds: bool
+    checks: tuple[Check, ...]
     lhs_terms: tuple[TermBreakdown, ...]
     rhs_terms: tuple[TermBreakdown, ...]
-    holds: bool
-    checks: tuple[tuple[str, int], ...] = ()
 
 
 def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[TermBreakdown, ...]:
@@ -66,13 +74,13 @@ def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[TermBr
                  for r in range(2 * n + 1))
 
 
-def _verdict(identity_id: str, k: int | None, n: int, lhs_terms: tuple[TermBreakdown, ...],
+def _verdict(identity: str, k: int | None, n: int, lhs_terms: tuple[TermBreakdown, ...],
              rhs_terms: tuple[TermBreakdown, ...], *checks: tuple[str, int]) -> IdentityVerdict:
     """Sum each side; the verdict holds when both sides and every check value agree."""
     lhs = sum(t.term_value for t in lhs_terms)
     rhs = sum(t.term_value for t in rhs_terms)
     holds = lhs == rhs and all(value == lhs for _, value in checks)
-    return IdentityVerdict(identity_id, k, n, lhs, rhs, lhs_terms, rhs_terms, holds, checks)
+    return IdentityVerdict(identity, k, n, lhs, rhs, holds, tuple(map(Check._make, checks)), lhs_terms, rhs_terms)
 
 
 def verify_wilf_even(k: int, n: int) -> IdentityVerdict:

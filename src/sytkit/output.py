@@ -3,9 +3,11 @@
 Every format writes integers as decimal strings.  ``render`` returns a record
 as the list of pieces of its text, and the CLI writes them one by one after
 the last one is made; a caller that wants the text joins them.  A verdict
-record's verdicts may come from an iterator: each is rendered as it comes,
-into its own piece, and dropped.  JSON is written in the layout of
-``json.dumps(indent=2)``; it loads only the C string escaper from ``_json``,
+record's verdicts are the ``IdentityVerdict`` named tuples the verifiers
+return, whose fields are the record's, in its order; they may come from an
+iterator: each is rendered as it comes, into its own piece, and dropped.
+JSON is written in the layout of ``json.dumps(indent=2)``, a named tuple as
+the object of its fields; it loads only the C string escaper from ``_json``,
 not the json package, and csv loads only for CSV.  The cache file is a
 versioned, sorted-key text document, so a load/save round trip is
 byte-identical; a missing file is an empty cache, and pathlib loads only to
@@ -68,20 +70,6 @@ def _cell(value: object) -> str:
     return str(value)
 
 
-def verdict_payload(v: "IdentityVerdict") -> dict:
-    return {
-        "identity": v.identity_id,
-        "k": v.k,
-        "n": v.n,
-        "lhs": v.lhs,
-        "rhs": v.rhs,
-        "holds": v.holds,
-        "checks": [{"name": name, "value": value} for name, value in v.checks],
-        "lhs_terms": v.lhs_terms,
-        "rhs_terms": v.rhs_terms,
-    }
-
-
 def render(kind: str, payload: dict, fmt: str) -> list[str]:
     """One record (kind count, verdict or trace) in the given format, as the list of pieces of its
     text; ``"".join`` of them is the record, with no final newline."""
@@ -135,21 +123,21 @@ _VERDICT_CSV_HEADER = ["row_type", "identity", "k", "n", "lhs", "rhs", "holds",
                        "side", *_TERM_FIELDS, "check_name", "check_value"]
 
 
-def _term_rows(v: dict) -> list[list[object]]:
-    """One row per term of a verdict payload: its side, then the ``TermBreakdown``'s fields."""
-    return [[side, *t] for side in ("lhs", "rhs") for t in v[f"{side}_terms"]]
+def _term_rows(v: "IdentityVerdict") -> list[list[object]]:
+    """One row per term of a verdict: its side, then the ``TermBreakdown``'s fields."""
+    return [["lhs", *t] for t in v.lhs_terms] + [["rhs", *t] for t in v.rhs_terms]
 
 
-def _verdicts_csv(verdicts: Iterable[dict]) -> list[str]:
+def _verdicts_csv(verdicts: Iterable["IdentityVerdict"]) -> list[str]:
     no_term = [""] * (1 + len(_TERM_FIELDS))
 
-    def rows(v: dict) -> Iterator[list[object]]:  # one group per verdict, dropped once its rows are written
-        base = [v["identity"], v["k"], v["n"]]
-        yield ["verdict", *base, v["lhs"], v["rhs"], v["holds"], *no_term, "", ""]
+    def rows(v: "IdentityVerdict") -> Iterator[list[object]]:  # one group per verdict, dropped once written
+        base = [v.identity, v.k, v.n]
+        yield ["verdict", *base, v.lhs, v.rhs, v.holds, *no_term, "", ""]
         for term in _term_rows(v):
             yield ["term", *base, "", "", "", *term, "", ""]
-        for c in v["checks"]:
-            yield ["check", *base, "", "", "", *no_term, c["name"], c["value"]]
+        for c in v.checks:
+            yield ["check", *base, "", "", "", *no_term, c.name, c.value]
     return _csv(_VERDICT_CSV_HEADER, map(rows, verdicts))
 
 
@@ -163,17 +151,14 @@ def _aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _verdicts_table(verdicts: Iterable[dict]) -> list[str]:
+def _verdicts_table(verdicts: Iterable["IdentityVerdict"]) -> list[str]:
     blocks: list[str] = []  # one piece per verdict, a blank line before each after the first
     for v in verdicts:
-        status = "holds" if v["holds"] else "FAILS"
-        head = (
-            f"{v['identity']}  k={_cell(v['k'])}  n={v['n']}  "
-            f"lhs={v['lhs']}  rhs={v['rhs']}  [{status}]"
-        )
+        status = "holds" if v.holds else "FAILS"
+        head = f"{v.identity}  k={_cell(v.k)}  n={v.n}  lhs={v.lhs}  rhs={v.rhs}  [{status}]"
         block = ("\n\n" if blocks else "") + head + "\n" + _aligned(["side", *_TERM_FIELDS], _term_rows(v))
-        if v["checks"]:
-            block += "\n" + "\n".join(f"  {c['name']} = {c['value']}" for c in v["checks"])
+        if v.checks:
+            block += "\n" + "\n".join(f"  {c.name} = {c.value}" for c in v.checks)
         blocks.append(block)
     return blocks
 

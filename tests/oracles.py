@@ -240,6 +240,105 @@ def random_bounded_tableau(m, k, rng):
     return hook_walk(rng.choices(shapes, cum_weights=weights)[0], rng)
 
 
+# ---------------------------------------------------------------- Bessel determinants
+# The large-n route: every bounded family as a determinant of Bessel series (Gessel, JCTA 53, 1990;
+# Bender-Knuth; Gordon; for the fixed-point-free families, forms of the kind Baik and Rains derive,
+# Duke Math. J. 109, 2001), with no partition or hook length.  A series is the tuple of its
+# coefficients b_0..b_N in the exponential form sum b_d x^d/d!: I_m(2x) = sum_j x^(2j+|m|)/(j!(j+|m|)!)
+# has b_d = C(d, (d-|m|)/2), a product is a binomial convolution, and a series with b_0 = 1 has an
+# inverse with integer coefficients, so the whole route stays in exact integers.  The coefficient at
+# 2n of a product f(x) g(+-x) is then the identities' (signed) pair sum of the two families' counts.
+
+
+@cache
+def _binomial_rows(degree):
+    return tuple(tuple(comb(d, i) for i in range(d + 1)) for d in range(degree + 1))
+
+
+def series_mul(f, g):
+    """The product of two series of the same degree: b_d = sum_i C(d, i) f_i g_(d-i)."""
+    rows, terms = _binomial_rows(len(f) - 1), [(i, a) for i, a in enumerate(f) if a]
+    return tuple(sum(rows[d][i] * a * g[d - i] for i, a in terms if i <= d) for d in range(len(f)))
+
+
+def series_add(f, g, sign=1):
+    return tuple(a + sign * b for a, b in zip(f, g))
+
+
+def series_reflect(f):
+    """f(-x)."""
+    return tuple(-b if d % 2 else b for d, b in enumerate(f))
+
+
+def _series_inverse(f):
+    assert f[0] == 1, "a pivot's constant term is 1"
+    rows, inverse = _binomial_rows(len(f) - 1), [1]
+    for d in range(1, len(f)):
+        inverse.append(-sum(rows[d][i] * f[i] * inverse[d - i] for i in range(1, d + 1) if f[i]))
+    return tuple(inverse)
+
+
+def bessel(m, degree):
+    """I_m(2x) = I_(-m)(2x) to the degree."""
+    m = abs(m)
+    return tuple(comb(d, (d - m) // 2) if d >= m and (d - m) % 2 == 0 else 0 for d in range(degree + 1))
+
+
+def bessel_det(entry, indices, degree):
+    """det[entry(i, j)] over the indices, by Gaussian elimination with series inverses.  The constant
+    terms of every matrix here form the identity matrix, so no pivot needs a row swap; empty, it is 1."""
+    a = [[entry(i, j) for j in indices] for i in indices]
+    det = (1,) + (0,) * degree
+    for c in range(len(a)):
+        det, inverse = series_mul(det, a[c][c]), _series_inverse(a[c][c])
+        for r in range(c + 1, len(a)):
+            factor = series_mul(a[r][c], inverse)
+            a[r] = [series_add(x, series_mul(factor, y), -1) for x, y in zip(a[r], a[c])]
+    return det
+
+
+def _entries(offset, sign, degree):
+    """The entries (i, j) -> I_(i-j) + sign * I_(i+j+offset)."""
+    return lambda i, j: series_add(bessel(i - j, degree), bessel(i + j + offset, degree), sign)
+
+
+@cache
+def series_u(k, degree):
+    """sum u_k(n) x^(2n)/n!^2 = det[I_(i-j)], 1 <= i, j <= k: its coefficient at 2n is C(2n, n) u_k(n)."""
+    return bessel_det(lambda i, j: bessel(i - j, degree), range(1, k + 1), degree)
+
+
+@cache
+def series_x(k, degree):
+    """Fixed-point-free involutions with lds <= k, X_2m = X_2m+1 = D_m = det[I_(i-j) - I_(i+j)], 1 <= i, j <= m."""
+    return bessel_det(_entries(0, -1, degree), range(1, k // 2 + 1), degree)
+
+
+@cache
+def series_y(k, degree):
+    """Tableaux with at most k rows: Y_2m = det[I_(i-j) + I_(i+j-1)], 1 <= i, j <= m; Y_2m+1 = e^x D_m."""
+    if k % 2:
+        return series_mul((1,) * (degree + 1), series_x(k, degree))
+    return bessel_det(_entries(-1, 1, degree), range(1, k // 2 + 1), degree)
+
+
+@cache
+def series_fpf_lis(k, degree):
+    """Fixed-point-free involutions with lis <= k.  Odd k = 2m+1: (e^x det[I_(i-j) - I_(i+j-1)]
+    + e^-x det[I_(i-j) + I_(i+j-1)]) / 2 over 1 <= i, j <= m.  Even k = 2m: (det A_m + D_(m-1)) / 2,
+    where A_m = [I_(i-j) + I_(i+j)] over 0 <= i, j < m with row 0 halved, so that it reads I_j."""
+    m = k // 2
+    if k % 2:
+        halves = [series_mul(tuple(sign ** d for d in range(degree + 1)),  # e^(sign x)
+                             bessel_det(_entries(-1, -sign, degree), range(1, m + 1), degree)) for sign in (1, -1)]
+    else:
+        a_m = bessel_det(lambda i, j: _entries(0, 1, degree)(i, j) if i else bessel(j, degree), range(m), degree)
+        halves = [a_m, series_x(k - 2, degree)]
+    total = series_add(*halves)
+    assert all(b % 2 == 0 for b in total)
+    return tuple(b // 2 for b in total)
+
+
 # ---------------------------------------------------------------- exponential routes
 # These enumerate every witness or every permutation, so the tests call them
 # at small sizes only.

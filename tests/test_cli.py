@@ -27,8 +27,8 @@ from sytkit.bijections import _colored_pairs, arrangement_to_matching
 from sytkit.cli import _parse_ints, main, parse_range
 from sytkit.core import Involution
 from sytkit.counting import catalan
-from sytkit.identities import TermBreakdown, verify_a005568
-from sytkit.output import FORMATS, load_cache, render, save_cache, verdict_payload
+from sytkit.identities import Check, IdentityVerdict, TermBreakdown, verify_a005568
+from sytkit.output import FORMATS, load_cache, render, save_cache
 
 
 def table_column(output, column):
@@ -379,14 +379,14 @@ def test_a_command_returns_its_record_and_writes_nothing(argv, kind):
     if argv[0] == "verify":
         assert isinstance(record, Iterator) and not isinstance(record, list)
     if kind == "verdict":
-        record = {"verdicts": map(verdict_payload, record)}
+        record = {"verdicts": record}
     assert "".join(render(kind, record, "table")) + "\n" == run(*argv).stdout
 
 
 def test_a_large_verdict_record_matches_the_stdlib_encoder():
     # real big-int terms over many pieces, where the hypothesis writer test stops at 12 leaves
     from sytkit.identities import verify_odd_k
-    payload = {"verdicts": [verdict_payload(verify_odd_k(3, n)) for n in range(1, 31)]}
+    payload = {"verdicts": [verify_odd_k(3, n) for n in range(1, 31)]}
     result = run("--format", "json", "verify", "odd", "--k", "3", "--n", "1..30")
     assert (result.exit_code, result.stdout) == (0, oracle_json("verdict", payload) + "\n")
 
@@ -620,6 +620,19 @@ def test_audit_small():
     assert dict((c["name"], c["value"]) for c in verdict["checks"])["survivors"] == "2"
 
 
+@pytest.mark.parametrize("args, checked", [
+    (("verify", "corollary-k3", "--n", "2"), True),
+    (("verify", "naive-failure", "--k", "2", "--n", "3"), False),
+    (("audit", "--n", "2"), True),
+], ids=["corollary-k3", "naive-failure", "audit"])
+def test_a_json_verdict_has_the_fields_of_the_verdict_tuple_in_order(args, checked):
+    result = run("--format", "json", *args)
+    [verdict] = json.loads(result.stdout)["verdicts"]
+    assert result.exit_code == 0 and bool(verdict["checks"]) == checked
+    assert tuple(verdict) == IdentityVerdict._fields
+    assert all(tuple(check) == Check._fields for check in verdict["checks"])
+
+
 def test_audit_bounded():
     assert run("audit", "--n", "2", "--k", "3").exit_code == 0
 
@@ -824,11 +837,15 @@ class Pair(NamedTuple):
 
 # text with quotes, backslashes, control characters, a lone surrogate and non-ASCII letters
 JSON_TEXT = st.text() | st.text(alphabet='"\\/\x00\x1f\x7f\n\t\u00e9\u2028\ud800\U0001F600ab', min_size=1)
+TERM = st.builds(TermBreakdown, *[st.integers()] * 6)
+CHECK = st.builds(Check, JSON_TEXT, st.integers())
+VERDICT = st.builds(IdentityVerdict, JSON_TEXT, st.none() | st.integers(), *[st.integers()] * 3, st.booleans(),
+                    *[st.lists(record, max_size=3).map(tuple) for record in (CHECK, TERM, TERM)])
 JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.integers(-10**300, 10**300) | JSON_TEXT,
     lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
                    | st.dictionaries(JSON_TEXT, inner, max_size=4) | st.builds(Pair, inner, inner)
-                   | st.builds(TermBreakdown, *[st.integers()] * 6)),
+                   | TERM | CHECK | VERDICT),
     max_leaves=12,
 )
 
@@ -840,9 +857,9 @@ def test_json_writer_matches_the_stdlib_encoder(kind, payload):
 
 @pytest.mark.parametrize("fmt", FORMATS)
 def test_a_verdict_record_renders_the_same_from_an_iterator(fmt):
-    payloads = [verdict_payload(verify_a005568(n)) for n in range(4)]
-    listed = render("verdict", {"verdicts": payloads}, fmt)
-    assert render("verdict", {"verdicts": iter(payloads)}, fmt) == listed
+    verdicts = [verify_a005568(n) for n in range(4)]
+    listed = render("verdict", {"verdicts": verdicts}, fmt)
+    assert render("verdict", {"verdicts": iter(verdicts)}, fmt) == listed
     assert render("verdict", {"verdicts": iter(())}, fmt) == render("verdict", {"verdicts": []}, fmt)
 
 
@@ -857,7 +874,7 @@ def g_trace(labels):
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("args, kind, payload", [
     (("verify", "a005568", "--n", "0..3"), "verdict",
-     lambda: {"verdicts": [verdict_payload(verify_a005568(n)) for n in range(4)]}),
+     lambda: {"verdicts": [verify_a005568(n) for n in range(4)]}),
     (("--trace", "bijection", "g", "--chosen", "3 1"), "trace", lambda: g_trace((3, 1))),
     (("--trace", "bijection", "g", "--chosen", ""), "trace", lambda: g_trace(())),  # a table with no rows
 ], ids=["verdict", "trace-table", "trace-empty-table"])

@@ -38,6 +38,10 @@ from oracles import (
     hook_product_count,
     motzkin,
     involution_words_by_filter,
+    series_fpf_lis,
+    series_u,
+    series_x,
+    series_y,
     word_fixed_points,
 )
 
@@ -452,6 +456,30 @@ def test_row_bound_monotone_in_k():
 def test_lis_bound_saturates_at_factorial():
     for n in range(0, 9):
         assert count_perms_lis_bounded(max(n, 1), n) == factorial(n)
+
+
+# ---------------------------------------------------------------- Bessel determinants (large n)
+
+def test_bessel_determinants_match_the_closed_forms_to_80():
+    sizes = range(81)
+    assert series_y(1, 80) == (1,) * 81
+    assert series_y(2, 80) == tuple(map(central_binomial, sizes))
+    assert series_y(3, 80) == tuple(map(motzkin, sizes))
+    assert series_y(4, 80) == tuple(map(catalan_pair_product, sizes))
+    for k in (2, 3):  # X_2 = X_3, the Catalan numbers: lds <= 2 makes a matching nonnesting
+        assert series_x(k, 80) == tuple(0 if r % 2 else catalan_number(r // 2) for r in sizes)
+    assert series_fpf_lis(1, 80) == tuple(1 - r % 2 for r in sizes)  # only the reversal of an even size
+    u2 = series_u(2, 160)  # u_2(n) = C_n; the coefficient at 2n is C(2n, n) u_2(n)
+    assert u2[::2] == tuple(comb(2 * n, n) * catalan_number(n) for n in sizes) and not any(u2[1::2])
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_bessel_determinants_match_every_bounded_family_to_40(k):
+    sizes = range(41)
+    assert series_y(k, 80)[:41] == tuple(count_syt_row_bounded(k, n) for n in sizes)
+    assert series_x(k, 80)[:41] == tuple(count_fpf_lds_bounded(k, r) for r in sizes)
+    assert series_fpf_lis(k, 80)[:41] == tuple(count_fpf_lis_bounded(k, r) for r in sizes)
+    assert series_u(k, 80)[::2] == tuple(comb(2 * n, n) * count_perms_lis_bounded(k, n) for n in sizes)
 
 
 # ---------------------------------------------------------------- generation

@@ -20,9 +20,10 @@ from sytkit import (
 )
 from sytkit import identities
 from sytkit.identities import IdentityVerdict, TermBreakdown
-from sytkit.output import _TERM_FIELDS, render, verdict_payload
+from sytkit.output import _TERM_FIELDS, render
 
 from cli_runner import invoke
+from oracles import series_fpf_lis, series_mul, series_reflect, series_u, series_x, series_y
 
 
 def assert_terms_consistent(verdict):
@@ -245,29 +246,57 @@ def test_naive_failure_counterexample_terms():
     assert [t.term_value for t in v.rhs_terms] == [10, 0, 45, 0, 45, 0, 10]
 
 
+# ---------------------------------------------------------------- Bessel series (large n)
+
+def pair_sums(k):
+    """The exponential series of u_k, of the alternating tableau pair sum, of the lds-bounded and of the
+    lis-bounded fixed-point-free pair sums: the coefficient at 2n is each one's value at n."""
+    y, x, fpf_lis = series_y(k, 80), series_x(k, 80), series_fpf_lis(k, 80)
+    return series_u(k, 80), series_mul(y, series_reflect(y)), series_mul(x, x), series_mul(fpf_lis, fpf_lis)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_both_series_identities_hold_to_degree_80(k):
+    u, alternating, fpf_lds, fpf_lis = pair_sums(k)
+    if k % 2 == 0:
+        assert alternating == u  # Wilf's even-k identity: Y_k(x) Y_k(-x) = U_k(x)
+    else:
+        assert alternating == fpf_lds  # the odd-k identity: Y_k(x) Y_k(-x) = X_k(x)^2
+        assert alternating != u  # Wilf's form does not hold at odd k
+    assert fpf_lis != u  # nor does the naive variant, at any k
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_verdicts_match_the_bessel_series_to_n_20(k):
+    u, alternating, fpf_lds, fpf_lis = pair_sums(k)
+    for n in range(1, 21):
+        v = verify_wilf_even(k, n) if k % 2 == 0 else verify_odd_k(k, n)
+        assert (v.lhs, v.rhs, v.holds) == ((u if k % 2 == 0 else fpf_lds)[2 * n], alternating[2 * n], True)
+        v = demonstrate_naive_failure(k, n)
+        assert (v.lhs, v.rhs, v.holds) == (u[2 * n], fpf_lis[2 * n], u[2 * n] != fpf_lis[2 * n])
+
+
 # ---------------------------------------------------------------- records
 
 def test_term_fields_are_the_printed_columns():
     assert TermBreakdown._fields == _TERM_FIELDS
     v = verify_corollary_k3(2)
-    payload = verdict_payload(v)
-    assert (payload["lhs_terms"], payload["rhs_terms"]) == (v.lhs_terms, v.rhs_terms)  # the named tuples
     terms = [["lhs", *map(str, t)] for t in v.lhs_terms] + [["rhs", *map(str, t)] for t in v.rhs_terms]
-    doc = json.loads("".join(render("verdict", {"verdicts": [payload]}, "json")))["verdicts"][0]
+    doc = json.loads("".join(render("verdict", {"verdicts": [v]}, "json")))["verdicts"][0]
     for side in ("lhs", "rhs"):  # JSON: each term is the object of its fields
         assert [t for t in terms if t[0] == side] == [[side, *t.values()] for t in doc[f"{side}_terms"]]
         assert all(list(t) == list(_TERM_FIELDS) for t in doc[f"{side}_terms"])
-    rows = list(csv.DictReader(io.StringIO("".join(render("verdict", {"verdicts": [payload]}, "csv")))))
+    rows = list(csv.DictReader(io.StringIO("".join(render("verdict", {"verdicts": [v]}, "csv")))))
     assert [[r[f] for f in ("side", *_TERM_FIELDS)] for r in rows if r["row_type"] == "term"] == terms
-    table = "".join(render("verdict", {"verdicts": [payload]}, "table")).splitlines()
+    table = "".join(render("verdict", {"verdicts": [v]}, "table")).splitlines()
     assert table[1].split() == ["side", *_TERM_FIELDS]
     assert [line.split() for line in table[3:3 + len(terms)]] == terms
 
 
 def test_verdicts_and_terms_are_tuples_of_their_values():
     v = verify_wilf_even(2, 1)
-    assert v.checks == ()  # the default
-    assert v == ("wilf_even", 2, 1, 2, 2, v.lhs_terms, v.rhs_terms, True, ())
+    assert v.checks == ()  # wilf has no checks
+    assert v == ("wilf_even", 2, 1, 2, 2, True, (), v.lhs_terms, v.rhs_terms)
     assert v.rhs_terms[1] == (1, -1, 2, 1, 1, -2) and v.rhs_terms[1][5] == v.rhs_terms[1].term_value
     assert isinstance(v, IdentityVerdict) and isinstance(v.rhs_terms[1], TermBreakdown)
 
