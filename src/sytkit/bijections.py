@@ -36,6 +36,7 @@ class ClosureViolationError(RuntimeError):
 # Written out by hand: a dataclass would load dataclasses and inspect.  Treated as immutable.
 # PairState(...) checks the [2n] cover; _pair_state, the one trusted build, serves the builders
 # that cover [2n] by construction: the pair space (a subset and its complement) and toggle_pivot.
+# == reads the sides' four tuples and n one by one: the audit runs it once per orbit.
 class PairState:
     """An ordered pair of involutions whose supports partition [2n]; compared by value."""
 
@@ -54,7 +55,9 @@ class PairState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PairState):
             return NotImplemented
-        return (self.p, self.q, self.n) == (other.p, other.q, other.n)
+        p, q, op, oq = self.p, self.q, other.p, other.q
+        return (p.fixed_points == op.fixed_points and p.two_cycles == op.two_cycles
+                and q.fixed_points == oq.fixed_points and q.two_cycles == oq.two_cycles and self.n == other.n)
 
     def __hash__(self) -> int:
         return hash((self.p, self.q, self.n))
@@ -241,8 +244,10 @@ def signed_cancellation_audit(
     Each side is built once and serves both orders of its split; a row's
     states share r, so they are tallied in ints and added once per row.
     Only a state s in P_r is built, and toggled once; its image f(s) is
-    checked to be closed under the bound, to lie in Q_{r-1}, to keep the free
-    points, and to give back s when toggled again.  After the walk,
+    checked, off the tuples in hand, to be closed under the bound, to lie in
+    Q_{r-1}, to keep the free points, and to give back s when toggled again.
+    A row's images share a p side in value, p less its pivot, so that side is
+    bound-checked once per value; the q side, once per image.  After the walk,
     |P_r| = |Q_{r-1}| is checked for every r, P_0 and Q_{2n} empty included.
 
     That covers Q without toggling it.  f(f(s)) = s makes f one to one on P,
@@ -265,6 +270,7 @@ def signed_cancellation_audit(
     # states by split size r: pivot on p (P_r), on q (Q_r), none
     on_p, on_q, survivors = Counter(), Counter(), Counter()
     failures = 0  # each failed check adds 1
+    seen_fp = seen_tc = p_closed = None  # the last image p side checked for closure, and its result
     for r, p, qs in _pair_rows(n, k, limit):
         fp = p.fixed_points
         last = fp[-1] if fp else None  # sorted, so the largest is last
@@ -281,14 +287,18 @@ def signed_cancellation_audit(
             in_p += 1
             # the enumeration kept only sides with lds <= k, so only the image is checked
             image = toggle_pivot(s)
-            if k is not None and not _in_bounded_space(image, k):
-                failures += 1
-            ifp, ifq = image.p.fixed_points, image.q.fixed_points
-            if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:  # not in Q_{r-1}
+            ip = image.p
+            ifp, ifq = ip.fixed_points, image.q.fixed_points
+            if k is not None:
+                if ifp != seen_fp or ip.two_cycles != seen_tc:
+                    seen_fp, seen_tc, p_closed = ifp, ip.two_cycles, _side_lds(ip, 2 * n) <= k
+                if _side_lds(image.q, 2 * n) > k or not p_closed:
+                    failures += 1
+            if len(ifp) + 2 * len(ip.two_cycles) != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:  # not Q_{r-1}
                 failures += 1
             if toggle_pivot(image) != s:
                 failures += 1
-            if free_points(image) != free_points(s):
+            if sorted(ifp + ifq) != sorted(fp + fq):  # the free points stay
                 failures += 1
         on_p[r] += in_p
         on_q[r] += in_q

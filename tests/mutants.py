@@ -46,14 +46,23 @@ def ids(file: str, *tests: str) -> tuple[str, ...]:
 # (file under src/sytkit, old text, new text, test files or ids): the tests must fail
 KILLED = [
     # the audit's seven counted checks, each dropped, each against the fault test that breaks it
-    ("bijections.py", "if k is not None and not _in_bounded_space(image, k):", "if False:",
+    ("bijections.py", "if _side_lds(image.q, 2 * n) > k or not p_closed:", "if False:",
      ids("test_bijections.py", "test_audit_records_a_closure_breach_as_a_failure")),
-    ("bijections.py", "if image.p.size != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:", "if False:",
+    ("bijections.py",
+     "if len(ifp) + 2 * len(ip.two_cycles) != r - 1 or not ifq or ifp and ifp[-1] > ifq[-1]:", "if False:",
      ids("test_bijections.py", "test_audit_fails_a_toggle_that_leaves_the_split_size")),
     ("bijections.py", "if toggle_pivot(image) != s:", "if False:",
      ids("test_bijections.py", "test_audit_fails_a_toggle_that_is_not_an_involution")),
-    ("bijections.py", "if free_points(image) != free_points(s):", "if False:",
+    ("bijections.py", "if sorted(ifp + ifq) != sorted(fp + fq):", "if False:",
      ids("test_bijections.py", "test_audit_fails_a_toggle_that_trades_one_free_point_for_another")),
+    # the closure check's reads: the image p side read once per row, whatever its value; the q side
+    # not read; and the toggle-back check's equality blind to one field
+    ("bijections.py", "if ifp != seen_fp or ip.two_cycles != seen_tc:", "if in_p == 1:",
+     ids("test_bijections.py", "test_audit_reads_again_an_image_p_side_that_changes_within_a_row")),
+    ("bijections.py", "if _side_lds(image.q, 2 * n) > k or not p_closed:", "if not p_closed:",
+     ids("test_bijections.py", "test_audit_checks_closure_on_both_sides_of_every_image[3]")),
+    ("bijections.py", " and q.two_cycles == oq.two_cycles and", " and",
+     ids("test_bijections.py", "test_pair_states_that_differ_in_one_field_are_unequal")),
     ("bijections.py", "failures += sum(on_p[r] != on_q[r - 1] for r in range(2 * n + 2))", "failures += 0",
      ids("test_bijections.py", "test_audit_fails_an_unbalanced_pair_space")),
     ("bijections.py",

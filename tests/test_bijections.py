@@ -525,6 +525,22 @@ def test_pair_states_compare_and_hash_by_value():
     assert toggle_pivot(WORKED_PAIR) != WORKED_PAIR
 
 
+def test_pair_states_that_differ_in_one_field_are_unequal():
+    # == reads the four tuples of the two sides and n one by one: changing any one of them alone
+    # makes the states unequal, read from either side
+    p, q = WORKED_PAIR.p, WORKED_PAIR.q
+    changed = [
+        bijections._pair_state(Involution((), p.two_cycles), q, 4),
+        bijections._pair_state(Involution(p.fixed_points, ((1, 3),)), q, 4),
+        bijections._pair_state(p, Involution((), q.two_cycles), 4),
+        bijections._pair_state(p, Involution(q.fixed_points, ()), 4),
+        bijections._pair_state(p, q, 5),
+    ]
+    for other in changed:
+        assert other != WORKED_PAIR and WORKED_PAIR != other
+        assert not other == WORKED_PAIR and not WORKED_PAIR == other
+
+
 def test_a_pair_state_never_equals_its_fields_as_a_tuple():
     fields = (WORKED_PAIR.p, WORKED_PAIR.q, WORKED_PAIR.n)
     assert WORKED_PAIR.__eq__(fields) is NotImplemented
@@ -694,19 +710,29 @@ def test_audit_builds_every_involution_through_the_constructor(monkeypatch, args
 
 @pytest.mark.parametrize("k", (None, 3))
 def test_audit_checks_closure_on_both_sides_of_every_image(monkeypatch, k):
-    calls = 0
+    reads = []
     side_lds = bijections._side_lds
 
     def counted(v, top):
-        nonlocal calls
-        calls += 1
+        reads.append(v)
         return side_lds(v, top)
 
     monkeypatch.setattr(bijections, "_side_lds", counted)
     orbits = dict(signed_cancellation_audit(3, k).checks)["orbits"]
     assert orbits > 0
-    # one toggle image per orbit
-    assert calls == (0 if k is None else 2 * orbits)
+    if k is None:
+        assert reads == []
+        return
+    # an independent route: one toggle image per orbit, in the order of the public pair space
+    images = [toggle_pivot(s) for s in enumerate_pair_space(3, k) if toggled(s)]
+    assert len(images) == orbits
+    # each image's q side is read once; its p side is read, or equals in value the last p side read
+    last_p, at = None, 0
+    for image in images:
+        sides = [image.q] if image.p == last_p else [image.p, image.q]
+        assert Counter(reads[at:at + len(sides)]) == Counter(sides)
+        last_p, at = image.p, at + len(sides)
+    assert at == len(reads)
 
 
 # a toggle that swaps the p side's 2-cycles (1 2)(3 4) <-> (1 4)(2 3): still an involution
@@ -759,6 +785,31 @@ def audit_under_fault(monkeypatch, target, name, fault, n, k=None, **changed):
     bound = () if k is None else ("--k", str(k))
     assert invoke("audit", "--n", str(n), *bound).exit_code == 1
     return v
+
+
+def second_free_point_is_even(s):
+    """Whether s has a free point below its pivot, the largest such being even: the toggle keeps
+    the free points, so it keeps this too."""
+    below = free_points(s)[-2:-1]
+    return bool(below) and below[0] % 2 == 0
+
+
+def test_audit_reads_again_an_image_p_side_that_changes_within_a_row(monkeypatch):
+    # the closure breach only where the second largest free point is even: still an involution,
+    # and in a row whose p is (1 2)(3 4)(8), that point is q's largest fixed point, so the fault
+    # splits the row: its images share a p side in value until the fault changes it
+    def splitting_toggle(s):
+        return breaching_toggle(s) if second_free_point_is_even(s) else toggle_pivot(s)
+
+    toggled_by_p = {}
+    for s in enumerate_pair_space(4, 3):
+        if toggled(s) and s.p.two_cycles in BREACH_CYCLES:
+            toggled_by_p.setdefault(s.p, []).append(second_free_point_is_even(s))
+    breaches = sum(map(sum, toggled_by_p.values()))
+    # a row whose first image keeps the space and a later one leaves it
+    assert any(not row[0] and any(row) for row in toggled_by_p.values())
+    audit_under_fault(monkeypatch, bijections, "toggle_pivot", splitting_toggle, 4, 3,
+                      assertion_failures=breaches)
 
 
 # a 3-cycle on the p side's 2-cycles (1 2)(3 4) -> (1 3)(2 4) -> (1 4)(2 3) -> (1 2)(3 4): the
