@@ -48,8 +48,6 @@ _LAYERS = {
         "partitions",
     ),
     "identities": (
-        "IdentityVerdict",
-        "TermBreakdown",
         "demonstrate_naive_failure",
         "verify_a005568",
         "verify_corollary_k3",
@@ -58,7 +56,7 @@ _LAYERS = {
         "verify_unrestricted",
         "verify_wilf_even",
     ),
-    "output": ("CacheMismatchError",),
+    "output": ("CacheMismatchError", "IdentityVerdict", "TermBreakdown"),
 }
 _MODULE_OF = {name: module for module, names in _LAYERS.items() for name in names}
 

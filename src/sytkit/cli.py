@@ -8,9 +8,10 @@ by ``integer``, involutions by ``Involution.from_cycles`` and ``from_word``, nam
 
 Each command returns ``(kind, record)`` and writes nothing.  ``run`` writes every record, once its
 last piece is made, and maps every outcome to one exit code: 0 success / all verdicts hold; 1 a
-failing verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError``, printed as
-``Error: <message>`` on stderr; 3 ``ScaleLimitError``, such as a size above sys.maxsize, or ``MemoryError``.
-A reader that closes stdout early changes no code.  ``main``, the ``sytkit`` entry point, exits with it.
+failing verdict or cache entry; 2 a parser error, ``ValueError`` or ``OSError`` (a closed or full
+stdout too), printed as ``Error: <message>`` on stderr; 3 ``ScaleLimitError``, such as a size above
+sys.maxsize, or ``MemoryError``.  A reader that closes stdout early changes no code.  ``main``, the
+``sytkit`` entry point, exits with it.
 
 Core and output load with this module; each command imports any other layer
 it runs inside its own body, so a process loads only those: ``count``
@@ -23,7 +24,7 @@ import re
 import sys
 
 from .core import DEFAULT_PAIR_SPACE_LIMIT, Involution, ScaleLimitError, odd_columns, rs_of_involution
-from .output import FORMATS, CacheMismatchError, load_cache, render, save_cache, verify_cache_entries
+from .output import FORMATS, CacheMismatchError, CountRow, load_cache, render, save_cache, verify_cache_entries
 
 EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
@@ -68,6 +69,8 @@ def _parse_ints(text: str, noun: str) -> tuple[int, ...]:
 
 def _emit(fmt: str, kind: str, payload: dict) -> None:
     pieces = render(kind, payload, fmt)  # all made before the first write: an error leaves stdout empty
+    if sys.stdout is None:  # started with descriptor 1 closed: an error, as a full disk is
+        raise OSError("stdout is closed")
     try:
         sys.stdout.writelines(pieces)  # piece by piece: the record is never joined or copied whole
         print(flush=True)
@@ -91,7 +94,7 @@ def count(args: argparse.Namespace) -> tuple[str, dict]:
     missing = [n for n in sizes if (family, k, n) not in entries]  # a cached value is not recomputed
     for n in missing:
         entries[family, k, n] = str(count_family(family, k, n))
-    rows = [{"family": family, "k": k, "n": n, "value": entries[family, k, n]} for n in sizes]
+    rows = [CountRow(family, k, n, entries[family, k, n]) for n in sizes]
     if args.cache is not None and missing:
         save_cache(entries, args.cache)
     return "count", {"rows": rows}

@@ -1,14 +1,13 @@
 """Exact verification of the tableau/involution identities.
 
 Each verifier evaluates both sides of one identity instance with integer
-arithmetic and returns an `IdentityVerdict` carrying the full per-term
-breakdown, so a failure (or the one deliberate non-identity) can be traced
-to individual summands.
+arithmetic and returns an `IdentityVerdict`, a record type of `output`,
+carrying the full per-term breakdown, so a failure (or the one deliberate
+non-identity) can be traced to individual summands.
 """
 
 from collections.abc import Callable
 from math import comb, factorial
-from typing import NamedTuple
 
 from .core import _require_bound, _require_positive, _require_size
 from .counting import (
@@ -20,52 +19,11 @@ from .counting import (
     count_perms_lis_bounded,
     count_syt_row_bounded,
 )
-
-
-class TermBreakdown(NamedTuple):
-    """One summand: term_value = sign * binomial * left_factor * right_factor."""
-
-    r: int
-    sign: int
-    binomial: int
-    left_factor: int
-    right_factor: int
-    term_value: int
+from .output import Check, IdentityVerdict, TermBreakdown
 
 
 def _term(r: int, sign: int, binomial: int, left: int, right: int) -> TermBreakdown:
     return TermBreakdown(r, sign, binomial, left, right, sign * binomial * left * right)
-
-
-class Check(NamedTuple):
-    """One named side value of a multi-way equality, or one of the audit's counts."""
-
-    name: str
-    value: int
-
-
-class IdentityVerdict(NamedTuple):
-    """Exact two-side evaluation of one identity instance, with the fields of its output record in
-    the record's order, so every format writes it as it is.
-
-    An identity's ``holds`` means that lhs, rhs and every ``checks`` value are
-    equal, except for ``naive_failure``, where it means lhs != rhs (that verdict
-    passes when the broken identity really breaks).  The audit's holds exactly
-    when its ``assertion_failures`` check, which counts every failed check, is
-    0.  ``checks`` carries named side values, each a ``Check``, for the multi-way
-    equalities.  Like each ``Check`` and ``TermBreakdown``, it is a named tuple:
-    it iterates and indexes like one, and equals the plain tuple of its values.
-    """
-
-    identity: str
-    k: int | None
-    n: int
-    lhs: int
-    rhs: int
-    holds: bool
-    checks: tuple[Check, ...]
-    lhs_terms: tuple[TermBreakdown, ...]
-    rhs_terms: tuple[TermBreakdown, ...]
 
 
 def _pair_sum(count: Callable[[int], int], n: int, signed: bool) -> tuple[TermBreakdown, ...]:

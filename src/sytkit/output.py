@@ -1,29 +1,52 @@
 """Structured output records, text renderers, and the persistent count cache.
 
-Every format writes integers as decimal strings.  ``render`` returns a record
-as the list of pieces of its text, and the CLI writes them one by one after
-the last one is made; a caller that wants the text joins them.  A verdict
-record's verdicts are the ``IdentityVerdict`` named tuples the verifiers
-return, whose fields are the record's, in its order; they may come from an
-iterator: each is rendered as it comes, into its own piece, and dropped.
-JSON is written in the layout of ``json.dumps(indent=2)``, a named tuple as
-the object of its fields; it loads only the C string escaper from ``_json``,
-not the json package, and csv loads only for CSV.  The cache file is a
-versioned, sorted-key text document, so a load/save round trip is
-byte-identical; a missing file is an empty cache, and pathlib loads only to
-read or write one.  A cached count is kept as the decimal text it was read as
-and is never parsed.
+Every record type is a ``collections.namedtuple`` defined here, and every column
+that is a record field is read from its type's ``_fields``.  Every format writes
+integers as decimal strings.  ``render`` returns a record as the list of pieces
+of its text, and the CLI writes them one by one after the last one is made; a
+caller that wants the text joins them.  A count record's rows are ``CountRow``s;
+a verdict record's verdicts, the ``IdentityVerdict``s the verifiers return, may
+come from an iterator: each is rendered as it comes, into its own piece, and
+dropped.  JSON is written in the layout of ``json.dumps(indent=2)``, a named
+tuple as the object of its fields; it loads only the C string escaper from
+``_json``, not the json package, and csv loads only for CSV.  The cache file is
+a versioned, sorted-key text document, so a load/save round trip is
+byte-identical; a missing file is an empty cache, and pathlib loads only to read
+or write one.  A load splits lines at newlines and fields at spaces, and nowhere
+else, as a save writes them.  A cached count is kept as the decimal text it was
+read as and is never parsed.
 """
 
 import io
 import os
 import re
 import sys
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from itertools import chain
 
 FORMATS = ("table", "json", "csv")
 CACHE_HEADER = "sytkit cache v1"
+
+TermBreakdown = namedtuple("TermBreakdown", "r sign binomial left_factor right_factor term_value")
+TermBreakdown.__doc__ = "One summand: term_value = sign * binomial * left_factor * right_factor."
+
+Check = namedtuple("Check", "name value")
+Check.__doc__ = "One named side value of a multi-way equality, or one of the audit's counts."
+
+IdentityVerdict = namedtuple("IdentityVerdict", "identity k n lhs rhs holds checks lhs_terms rhs_terms")
+IdentityVerdict.__doc__ = """Exact two-side evaluation of one identity instance, its fields the record's.
+
+``holds`` means that lhs, rhs and every ``checks`` value are equal, except for
+``naive_failure``, where it means lhs != rhs (that verdict passes when the
+broken identity really breaks), and for the audit, where it means that its
+``assertion_failures`` check, which counts every failed check, is 0.
+``checks`` holds ``Check``s, and ``lhs_terms`` and ``rhs_terms`` hold
+``TermBreakdown``s; each, like the verdict, equals the plain tuple of its values.
+"""
+
+CountRow = namedtuple("CountRow", "family k n value")
+CountRow.__doc__ = "One count: k is None for a family without a bound, and value may be the cached text."
 
 
 class CacheMismatchError(RuntimeError):
@@ -85,10 +108,7 @@ def render(kind: str, payload: dict, fmt: str) -> list[str]:
         return [_aligned(header, rows)] if fmt == "table" else _csv(header, [rows])
 
     if kind == "count":
-        return tabulate(
-            ["family", "k", "n", "value"],
-            [[r["family"], r["k"], r["n"], r["value"]] for r in payload["rows"]],
-        )
+        return tabulate(CountRow._fields, payload["rows"])
     if kind == "verdict":
         return (_verdicts_table if fmt == "table" else _verdicts_csv)(payload["verdicts"])
     # a trace: its named fields, then an optional table
@@ -117,23 +137,22 @@ def _csv(header: Sequence[str], groups: Iterable[Iterable[Sequence[object]]]) ->
     return pieces
 
 
-#: the columns of one ``TermBreakdown``, in the order both verdict layouts print them
-_TERM_FIELDS = ("r", "sign", "binomial", "left_factor", "right_factor", "term_value")
-_VERDICT_CSV_HEADER = ["row_type", "identity", "k", "n", "lhs", "rhs", "holds",
-                       "side", *_TERM_FIELDS, "check_name", "check_value"]
+#: the columns of a term row in both verdict layouts: its side, then the ``TermBreakdown``'s fields
+_TERM_COLUMNS = ("side", *TermBreakdown._fields)
+# a verdict row holds the verdict's fields identity .. holds, the six before its checks and terms
+_VERDICT_CSV_HEADER = ["row_type", *IdentityVerdict._fields[:6], *_TERM_COLUMNS, "check_name", "check_value"]
 
 
-def _term_rows(v: "IdentityVerdict") -> list[list[object]]:
-    """One row per term of a verdict: its side, then the ``TermBreakdown``'s fields."""
+def _term_rows(v: IdentityVerdict) -> list[list[object]]:
     return [["lhs", *t] for t in v.lhs_terms] + [["rhs", *t] for t in v.rhs_terms]
 
 
-def _verdicts_csv(verdicts: Iterable["IdentityVerdict"]) -> list[str]:
-    no_term = [""] * (1 + len(_TERM_FIELDS))
+def _verdicts_csv(verdicts: Iterable[IdentityVerdict]) -> list[str]:
+    no_term = [""] * len(_TERM_COLUMNS)
 
-    def rows(v: "IdentityVerdict") -> Iterator[list[object]]:  # one group per verdict, dropped once written
-        base = [v.identity, v.k, v.n]
-        yield ["verdict", *base, v.lhs, v.rhs, v.holds, *no_term, "", ""]
+    def rows(v: IdentityVerdict) -> Iterator[list[object]]:  # one group per verdict, dropped once written
+        base = v[:3]  # identity, k, n
+        yield ["verdict", *v[:6], *no_term, "", ""]
         for term in _term_rows(v):
             yield ["term", *base, "", "", "", *term, "", ""]
         for c in v.checks:
@@ -151,12 +170,12 @@ def _aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
     return "\n".join(lines)
 
 
-def _verdicts_table(verdicts: Iterable["IdentityVerdict"]) -> list[str]:
+def _verdicts_table(verdicts: Iterable[IdentityVerdict]) -> list[str]:
     blocks: list[str] = []  # one piece per verdict, a blank line before each after the first
     for v in verdicts:
         status = "holds" if v.holds else "FAILS"
         head = f"{v.identity}  k={_cell(v.k)}  n={v.n}  lhs={v.lhs}  rhs={v.rhs}  [{status}]"
-        block = ("\n\n" if blocks else "") + head + "\n" + _aligned(["side", *_TERM_FIELDS], _term_rows(v))
+        block = ("\n\n" if blocks else "") + head + "\n" + _aligned(_TERM_COLUMNS, _term_rows(v))
         if v.checks:
             block += "\n" + "\n".join(f"  {c.name} = {c.value}" for c in v.checks)
         blocks.append(block)
@@ -213,7 +232,7 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
 
     if not line.isascii():
         raise ValueError("not ASCII")
-    parts = line.split()
+    parts = line.split(" ")
     if len(parts) != 4:
         raise ValueError("expected 'family k n value'")
     for (name, form, rule), text in zip(_FIELD_FORMS, parts[1:]):
@@ -231,18 +250,19 @@ def _parse_cache_line(line: str) -> tuple[CacheKey, str]:
 
 
 def load_cache(path: str | os.PathLike) -> dict[CacheKey, str]:
-    """Read a cache file; a missing file is an empty cache, and a malformed entry (a byte past ASCII
-    too) or a duplicate one raises ValueError."""
+    """Read a cache file; a missing file is an empty cache, an empty line is skipped, and a malformed
+    entry (a byte past ASCII or a separator besides one newline or one space, too) or a duplicate one
+    raises ValueError."""
     from pathlib import Path
 
     if not (path := Path(path)).exists():
         return {}
-    lines = path.read_bytes().decode("ascii", "surrogateescape").splitlines()
-    if not lines or lines[0] != CACHE_HEADER:
+    lines = path.read_bytes().decode("ascii", "surrogateescape").split("\n")
+    if lines[0] != CACHE_HEADER:
         raise ValueError(f"not a cache file (expected header {CACHE_HEADER!r})")
     entries: dict[CacheKey, str] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line:
             continue
         try:
             key, value = _parse_cache_line(line)

@@ -173,7 +173,15 @@ KILLED = [
      ids("test_cli.py", "test_cache_names_the_line_of_a_byte_past_ascii")),
     # the cache: a line of other than four fields, and a blank line
     ("output.py", "if len(parts) != 4:", "if False:", ids("test_cli.py", "test_cache_line_needs_exactly_four_fields")),
-    ("output.py", "if not line.strip():", "if False:", ids("test_cli.py", "test_cache_skips_blank_lines")),
+    ("output.py", "if not line:", "if False:", ids("test_cli.py", "test_cache_skips_blank_lines")),
+    # the cache split as str.splitlines() and str.split() do: at a form feed inside a line, between fields
+    # at a tab, and a line of spaces skipped as blank
+    ("output.py", '.split("\\n")', ".splitlines()",
+     ids("test_cli.py", "test_cache_splits_only_where_a_save_does[ff]")),
+    ("output.py", 'line.split(" ")', "line.split()",
+     ids("test_cli.py", "test_cache_splits_only_where_a_save_does[tabs]")),
+    ("output.py", "if not line:", "if not line.strip():",
+     ids("test_cli.py", "test_cache_splits_only_where_a_save_does[spaces]")),
     # a JSON term's template indents its fields one level too deep (each of the two tests fails it)
     ("output.py", 'len(value)), [], pad, quote)', 'len(value)), [], inner, quote)',
      ids("test_cli_golden.py", "test_stdout_digest_and_exit_code[verify unrestricted --n 1..60-json]")

@@ -28,7 +28,7 @@ from sytkit.cli import _parse_ints, main, parse_range
 from sytkit.core import Involution
 from sytkit.counting import catalan
 from sytkit.identities import Check, IdentityVerdict, TermBreakdown, verify_a005568
-from sytkit.output import FORMATS, load_cache, render, save_cache
+from sytkit.output import FORMATS, CountRow, load_cache, render, save_cache
 
 
 def table_column(output, column):
@@ -208,6 +208,23 @@ def test_a_reader_that_leaves_early_is_not_an_error(tmp_path, args, code, accept
         os.close(fd)
     written, whole = pipe.getvalue(), run(*args).stdout
     assert whole.startswith(written) and len(written) < len(whole) and bool(written) == bool(accepted)
+
+
+def test_a_closed_stdout_is_an_error_like_a_full_one(monkeypatch):
+    # as `sytkit rsk --cycles "(1)" >&-`, where Python starts with sys.stdout None: one message, exit 2
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", None)
+    with contextlib.redirect_stderr(err):
+        assert cli.run(["rsk", "--cycles", "(1)"]) == 2
+    assert err.getvalue() == "Error: stdout is closed\n"
+
+
+def test_a_process_started_with_stdout_closed_exits_2():
+    src = os.path.dirname(os.path.dirname(sys.modules["sytkit"].__file__))
+    proc = subprocess.run([sys.executable, "-m", "sytkit", "rsk", "--cycles", "(1)"], stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60,
+                          preexec_fn=lambda: os.close(1))  # in the child only, after the fork
+    assert (proc.returncode, proc.stderr) == (2, "Error: stdout is closed\n")
 
 
 @pytest.mark.parametrize("args, message", [
@@ -974,8 +991,7 @@ def test_cached_count_reads_hits_before_computing(tmp_path, monkeypatch, fmt):
     args = ("--format", fmt, "--cache", str(path), "count", "y", "--k", "3", "--n", "4..9")
     first = run(*args)
     # a count reaches the renderer as its decimal text, which prints as the int does
-    ints = [{"family": "y", "k": 3, "n": n, "value": counting.count_family("y", 3, n)}
-            for n in range(4, 10)]
+    ints = [CountRow("y", 3, n, counting.count_family("y", 3, n)) for n in range(4, 10)]
     assert first.exit_code == 0 and first.stdout == "".join(render("count", {"rows": ints}, fmt)) + "\n"
     walked = []
     hook_count = counting._hook_count  # the kernel every shape walk calls
@@ -1017,7 +1033,8 @@ def test_all_hit_cached_count_leaves_the_file_alone(tmp_path, monkeypatch):
     ("not a cache\n", (), 2),
     ("sytkit cache v1\ny 3 2 2\ny 3 2 2\n", (), 2),
     ("sytkit cache v1\ny 4 4 9\n", ("--verify-cache",), 1),  # i(4) = 10, found without a shape walk
-], ids=["header", "duplicate", "poisoned"])
+    ("sytkit cache v1\r\ny 3 2 2\r\n", (), 2),  # CRLF: the header line is 'sytkit cache v1\r'
+], ids=["header", "duplicate", "poisoned", "crlf"])
 def test_bad_cache_is_reported_without_counting(tmp_path, monkeypatch, body, verify_flag, code):
     import sytkit.counting as counting
 
@@ -1170,6 +1187,31 @@ def test_cache_skips_blank_lines(tmp_path):
     assert path.read_bytes() == before  # every row was a hit, so nothing is saved
 
 
+FIELDS = "expected 'family k n value'"
+
+
+@pytest.mark.parametrize("line, error", [
+    *[(f"catalan - 2 2{sep}catalan - 3 5", FIELDS)  # a break str.splitlines() takes, inside one line
+      for sep in "\v\f\x1c\x1d\x1e\r"],
+    ("catalan - 2 2\r", "count is not a canonical decimal integer >= 0"),  # a CRLF line end
+    ("catalan\x1f-\x1f2\x1f2", FIELDS),  # whitespace str.split() takes between fields
+    ("catalan\t-\t2\t2", FIELDS),
+    ("catalan  - 2 2", FIELDS),
+    (" catalan - 2 2", FIELDS),
+    ("catalan - 2 2 ", FIELDS),
+    ("  ", FIELDS),  # only an empty line is blank
+], ids=["vt", "ff", "fs", "gs", "rs", "cr", "crlf", "us", "tabs", "double-space", "leading-space",
+        "trailing-space", "spaces"])
+def test_cache_splits_only_where_a_save_does(tmp_path, line, error):
+    path = tmp_path / "counts.cache"
+    path.write_bytes(f"sytkit cache v1\ncatalan - 1 1\n{line}\ncatalan - 4 14\n".encode())
+    before = path.read_bytes()
+    result = run("--cache", str(path), "count", "catalan", "--n", "1..5")  # 5, a miss, would save
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == f"Error: malformed cache line 3: {line!r}: {error}\n"
+    assert path.read_bytes() == before
+
+
 @pytest.mark.parametrize("body, field", [
     ("y 3 4 9_0", "count"),   # int() reads 90
     ("y 3 4 +9", "count"),
@@ -1303,11 +1345,11 @@ COMMAND_LAYERS = [
     (("audit", "--n", "1"), {"core", "counting", "identities", "bijections", "output"}),
 ]
 
-# the standard-library modules that only some commands load: typing for the identities' named
-# tuples, pathlib for a cache file; bare `import sytkit` and every other command load neither.
-# No command loads __future__ or importlib: no module imports __future__, and sytkit.__getattr__
-# imports importlib only for a public name, which no command looks up
-STDLIB_LOADS = {"verify": {"typing"}, "audit": {"typing"}, "--cache": {"pathlib"}}
+# the standard-library modules that only some commands load: pathlib for a cache file; bare
+# `import sytkit` and every other command load none.  No command loads typing, __future__ or
+# importlib: no module imports typing or __future__, and sytkit.__getattr__ imports importlib only
+# for a public name, which no command looks up
+STDLIB_LOADS = {"--cache": {"pathlib"}}
 
 
 TABLE_FORMAT_LOADS = """
@@ -1369,12 +1411,12 @@ def test_each_command_loads_only_its_layers(tmp_path):
 
 
 # each module alone: the layers it imports at load time, itself included; every error type is
-# defined by the module that raises it, so no module loads another just for an exception.  Only
-# identities loads typing (for NamedTuple), and no module loads pathlib, __future__ or importlib
+# defined by the module that raises it, so no module loads another just for an exception.  identities
+# loads output for its record types, and no module loads typing, pathlib, __future__ or importlib
 MODULE_LAYERS = {
     "core": {"core"},
     "counting": {"core", "counting"},
-    "identities": {"core", "counting", "identities"},
+    "identities": {"core", "counting", "identities", "output"},
     "bijections": {"core", "bijections"},
     "output": {"output"},
     "cli": {"core", "output", "cli"},
@@ -1393,8 +1435,7 @@ def test_each_module_loads_only_the_layers_it_imports():
     outs = {module: proc.communicate(timeout=60)[0] for module, proc in procs.items()}  # all reaped first
     for module, layers in MODULE_LAYERS.items():
         assert procs[module].returncode == 0, module
-        stdlib = {"typing"} if module == "identities" else set()
-        assert set(json.loads(outs[module])) == {f"sytkit.{layer}" for layer in layers} | stdlib, module
+        assert set(json.loads(outs[module])) == {f"sytkit.{layer}" for layer in layers}, module
 
 
 def test_runs_in_one_process_share_one_parser(monkeypatch):

@@ -18,9 +18,10 @@ from sytkit import (
     verify_unrestricted,
     verify_wilf_even,
 )
-from sytkit import identities
+import sytkit
+from sytkit import identities, output
 from sytkit.identities import IdentityVerdict, TermBreakdown
-from sytkit.output import _TERM_FIELDS, render
+from sytkit.output import render
 
 from cli_runner import invoke
 from oracles import series_fpf_lis, series_mul, series_reflect, series_u, series_x, series_y
@@ -279,18 +280,26 @@ def test_verdicts_match_the_bessel_series_to_n_20(k):
 # ---------------------------------------------------------------- records
 
 def test_term_fields_are_the_printed_columns():
-    assert TermBreakdown._fields == _TERM_FIELDS
+    fields = TermBreakdown._fields
     v = verify_corollary_k3(2)
     terms = [["lhs", *map(str, t)] for t in v.lhs_terms] + [["rhs", *map(str, t)] for t in v.rhs_terms]
     doc = json.loads("".join(render("verdict", {"verdicts": [v]}, "json")))["verdicts"][0]
     for side in ("lhs", "rhs"):  # JSON: each term is the object of its fields
         assert [t for t in terms if t[0] == side] == [[side, *t.values()] for t in doc[f"{side}_terms"]]
-        assert all(list(t) == list(_TERM_FIELDS) for t in doc[f"{side}_terms"])
+        assert all(tuple(t) == fields for t in doc[f"{side}_terms"])
     rows = list(csv.DictReader(io.StringIO("".join(render("verdict", {"verdicts": [v]}, "csv")))))
-    assert [[r[f] for f in ("side", *_TERM_FIELDS)] for r in rows if r["row_type"] == "term"] == terms
+    assert [[r[f] for f in ("side", *fields)] for r in rows if r["row_type"] == "term"] == terms
     table = "".join(render("verdict", {"verdicts": [v]}, "table")).splitlines()
-    assert table[1].split() == ["side", *_TERM_FIELDS]
+    assert table[1].split() == ["side", *fields]
     assert [line.split() for line in table[3:3 + len(terms)]] == terms
+
+
+def test_each_record_type_is_one_class_of_output():
+    for name in ("IdentityVerdict", "TermBreakdown"):
+        assert getattr(sytkit, name) is getattr(output, name) is getattr(identities, name)
+    assert identities.Check is output.Check and "Check" not in sytkit.__all__ + dir(sytkit)  # unexported
+    with pytest.raises(AttributeError, match="no attribute 'Check'"):
+        sytkit.Check
 
 
 def test_verdicts_and_terms_are_tuples_of_their_values():
